@@ -1,16 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 check failure, 2 domain error, 64 usage error.
-``AC_LAB_THREADS`` caps the worker count of parameter-grid commands; results
-are assembled in input order so identical configurations produce
-byte-identical files.
+Identical configurations produce byte-identical files.
 """
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,13 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _max_workers():
-    raw = os.environ.get("AC_LAB_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
 
 
 def _parse_kappa_grid(text):
@@ -103,8 +92,7 @@ def cmd_energy_table(cfg):
     kappas = cfg.parameters["kappa_grid"]
     n_points = cfg.parameters["n_points"]
     grid = TorusGrid(n_points)
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        states = list(pool.map(lambda k: build_ground_state(k, grid), kappas))
+    states = [build_ground_state(k, grid) for k in kappas]
     rows = [(gs.kappa, gs.peak.N, gs.energy, gs.energy / gs.kappa) for gs in states]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / "energy_table.csv"

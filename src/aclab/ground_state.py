@@ -21,20 +21,24 @@ kappa regime, where 1 - N is exponentially small:
 * the complement w = 1 - N is tracked instead of N, and the integrand uses
   2 - N^2 (1 + sin^2) = cos^2 theta + q (1 + sin^2 theta) with q = w (2 - w),
   which never cancels;
-* integrals run in the angle psi = pi/2 - theta measured from the peak, so
-  the near-singular factor is sin^2 psi + q (1 + cos^2 psi) whose small
-  argument is computed through sin(psi), exact in relative terms near 0
-  (cos(theta) near pi/2 carries only absolute accuracy, which stalls
-  adaptive refinement in noise).
+* integrals run in the angle psi = pi/2 - theta measured from the peak,
+  where they have the closed form (DLMF 19.25.5)
+
+      x / (sqrt 2 kappa) = int_psi^{pi/2} dp / sqrt(sin^2 p + q (1 + cos^2 p))
+          = cos(psi) R_F((1 + q) sin^2 psi, 2q + (1 - q) sin^2 psi, 1 + q)
+
+  in Carlson's symmetric integral R_F, whose three arguments are sums of
+  nonnegative terms and so never cancel, however small q is; g(N) is its
+  value at psi = 0.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import elliprf
 
 from .errors import ConstructionError, DomainError, ResolutionError
-from .quadrature import integrate
 from .roots import find_root
 from .spectral import (
     ODD_TOL,
@@ -58,26 +62,23 @@ PEAK_RESIDUAL_TOL = 1e-12
 PEAK_KAPPA_MIN = 0.015
 
 
-def _peak_integrand(q):
-    # angle measured from the peak: psi = pi/2 - theta
-    def f(psi):
-        s = np.sin(psi)
-        c = np.cos(psi)
-        return 1.0 / np.sqrt(s * s + q * (1.0 + c * c))
-
-    return f
+def _scaled_position(psi, q):
+    """x / (sqrt 2 kappa) of the node at peak angle ``psi``, elementwise."""
+    s2 = np.sin(psi) ** 2
+    return np.cos(psi) * elliprf((1.0 + q) * s2, 2.0 * q + (1.0 - q) * s2, 1.0 + q)
 
 
-def _g_from_complement(w, tol=1e-14):
+def _g_from_complement(w):
+    # the scaled position of the peak, psi = 0
     q = w * (2.0 - w)
-    return integrate(_peak_integrand(q), 0.0, 0.5 * math.pi, tol=tol)
+    return float(elliprf(0.0, 1.0 + q, 2.0 * q))
 
 
-def eval_g(N, tol=1e-14):
+def eval_g(N):
     """Quarter-period integral g(N); strictly increasing, g(0) = pi/(2 sqrt 2)."""
     if not 0.0 <= N < 1.0:
         raise DomainError(f"domain error: need 0 <= N < 1, got N={N!r}")
-    return _g_from_complement(1.0 - N, tol=tol)
+    return _g_from_complement(1.0 - N)
 
 
 @dataclass(frozen=True)
@@ -124,21 +125,22 @@ def solve_peak(kappa):
     if not 0.0 < kappa < 1.0:
         raise DomainError(f"domain error: kappa={kappa!r} outside (0, 1)")
     if kappa < PEAK_KAPPA_MIN:
-        # 1 - N ~ exp(-pi/(sqrt 2 kappa)) falls below what double precision
-        # quadrature can resolve at the bracket endpoint
+        # the supported range, not a precision limit: the closed form holds
+        # until q = w (2 - w) underflows near kappa = 0.003, but nothing below
+        # this floor is tested (1 - N is 1.9e-64 at the floor)
         raise DomainError(
-            f"domain error: kappa={kappa} below the double-precision peak-solve "
-            f"floor {PEAK_KAPPA_MIN}"
+            f"domain error: kappa={kappa} below the peak-solve floor {PEAK_KAPPA_MIN}"
         )
     target = G_AT_ZERO / kappa
 
     def f(s):
-        return _g_from_complement(math.exp(s), tol=1e-15) - target
+        return _g_from_complement(math.exp(s)) - target
 
     s_lo = -2.0 * target - 8.0  # g there exceeds the target for any kappa
-    root = find_root(f, s_lo, 0.0, ftol=4e-13, xtol=1e-13)
+    # g is exact to rounding, so stop only a few ulps from the target
+    root = find_root(f, s_lo, 0.0, ftol=1e-15 * target, xtol=1e-13)
     w = math.exp(root)
-    residual = abs(_g_from_complement(w, tol=1e-15) - target)
+    residual = abs(_g_from_complement(w) - target)
     if residual > PEAK_RESIDUAL_TOL:
         raise ConstructionError(
             f"construction failure: peak residual {residual:.3e} exceeds "
@@ -176,59 +178,53 @@ def kappa_floor(grid: TorusGrid) -> float:
 def _solve_quarter_angles(x_targets, kappa, q, g_total):
     """Invert the profile map at each target x, returning peak angles psi.
 
-    Solves int_0^psi f = g - x/(sqrt 2 kappa) by Newton on psi with a
-    bisection safeguard; x ascending means psi descending from pi/2 toward
-    the peak at 0.  Integral values accumulate from the previous node's
-    converged angle and are re-based periodically so quadrature error cannot
-    random-walk across the chain.  Convergence is measured through the
-    effect on u = N cos(psi), which stays conditioned at the peak where the
-    integrand blows up.
+    Solves _scaled_position(psi) = x/(sqrt 2 kappa) by Newton's method on
+    all nodes at once; a per-node bracket [lo, hi] replaces any step that
+    leaves it by bisection.  The residual is taken in the position itself,
+    whose rounding shrinks with x and vanishes at the x = 0 seam; against
+    the integral from the peak it would carry the rounding of g_total at
+    every node, noise the spectral residual check amplifies by m^2.
+    Convergence is measured through the effect on u = N cos(psi), which
+    stays conditioned at the peak where the integrand blows up.
     """
-    f = _peak_integrand(q)
-    scale = math.sqrt(2.0) * kappa
-    half_pi = 0.5 * math.pi
-    psis = np.empty(x_targets.size)
-    # running anchor G(psi_a) = int_0^psi_a f; increments chain without
-    # re-basing: their errors accumulate as a smooth walk, which the
-    # spectral residual check differentiates harmlessly, whereas re-basing
-    # introduces jumps that it amplifies by m^2
-    psi_a, g_a = half_pi, g_total
-    for i, x in enumerate(x_targets):
-        tgt = g_total - x / scale
-        lo, hi = 0.0, psi_a
-        den_a = math.sin(psi_a) ** 2 + q * (1.0 + math.cos(psi_a) ** 2)
-        psi = psi_a - (g_a - tgt) * math.sqrt(den_a)
-        if not lo < psi < hi:
-            psi = 0.5 * (lo + hi)
-        for _ in range(80):
-            g_psi = g_a - integrate(f, psi, psi_a, tol=1e-15)
-            err = g_psi - tgt
-            s = math.sin(psi)
-            den = s * s + q * (1.0 + math.cos(psi) ** 2)
-            # Newton step in psi; its effect on u = N cos(psi) is first order
-            # in sin(psi) plus the curvature term that dominates at the peak
-            dpsi = abs(err) * math.sqrt(den)
-            if s * dpsi + 0.5 * dpsi * dpsi <= 2e-15 or hi - lo <= 4e-16:
-                break
-            if err > 0.0:
-                hi = psi
-            else:
-                lo = psi
-            cand = psi - err * math.sqrt(den)
-            if not lo < cand < hi:
-                cand = 0.5 * (lo + hi)
-            psi = cand
-        else:
-            raise ConstructionError(
-                f"construction failure: angle solve stalled at x={x!r}"
-            )
-        psis[i] = psi
-        psi_a, g_a = psi, g_psi
-    return psis
+    targets = x_targets / (math.sqrt(2.0) * kappa)
+    lo = np.zeros(targets.size)
+    hi = np.full(targets.size, 0.5 * math.pi)
+    # the integrand is >= 1/sqrt(p^2 + 2q), so the integral from the peak
+    # exceeds asinh(psi/sqrt(2q)) and this start is not left of the root
+    psis = np.minimum(math.sqrt(2.0 * q) * np.sinh(g_total - targets), hi)
+    active = np.arange(targets.size)
+    for _ in range(80):
+        psi = psis[active]
+        s = np.sin(psi)
+        den = s * s + q * (1.0 + np.cos(psi) ** 2)
+        err = targets[active] - _scaled_position(psi, q)
+        step = err * np.sqrt(den)
+        dpsi = np.abs(step)
+        lo_a, hi_a = lo[active], hi[active]
+        # first-order effect on u in sin(psi) plus the curvature term that
+        # dominates at the peak
+        done = (s * dpsi + 0.5 * dpsi * dpsi <= 2e-15) | (hi_a - lo_a <= 4e-16)
+        hi_a = np.where(err > 0.0, psi, hi_a)
+        lo_a = np.where(err > 0.0, lo_a, psi)
+        cand = psi - step
+        outside = ~((lo_a < cand) & (cand < hi_a))
+        # converged nodes still take their last Newton step, unbracketed: it
+        # squares their error, which is otherwise independent from node to
+        # node at up to 2e-15 in u, noise the residual check amplifies by m^2
+        cand = np.where(outside & ~done, 0.5 * (lo_a + hi_a), cand)
+        psis[active] = cand
+        lo[active], hi[active] = lo_a, hi_a
+        active = active[~done]
+        if active.size == 0:
+            return psis
+    raise ConstructionError(
+        f"construction failure: angle solve stalled at x={x_targets[active[0]]!r}"
+    )
 
 
 def build_ground_state(kappa, grid: TorusGrid | None = None, *, residual_tol=RESIDUAL_TOL):
-    """Build the steady profile on ``grid`` via the quadrature/inversion recipe.
+    """Build the steady profile on ``grid`` by inverting the quarter-period map.
 
     The quarter profile on [0, pi/2] is extended to the torus by odd
     reflection about 0 and even reflection about pi/2 (the steady equation
@@ -248,7 +244,7 @@ def build_ground_state(kappa, grid: TorusGrid | None = None, *, residual_tol=RES
         )
     peak = solve_peak(kappa)
     q, N = peak.q, peak.N
-    g_total = G_AT_ZERO / kappa  # g(N) up to the certified peak residual
+    g_total = _g_from_complement(peak.complement)
 
     n = grid.n_points
     i0, n4 = n // 2, n // 4

@@ -144,4 +144,5 @@ def check_record(result) -> dict:
         "expected": result.expected,
         "tolerance": result.tolerance,
         "window": result.window,
+        "detail": result.detail,
     }

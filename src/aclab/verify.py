@@ -2,8 +2,9 @@
 
 Each check returns a :class:`CheckResult` with the observed quantity, the
 expectation it was held against, and the tolerance actually applied, so the
-suite output doubles as a quantitative report.  Expensive artifacts
-(profiles, trajectories) are cached per run and shared between checks.
+suite output doubles as a quantitative report.  Trajectories, which take
+seconds, are cached per run and shared between checks; profiles take
+milliseconds and are rebuilt where needed.
 """
 
 import math
@@ -50,20 +51,7 @@ class CheckResult:
 @dataclass
 class _Context:
     seed: int
-    grids: dict = field(default_factory=dict)
-    ground_states: dict = field(default_factory=dict)
     trajectories: dict = field(default_factory=dict)
-
-    def grid(self, n=2048):
-        if n not in self.grids:
-            self.grids[n] = TorusGrid(n)
-        return self.grids[n]
-
-    def ground_state(self, kappa, n=2048):
-        key = (round(kappa, 12), n)
-        if key not in self.ground_states:
-            self.ground_states[key] = build_ground_state(kappa, self.grid(n))
-        return self.ground_states[key]
 
     def trajectory(self, name):
         if name not in self.trajectories:
@@ -99,7 +87,7 @@ RESIDUAL_KAPPAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def check_g_zero(ctx):
-    observed = eval_g(0.0, tol=1e-15)
+    observed = eval_g(0.0)
     err = abs(observed - G_AT_ZERO)
     return CheckResult(
         name="g_zero",
@@ -143,7 +131,7 @@ def check_profile_residual_and_oracle(ctx):
     worst_resid = 0.0
     worst_oracle = 0.0
     for kap in RESIDUAL_KAPPAS:
-        gs = ctx.ground_state(kap)
+        gs = build_ground_state(kap)
         worst_resid = max(worst_resid, gs.residual)
         vals, _ = shoot_profile(kap, gs.quarter_x)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(vals - gs.quarter_u))))
@@ -160,7 +148,7 @@ def check_profile_residual_and_oracle(ctx):
 def check_energy_identities(ctx):
     worst = 0.0
     for kap in RESIDUAL_KAPPAS:
-        rep = energy_identities(ctx.ground_state(kap), tol=1e-8)
+        rep = energy_identities(build_ground_state(kap), tol=1e-8)
         worst = max(worst, rep.max_discrepancy)
     return CheckResult(
         name="energy_identity_triple_agreement",
@@ -173,7 +161,7 @@ def check_energy_identities(ctx):
 
 def check_energy_monotonicity(ctx):
     kappas = np.linspace(0.05, 0.95, 19)
-    energies = [ctx.ground_state(float(k)).energy for k in kappas]
+    energies = [build_ground_state(float(k)).energy for k in kappas]
     diffs = np.diff(energies)
     increasing = bool(np.all(diffs > 0.0))
     below = bool(np.all(np.array(energies) < 0.5 * math.pi))
@@ -188,7 +176,7 @@ def check_energy_monotonicity(ctx):
 
 
 def check_small_kappa_energy_ratio(ctx):
-    gs = ctx.ground_state(0.02, n=8192)
+    gs = build_ground_state(0.02, TorusGrid(8192))
     ratio = gs.energy / 0.02
     rel = abs(ratio / ENERGY_RATIO_LIMIT - 1.0)
     return CheckResult(
@@ -203,7 +191,7 @@ def check_small_kappa_energy_ratio(ctx):
 
 def check_catalog(ctx):
     kappa = 0.26
-    grid = ctx.grid()
+    grid = TorusGrid(2048)
     cat = build_catalog(kappa, grid)
     problems = []
     if cat.m != 3:
@@ -212,7 +200,7 @@ def check_catalog(ctx):
     worst_ident = 0.0
     worst_energy = 0.0
     for r in cat.replicas:
-        gs_j = ctx.ground_state(r.j * kappa)
+        gs_j = build_ground_state(r.j * kappa, grid)
         idx = (r.j * np.arange(n) - (r.j - 1) * (n // 2)) % n
         worst_ident = max(
             worst_ident, float(np.max(np.abs(r.field.values - gs_j.field.values[idx])))
@@ -279,7 +267,7 @@ def check_spectral_gap(ctx):
     worst_gap = math.inf
     worst_drift = 0.0
     for kap in (0.5, 0.7, 0.9):
-        gs = ctx.ground_state(kap)
+        gs = build_ground_state(kap)
         g256 = spectral_gap(gs, M=256)
         g512 = spectral_gap(gs, M=512)
         worst_gap = min(worst_gap, g256)
@@ -336,7 +324,7 @@ def check_algebraic_decay(ctx):
 
 def check_ground_state_convergence(ctx):
     traj = ctx.trajectory("kappa09_half")
-    gs = ctx.ground_state(0.9)
+    gs = build_ground_state(0.9)
     sign, err = terminal_comparison(traj, gs.field)
     cu = ground_state_spectrum(gs).coeffs[: traj.params.max_mode]
     dist = np.array(

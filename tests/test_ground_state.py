@@ -1,12 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aclab.catalog import orbit_invariant
 from aclab.errors import DomainError, ResolutionError, SymmetryError
 from aclab.ground_state import (
     G_AT_ZERO,
+    _g_from_complement,
+    _scaled_position,
     build_ground_state,
     energy,
     energy_identities,
@@ -16,15 +21,52 @@ from aclab.ground_state import (
     peak_bounds,
     solve_peak,
 )
-from aclab.oracles import composite_simpson
+from aclab.oracles import composite_simpson, peak_complement_mp
+from aclab.quadrature import integrate
 from aclab.spectral import TorusField, TorusGrid
 
 SQRT2 = math.sqrt(2.0)
+# a few ulps: the closed form and the reference quadrature round differently
+CLOSED_FORM_RTOL = 8.0 * np.finfo(float).eps
+QUAD_TOL = 1e-15
+
+
+def _peak_integrand(q):
+    def f(psi):
+        return 1.0 / np.sqrt(np.sin(psi) ** 2 + q * (1.0 + np.cos(psi) ** 2))
+
+    return f
+
+
+def _quad_reference(f, a, b):
+    """integrate() with the absolute error it guarantees, tol * max(1, |Q|)."""
+    value = integrate(f, a, b, tol=QUAD_TOL)
+    return pytest.approx(value, rel=CLOSED_FORM_RTOL, abs=QUAD_TOL * max(1.0, abs(value)))
+
+
+class TestClosedForm:
+    """The Carlson closed forms against adaptive quadrature of their integrand."""
+
+    @given(
+        log10_w=st.floats(-48.0, 0.0),
+        psi=st.floats(0.0, 0.5 * math.pi),
+    )
+    def test_against_quadrature(self, log10_w, psi):
+        w = 10.0**log10_w
+        q = w * (2.0 - w)
+        f = _peak_integrand(q)
+        assert _g_from_complement(w) == _quad_reference(f, 0.0, 0.5 * math.pi)
+        assert _scaled_position(psi, q) == _quad_reference(f, psi, 0.5 * math.pi)
+
+    @given(N=st.floats(0.0, 1.0 - 1e-9))
+    def test_eval_g_against_quadrature(self, N):
+        q = (1.0 - N) * (1.0 + N)
+        assert eval_g(N) == _quad_reference(_peak_integrand(q), 0.0, 0.5 * math.pi)
 
 
 class TestEvalG:
     def test_at_zero(self):
-        assert abs(eval_g(0.0, tol=1e-15) - G_AT_ZERO) < 1e-13
+        assert abs(eval_g(0.0) - G_AT_ZERO) < 1e-13
 
     def test_divergence_near_one(self):
         assert eval_g(0.999999) > 4.0
@@ -36,7 +78,7 @@ class TestEvalG:
             return 1.0 / np.sqrt(2.0 - N * N * (1.0 + np.sin(theta) ** 2))
 
         oracle = composite_simpson(f, 0.0, 0.5 * math.pi)
-        assert eval_g(N, tol=1e-13) == pytest.approx(oracle, abs=1e-10)
+        assert eval_g(N) == pytest.approx(oracle, abs=1e-10)
 
     def test_strictly_increasing(self):
         ns = np.linspace(0.0, 1.0 - 1e-6, 40)
@@ -62,7 +104,7 @@ class TestSolvePeak:
 
     def test_period_identity(self):
         pv = solve_peak(0.5)
-        period = 4.0 * SQRT2 * 0.5 * eval_g(pv.N, tol=1e-15)
+        period = 4.0 * SQRT2 * 0.5 * eval_g(pv.N)
         assert period == pytest.approx(2.0 * math.pi, abs=1e-9)
 
     def test_residual_certified(self):
@@ -101,6 +143,37 @@ class TestProfile:
         quarter = v[n // 2 : n // 2 + n // 4 + 1]
         mirrored = v[n // 2 + n // 4 : n][::-1]
         assert np.array_equal(quarter[1:], mirrored)
+
+    def test_residual_claim_of_readme(self, gs_cache):
+        # the README promises a residual below 1e-9 for kappa in [0.03, 0.95]
+        # at n_points = 2048, and kappa = 0.02 needs n_points = 8192
+        cases = [(float(k), 2048) for k in np.linspace(0.05, 0.95, 19)] + [(0.02, 8192)]
+        worst = max((gs_cache(k, n).residual, k, n) for k, n in cases)
+        assert worst[0] < 1e-9, worst
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.8])
+    def test_quarter_profile_against_mpmath_inversion(self, kappa):
+        # peak solve and profile inversion together, against both redone in
+        # 30 digits; at the exact peak G(pi/2) = pi/(2 sqrt 2 kappa)
+        gs = build_ground_state(kappa)
+        nodes = np.linspace(1, gs.quarter_x.size - 1, 8).astype(int)
+        with mp.workdps(30):
+            w = peak_complement_mp(kappa, dps=30)
+            N = 1 - w
+            q = w * (2 - w)
+            scale = mp.sqrt(2) * mp.mpf(kappa)
+
+            def G(psi):
+                return mp.quad(
+                    lambda p: 1 / mp.sqrt(mp.sin(p) ** 2 + q * (1 + mp.cos(p) ** 2)),
+                    [0, psi],
+                )
+
+            for i in nodes:
+                target = (mp.pi / 2 - mp.mpf(gs.quarter_x[i])) / scale
+                start = mp.acos(min(mp.mpf(gs.quarter_u[i]) / N, 1))
+                psi = mp.findroot(lambda p: G(p) - target, start)
+                assert abs(float(N * mp.cos(psi)) - gs.quarter_u[i]) <= 1e-14, i
 
     def test_pde_residual_including_seams(self, gs_cache):
         # the max-norm residual covers every grid node, in particular the

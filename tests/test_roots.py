@@ -23,7 +23,7 @@ def test_peak_equation_cross_validated_by_period_identity():
     target = math.pi / (2.0 * math.sqrt(2.0) * kappa)
     N = find_root(lambda n: eval_g(n) - target, 0.0, 1.0 - 1e-12, tol=1e-13)
     # the quarter-period identity makes 4 sqrt(2) kappa g(N) one full period
-    assert 4.0 * math.sqrt(2.0) * kappa * eval_g(N, tol=1e-15) == pytest.approx(
+    assert 4.0 * math.sqrt(2.0) * kappa * eval_g(N) == pytest.approx(
         2.0 * math.pi, abs=1e-9
     )
 

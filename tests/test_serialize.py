@@ -52,3 +52,12 @@ def test_rate_fit_rows_exponential():
     rows = list(serialize.rate_fit_rows(t, y, fit))
     assert len(rows) == 40
     assert all(abs(r[3]) < 1e-9 for r in rows)
+
+
+def test_check_record_keeps_detail():
+    from aclab.verify import CheckResult
+
+    result = CheckResult("g_zero", True, "obs", "exp", "1e-12", detail="|error| = 0")
+    record = serialize.check_record(result)
+    assert record["detail"] == "|error| = 0"
+    assert record["check_name"] == "g_zero" and record["pass"] is True
