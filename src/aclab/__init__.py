@@ -51,7 +51,6 @@ from .errors import (
 from .evolution import (
     EvolveParams,
     Trajectory,
-    apply_filter,
     evolve,
     fractional_multiplier,
     initial_spectrum,

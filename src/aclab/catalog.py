@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import DomainError, ResolutionError, SymmetryError
+from .errors import DomainError, ResolutionError
 from .ground_state import GroundState, build_ground_state, energy, eval_g
-from .spectral import ODD_TOL, TorusField, TorusGrid, odd_defect
+from .spectral import TorusField, TorusGrid, require_odd
 
 C_BOUNDARY_TOL = 1e-12
 C_NEAR_BOUNDARY = 1e-8
@@ -198,9 +198,7 @@ def basin_criterion(u0: TorusField, kappa) -> BasinVerdict:
     at 2*kappa, the flow from odd u0 can only settle on the +-ground
     profile.  Outside that range the verdict reports non-applicability.
     """
-    defect = odd_defect(u0.values)
-    if defect > ODD_TOL:
-        raise SymmetryError(f"symmetry violation: odd defect {defect:.3e} exceeds {ODD_TOL}")
+    require_odd(u0.values)
     e_u0 = energy(u0, kappa)
     if not 0.0 < kappa < 0.5:
         return BasinVerdict(

@@ -23,7 +23,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_USAGE = 64
 
-FILTER_NAMES = {"none": "none", "odd": "odd_projection", "bandgap": "odd_band_gap"}
+FILTER_NAMES = {"none": "none", "bandgap": "odd_band_gap"}
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _number(kind, token, text):
+    try:
+        return kind(token)
+    except ValueError:
+        raise DomainError(f"domain error: malformed number {token!r} in {text!r}") from None
+
+
 def _parse_kappa_grid(text):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"domain error: grid spec {text!r} is not start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_number(float, p, text) for p in parts)
         if step <= 0.0 or stop < start:
             raise DomainError(f"domain error: bad grid spec {text!r}")
         count = int(round((stop - start) / step)) + 1
         return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    kappas = [_number(float, p, text) for p in text.split(",") if p.strip()]
+    if not kappas:
+        raise DomainError(f"domain error: empty kappa grid {text!r}")
+    return kappas
 
 
 def _parse_coeffs(text):
@@ -59,7 +69,7 @@ def _parse_coeffs(text):
         if not item.strip():
             continue
         m, _, val = item.partition(":")
-        out[int(m)] = float(val)
+        out[_number(int, m, text)] = _number(float, val, text)
     if not out:
         raise DomainError(f"domain error: empty coefficient list {text!r}")
     return out

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, SignError, WindowError
-from .spectral import SineSpectrum
+from .spectral import SineSpectrum, sine_coeffs, sine_values
 
 SIGNAL_FLOOR = 1e-13
 MIN_FIT_POINTS = 20
@@ -227,15 +227,9 @@ def check_eta0_inequality(spec: SineSpectrum, gamma) -> Eta0Report:
     n_pad = 16
     while n_pad < 8 * M:
         n_pad *= 2
-    m = np.arange(1, M + 1)
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    R = np.zeros(n_pad // 2 + 1, dtype=complex)
-    R[1 : M + 1] = -0.5j * n_pad * signs * c
-    u = np.fft.irfft(R, n_pad)
-    cube = u**3
-    F = np.fft.rfft(cube)
-    d = -(2.0 / n_pad) * signs * F[1 : M + 1].imag  # alias-free: 3M < n_pad/2
-    lhs = float(np.pi * np.sum(d * m.astype(float) ** gamma * c))
+    u = sine_values(c, n_pad)
+    d = sine_coeffs(u**3, M)  # alias-free: 3M < n_pad/2
+    lhs = float(np.pi * np.sum(d * np.arange(1.0, M + 1) ** gamma * c))
     l4 = float((2.0 * np.pi / n_pad) * np.sum(u**4))
     ratio = lhs / l4 if l4 > 0.0 else math.inf
     if gamma == 2.0:

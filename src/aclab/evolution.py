@@ -14,12 +14,19 @@ import numpy as np
 
 from .diagnostics import DiagnosticSeries
 from .errors import BlowUpError, DomainError
-from .spectral import SineSpectrum, TorusField, TorusGrid, sine_transform
+from .spectral import (
+    SineSpectrum,
+    TorusField,
+    TorusGrid,
+    sine_coeffs,
+    sine_transform,
+    sine_values,
+    synthesize,
+)
 
 FILTER_NONE = "none"
-FILTER_ODD_PROJECTION = "odd_projection"
 FILTER_ODD_BAND_GAP = "odd_band_gap"
-FILTERS = (FILTER_NONE, FILTER_ODD_PROJECTION, FILTER_ODD_BAND_GAP)
+FILTERS = (FILTER_NONE, FILTER_ODD_BAND_GAP)
 
 STEADY_CHECKS_REQUIRED = 10
 
@@ -35,6 +42,7 @@ def fractional_multiplier(m, kappa, gamma):
 class EvolveParams:
     """Configuration of one evolution run.
 
+    ``t_end`` must be a whole number of steps ``dt`` (to 1e-9 relative).
     ``detect_steady=None`` resolves to enabled except at kappa = 1, where
     slow algebraic decay produces false positives.  ``cubic=False`` is a
     test hook that drops the nonlinear term, leaving the exact linear
@@ -61,6 +69,9 @@ class EvolveParams:
             raise DomainError(f"domain error: dt={self.dt!r} outside (0, 0.1]")
         if self.t_end <= 0.0:
             raise DomainError(f"domain error: t_end={self.t_end!r} must be positive")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise DomainError(f"domain error: t_end={self.t_end!r} is not a multiple of dt")
         TorusGrid(self.n_points)  # validates the grid size
         if self.filter not in FILTERS:
             raise DomainError(f"domain error: filter={self.filter!r} not in {FILTERS}")
@@ -96,41 +107,26 @@ class Trajectory:
 class _Stepper:
     def __init__(self, params: EvolveParams):
         self.params = params
-        M = params.max_mode
-        m = np.arange(1, M + 1)
+        m = np.arange(1, params.max_mode + 1)
         lam = 1.0 - fractional_multiplier(m, params.kappa, params.gamma)
         self.e_full = np.exp(params.dt * lam)
         self.e_half = np.exp(0.5 * params.dt * lam)
         self.n_pad = 2 * params.n_points
-        signs = np.where(m % 2 == 0, 1.0, -1.0)
-        self._syn = -0.5j * self.n_pad * signs
-        self._ana = -(2.0 / self.n_pad) * signs
-        self.M = M
-        self.m_gamma = m.astype(float) ** params.gamma
-
-    def synth_padded(self, c):
-        R = np.zeros(self.n_pad // 2 + 1, dtype=complex)
-        R[1 : self.M + 1] = self._syn * c
-        return np.fft.irfft(R, self.n_pad)
-
-    def sine_coeffs(self, values):
-        F = np.fft.rfft(values)
-        return self._ana * F[1 : self.M + 1].imag
 
     def cubic_term(self, c):
-        # overflow here surfaces as non-finite coefficients, which the
-        # caller turns into BlowUpError; the warning is just noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = self.synth_padded(c)
-            return -self.sine_coeffs(u * u * u)
+        u = sine_values(c, self.n_pad)
+        return -sine_coeffs(u * u * u, c.size)
 
     def step(self, c):
         p = self.params
         if p.cubic:
-            k1 = self.cubic_term(c)
-            mid = self.e_half * (c + 0.5 * p.dt * k1)
-            k2 = self.cubic_term(mid)
-            out = self.e_full * c + p.dt * self.e_half * k2
+            # overflow here surfaces as non-finite coefficients, which the
+            # caller turns into BlowUpError; the warning is just noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = self.cubic_term(c)
+                mid = self.e_half * (c + 0.5 * p.dt * k1)
+                k2 = self.cubic_term(mid)
+                out = self.e_full * c + p.dt * self.e_half * k2
         else:
             out = self.e_full * c
         if p.filter == FILTER_ODD_BAND_GAP:
@@ -138,29 +134,15 @@ class _Stepper:
         return out
 
 
-def apply_filter(state: SineSpectrum, kind: str) -> SineSpectrum:
-    """Apply a symmetry filter to a sine spectrum.
-
-    ``odd_projection`` validates and passes through: the sine representation
-    already enforces odd symmetry.  ``odd_band_gap`` zeroes every even-index
-    mode exactly.
-    """
-    if kind not in FILTERS:
-        raise DomainError(f"domain error: filter={kind!r} not in {FILTERS}")
-    if kind == FILTER_ODD_BAND_GAP:
-        c = state.coeffs.copy()
-        c[1::2] = 0.0
-        return SineSpectrum(c)
-    return state
+def _fit_to_cutoff(spec: SineSpectrum, M):
+    c = np.zeros(M)
+    c[: spec.coeffs.size] = spec.coeffs[:M]
+    return c
 
 
 def step(state: SineSpectrum, params: EvolveParams) -> SineSpectrum:
     """Advance one time step; pure function of (state, params)."""
-    stepper = _Stepper(params)
-    c = np.zeros(params.max_mode)
-    k = min(c.size, state.coeffs.size)
-    c[:k] = state.coeffs[:k]
-    out = stepper.step(c)
+    out = _Stepper(params).step(_fit_to_cutoff(state, params.max_mode))
     if not np.all(np.isfinite(out)):
         raise BlowUpError("blow-up detected at step 1", step_index=1)
     return SineSpectrum(out)
@@ -187,14 +169,14 @@ def initial_spectrum(preset, max_mode):
     return initial_spectrum(table[preset], max_mode)
 
 
-def _energy_from_state(stepper, c, kappa):
+def _energy_from_state(c, kappa, n_pad):
     # E = kappa^2/2 * pi * sum (m c_m)^2 + 1/4 int (1 - u^2)^2 dx,
     # the quartic integral evaluated exactly on the padded grid
     m = np.arange(1, c.size + 1, dtype=float)
     grad = 0.5 * kappa**2 * np.pi * float(np.sum((m * c) ** 2))
-    u = stepper.synth_padded(c)
+    u = sine_values(c, n_pad)
     sum_sq = float(np.sum(c * c))
-    int_u4 = (2.0 * np.pi / stepper.n_pad) * float(np.sum(u**4))
+    int_u4 = (2.0 * np.pi / n_pad) * float(np.sum(u**4))
     quartic = 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4)
     return grad + quartic, u
 
@@ -216,12 +198,9 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
         raise DomainError(f"domain error: unsupported initial data {type(u0)!r}")
 
     stepper = _Stepper(params)
-    M = params.max_mode
-    c = np.zeros(M)
-    k = min(M, spec0.coeffs.size)
-    c[:k] = spec0.coeffs[:k]
+    c = _fit_to_cutoff(spec0, params.max_mode)
 
-    n_steps = max(1, int(round(params.t_end / params.dt)))
+    n_steps = round(params.t_end / params.dt)  # a whole number, checked by EvolveParams
     detect = params.steady_detection_enabled
 
     times = [0.0]
@@ -229,7 +208,7 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     mass, energies, c1s, hi, linf = [], [], [], [], []
 
     def record(cc):
-        e, u_pad = _energy_from_state(stepper, cc, params.kappa)
+        e, u_pad = _energy_from_state(cc, params.kappa, stepper.n_pad)
         mass.append(np.pi * float(np.sum(cc * cc)))
         energies.append(e)
         c1s.append(float(cc[0]))
@@ -283,8 +262,6 @@ def terminal_comparison(traj: Trajectory, reference_field: TorusField):
     The sign follows the terminal first-mode coefficient, matching the +-
     degeneracy of the ground profile.
     """
-    from .spectral import synthesize
-
     spec = traj.snapshots[-1]
     grid = reference_field.grid
     u_term = synthesize(spec, grid).values

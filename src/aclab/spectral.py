@@ -3,10 +3,12 @@
 The grid is x_j = -pi + 2*pi*j/n.  An odd 2*pi-periodic field is carried by
 its sine coefficients c_m, f(x) = sum_{m>=1} c_m sin(m x); on this grid
 sin(m x_j) = (-1)^m sin(2*pi*m*j/n), which is what the FFT index mapping
-below accounts for.
+in :func:`sine_values` and :func:`sine_coeffs` accounts for.  This module is
+the only one that knows that mapping.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,6 +100,42 @@ def odd_defect(values):
     return defect
 
 
+def require_odd(values):
+    """Raise :class:`SymmetryError` unless the samples are odd to ``ODD_TOL``."""
+    defect = odd_defect(values)
+    if defect > ODD_TOL:
+        raise SymmetryError(f"symmetry violation: odd defect {defect:.3e} exceeds {ODD_TOL}")
+
+
+@lru_cache(maxsize=None)
+def _grid_factor(M, scale):
+    # scale * (-1)^m for m = 1..M: the grid starts at -pi, so mode m picks up
+    # e^{-i m pi}; cached because the stepper asks for the same few per step
+    factor = scale * np.where(np.arange(1, M + 1) % 2 == 0, 1.0, -1.0)
+    factor.flags.writeable = False
+    return factor
+
+
+def sine_values(coeffs, n, cosine=False):
+    """Samples of sum_m c_m sin(m x_j) on the n-point grid, m = 1..len(coeffs).
+
+    ``cosine=True`` samples sum_m c_m cos(m x_j) instead.  The grid must hold
+    the modes, len(coeffs) <= n/2 - 1; :func:`sine_coeffs` is the inverse.
+    """
+    M = coeffs.size
+    R = np.zeros(n // 2 + 1, dtype=complex)
+    R[1 : M + 1] = _grid_factor(M, (0.5 if cosine else -0.5j) * n) * coeffs
+    return np.fft.irfft(R, n)
+
+
+def sine_coeffs(values, M):
+    """First ``M`` sine coefficients (1/pi) int f sin(m x) dx of grid samples.
+
+    Exact for odd fields band-limited below the grid's Nyquist mode.
+    """
+    return _grid_factor(M, -(2.0 / values.size)) * np.fft.rfft(values)[1 : M + 1].imag
+
+
 def sine_transform(field: TorusField) -> SineSpectrum:
     """Project an odd field onto the sine basis, c_m = (1/pi) * int f sin(mx).
 
@@ -105,16 +143,8 @@ def sine_transform(field: TorusField) -> SineSpectrum:
     raises :class:`SymmetryError`.  Round trip with :func:`synthesize` is
     exact to round-off for band-limited fields.
     """
-    v = field.values
-    n = field.grid.n_points
-    defect = odd_defect(v)
-    if defect > ODD_TOL:
-        raise SymmetryError(f"symmetry violation: odd defect {defect:.3e} exceeds {ODD_TOL}")
-    F = np.fft.rfft(v)
-    m = np.arange(1, n // 2)
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    coeffs = -(2.0 / n) * signs * F[1 : n // 2].imag
-    return SineSpectrum(coeffs)
+    require_odd(field.values)
+    return SineSpectrum(sine_coeffs(field.values, field.grid.n_points // 2 - 1))
 
 
 def synthesize(spec: SineSpectrum, grid: TorusGrid) -> TorusField:
@@ -123,26 +153,7 @@ def synthesize(spec: SineSpectrum, grid: TorusGrid) -> TorusField:
     M = spec.max_mode
     if M > n // 2 - 1:
         raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
-    return TorusField(grid, _synthesize_values(spec.coeffs, n))
-
-
-def _synthesize_values(coeffs, n):
-    M = coeffs.size
-    m = np.arange(1, M + 1)
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    R = np.zeros(n // 2 + 1, dtype=complex)
-    R[1 : M + 1] = -0.5j * n * signs * coeffs
-    return np.fft.irfft(R, n)
-
-
-def _cosine_series_values(coeffs, n):
-    # f(x_j) = sum_m a_m cos(m x_j) with cos(m x_j) = (-1)^m cos(2 pi m j / n)
-    M = coeffs.size
-    m = np.arange(1, M + 1)
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    R = np.zeros(n // 2 + 1, dtype=complex)
-    R[1 : M + 1] = 0.5 * n * signs * coeffs
-    return np.fft.irfft(R, n)
+    return TorusField(grid, sine_values(spec.coeffs, n))
 
 
 def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid | None = None) -> TorusField:
@@ -159,8 +170,8 @@ def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid | None =
         grid = TorusGrid(n)
     m = spec.modes.astype(float)
     if order == 1:
-        return TorusField(grid, _cosine_series_values(m * spec.coeffs, grid.n_points))
-    return TorusField(grid, _synthesize_values(-(m**2) * spec.coeffs, grid.n_points))
+        return TorusField(grid, sine_values(m * spec.coeffs, grid.n_points, cosine=True))
+    return TorusField(grid, sine_values(-(m**2) * spec.coeffs, grid.n_points))
 
 
 def spectrum_l2(spec: SineSpectrum) -> float:

@@ -24,7 +24,7 @@ def gs_cache(grid2048):
     cache = {}
 
     def get(kappa, n_points=2048):
-        key = (round(float(kappa), 12), n_points)
+        key = (float(kappa), n_points)
         if key not in cache:
             grid = grid2048 if n_points == 2048 else TorusGrid(n_points)
             cache[key] = build_ground_state(kappa, grid)

@@ -53,6 +53,27 @@ def test_usage_error_exit_code():
     assert info.value.code == EXIT_USAGE
 
 
+def test_removed_filter_choice_is_usage_error():
+    with pytest.raises(SystemExit) as info:
+        run_cli(["evolve", "--kappa", "0.9", "--filter", "odd"])
+    assert info.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["energy-table", "--kappa-grid", "0.1,abc"],
+        ["energy-table", "--kappa-grid", ","],
+        ["energy-table", "--kappa-grid", "0.1:x:0.1"],
+        ["evolve", "--kappa", "0.9", "--coeffs", "1:x"],
+        ["evolve", "--kappa", "0.9", "--dt", "0.01", "--t-end", "0.015"],
+    ],
+)
+def test_malformed_input_is_domain_error(args, tmp_path, capsys):
+    assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_DOMAIN_ERROR
+    assert "domain error" in capsys.readouterr().err
+
+
 def test_classify_json(capsys):
     code = run_cli(["classify", "--u0", "0.3", "--v0", "0.0", "--kappa", "0.5"])
     assert code == EXIT_OK

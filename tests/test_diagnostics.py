@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aclab import verify
 from aclab.diagnostics import (
     DiagnosticSeries,
     check_eta0_inequality,
@@ -156,6 +157,31 @@ class TestLogConvexity:
     def test_domain(self, kappa1_run):
         with pytest.raises(DomainError):
             check_log_convexity(kappa1_run.diagnostics, 3.0, 1.0)
+
+
+def _worst_over_pairs(series):
+    # the all-pairs loop over check_log_convexity that _worst_log_convexity replaces
+    t = series.times
+    worst, worst_pair = 0.0, (0.0, 0.0)
+    for i in range(t.size):
+        for k in range(i + 2, t.size):
+            rep = check_log_convexity(series, float(t[i]), float(t[k]), factor=1.0)
+            if rep.worst_ratio > worst:
+                worst, worst_pair = rep.worst_ratio, (float(t[i]), float(t[k]))
+    return worst, worst_pair
+
+
+class TestWorstLogConvexity:
+    def test_matches_pairwise_loop_on_recorded_run(self):
+        params, preset = verify._RUNS["sharp_logconv"]
+        d = evolve(initial_spectrum(preset, params.max_mode), params).diagnostics
+        assert verify._worst_log_convexity(d) == _worst_over_pairs(d)
+
+    def test_matches_pairwise_loop_on_ties(self):
+        # log-linear mass: every ratio is 1 up to round-off, so ties decide the pair
+        t = np.linspace(0.0, 2.0, 41)
+        series = _synthetic_series(t, np.exp(-2.0 * t))
+        assert verify._worst_log_convexity(series) == _worst_over_pairs(series)
 
 
 class TestEta0:

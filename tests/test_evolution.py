@@ -6,7 +6,6 @@ import pytest
 from aclab.errors import BlowUpError, DomainError, SymmetryError
 from aclab.evolution import (
     EvolveParams,
-    apply_filter,
     evolve,
     fractional_multiplier,
     initial_spectrum,
@@ -44,6 +43,11 @@ class TestParams:
         with pytest.raises(DomainError):
             EvolveParams(kappa=1.0, n_points=100)
 
+    def test_t_end_must_be_whole_number_of_steps(self):
+        with pytest.raises(DomainError, match="not a multiple of dt"):
+            EvolveParams(kappa=0.9, dt=0.01, t_end=0.015)
+        EvolveParams(kappa=0.9, dt=0.01, t_end=0.1)  # 0.1/0.01 rounds to 10.000000000000002
+
     def test_steady_detection_auto(self):
         assert EvolveParams(kappa=0.9).steady_detection_enabled
         assert not EvolveParams(kappa=1.0).steady_detection_enabled
@@ -78,22 +82,21 @@ class TestStep:
 
 class TestFilter:
     def test_band_gap_zeroes_even_modes(self):
-        spec = SineSpectrum([1.0, 0.1, 0.0, 0.05])
-        out = apply_filter(spec, "odd_band_gap")
-        assert np.array_equal(out.coeffs, [1.0, 0.0, 0.0, 0.0])
+        params = EvolveParams(kappa=2.0, filter="odd_band_gap")
+        out = step(SineSpectrum([1.0, 0.1, 0.0, 0.05]), params)
+        assert np.all(out.coeffs[1::2] == 0.0)
+        assert out.coeffs[0] != 0.0
 
     def test_odd_modes_preserved(self):
-        spec = SineSpectrum([0.0, 0.0, 1.0])
-        out = apply_filter(spec, "odd_band_gap")
-        assert np.array_equal(out.coeffs, spec.coeffs)
-
-    def test_projection_passthrough(self):
-        spec = SineSpectrum([0.3, 0.2])
-        assert apply_filter(spec, "odd_projection") is spec
+        spec = SineSpectrum([0.5, 0.1, 0.3, 0.05])
+        filtered = step(spec, EvolveParams(kappa=0.9, filter="odd_band_gap"))
+        plain = step(spec, EvolveParams(kappa=0.9))
+        assert np.array_equal(filtered.coeffs[0::2], plain.coeffs[0::2])
 
     def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            apply_filter(SineSpectrum([1.0]), "other")
+        for kind in ("odd_projection", "other"):
+            with pytest.raises(DomainError):
+                EvolveParams(kappa=0.9, filter=kind)
 
     def test_band_gap_exact_along_evolution(self):
         params = EvolveParams(

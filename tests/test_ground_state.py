@@ -259,3 +259,9 @@ def test_kink_profile_values():
     k = kink_profile(0.5, x)
     assert k[0] == 0.0
     assert k[1] == pytest.approx(math.tanh(1.0 / (SQRT2 * 0.5)))
+
+
+def test_gs_cache_keys_on_exact_kappa(gs_cache):
+    near = float(np.linspace(0.05, 0.95, 19)[15])  # 0.7999999999999999
+    assert gs_cache(near).kappa == near
+    assert gs_cache(0.8).kappa == 0.8

@@ -1,16 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import aclab
 from aclab.errors import DomainError, SymmetryError
 from aclab.ground_state import ground_state_spectrum
 from aclab.spectral import (
     SineSpectrum,
     TorusField,
     TorusGrid,
+    sine_coeffs,
     sine_transform,
+    sine_values,
     spectral_derivative,
     spectrum_l2,
     synthesize,
@@ -102,3 +107,26 @@ def test_round_trip_band_limited(coeffs, grid64):
     back = sine_transform(synthesize(spec, grid64))
     assert np.max(np.abs(back.coeffs[: spec.max_mode] - spec.coeffs)) < 1e-10
     assert np.max(np.abs(back.coeffs[spec.max_mode :])) < 1e-10
+
+
+@given(
+    coeffs=arrays(float, st.integers(1, 31), elements=st.floats(-1.0, 1.0, allow_nan=False)),
+    cosine=st.booleans(),
+)
+def test_sine_values_against_direct_sum(coeffs, cosine):
+    # at n = 64 and at the twice-as-fine grid the stepper pads to
+    basis = np.cos if cosine else np.sin
+    m = np.arange(1, coeffs.size + 1)
+    for n in (64, 128):
+        x = TorusGrid(n).x
+        direct = basis(np.outer(x, m)) @ coeffs
+        assert np.max(np.abs(sine_values(coeffs, n, cosine=cosine) - direct)) < 1e-12
+        if not cosine:
+            back = sine_coeffs(direct, coeffs.size)
+            assert np.max(np.abs(back - coeffs)) < 1e-12
+
+
+def test_fft_used_only_in_spectral():
+    src = Path(aclab.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "np.fft" in p.read_text())
+    assert users == ["spectral.py"]
