@@ -7,6 +7,9 @@ zero), kappa = 1 (algebraic decay with the universal first-mode level), and
 then writes trajectory CSVs, fitted-decay residual curves, and a JSON
 summary of rates and profiles.
 
+The run settings (dt, t_end, record spacing, initial data) are the
+acceptance gate's, read from ``aclab.verify._RUNS``.
+
 Usage: python scripts/relaxation_experiments.py [--out OUT]
 """
 
@@ -18,12 +21,14 @@ import numpy as np
 
 from aclab import serialize
 from aclab.diagnostics import extract_profile, fit_rate
-from aclab.evolution import EvolveParams, evolve, initial_spectrum, terminal_comparison
+from aclab.evolution import evolve, initial_spectrum, terminal_comparison
 from aclab.ground_state import build_ground_state
 from aclab.spectral import TorusGrid
+from aclab.verify import _RUNS
 
 
-def run_and_dump(name, params, preset, out):
+def run_and_dump(name, run, out):
+    params, preset = _RUNS[run]
     traj = evolve(initial_spectrum(preset, params.max_mode), params)
     serialize.write_csv(
         out / f"trajectory_{name}.csv",
@@ -41,9 +46,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
 
-    fast = run_and_dump(
-        "kappa2", EvolveParams(kappa=2.0, dt=0.005, t_end=3.0, record_every=2), "sin_x", out
-    )
+    fast = run_and_dump("kappa2", "kappa2_sinx", out)
     d = fast.diagnostics
     fit = fit_rate(d.times, np.sqrt(d.mass), "exponential", window=(1.0, 3.0))
     serialize.write_csv(
@@ -61,9 +64,7 @@ def main():
     print(f"kappa=2: L2 rate {fit.rate_or_exponent:.5f} (expect 3), "
           f"tail rate {tail.rate_or_exponent:.4f} (expect 9)")
 
-    slow = run_and_dump(
-        "kappa1", EvolveParams(kappa=1.0, dt=0.01, t_end=100.0, record_every=10), "sin_x", out
-    )
+    slow = run_and_dump("kappa1", "kappa1_sinx", out)
     d = slow.diagnostics
     fit = fit_rate(d.times, np.sqrt(d.mass), "algebraic", window=(10.0, 100.0))
     serialize.write_csv(
@@ -81,12 +82,7 @@ def main():
     print(f"kappa=1: exponent {fit.rate_or_exponent:.4f} (expect 0.5), "
           f"level^2 {prof.value**2:.6f} (expect {2 / 3:.6f})")
 
-    settle = run_and_dump(
-        "kappa09",
-        EvolveParams(kappa=0.9, dt=0.0025, t_end=120.0, record_every=20),
-        "half_sin_x",
-        out,
-    )
+    settle = run_and_dump("kappa09", "kappa09_half", out)
     gs = build_ground_state(0.9, TorusGrid(2048))
     sign, err = terminal_comparison(settle, gs.field)
     summary["kappa09"] = {

@@ -8,6 +8,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 from . import serialize
@@ -53,10 +54,12 @@ def _parse_kappa_grid(text):
         if len(parts) != 3:
             raise DomainError(f"domain error: grid spec {text!r} is not start:stop:step")
         start, stop, step = (_number(float, p, text) for p in parts)
-        if step <= 0.0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
             raise DomainError(f"domain error: bad grid spec {text!r}")
         count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(count)]
+        # summed in decimal, so 0.05:0.95:0.05 holds 0.15, not 0.15000000000000002
+        d_start, d_step = Decimal(parts[0]), Decimal(parts[2])
+        return [float(d_start + i * d_step) for i in range(count)]
     kappas = [_number(float, p, text) for p in text.split(",") if p.strip()]
     if not kappas:
         raise DomainError(f"domain error: empty kappa grid {text!r}")

@@ -67,11 +67,11 @@ _RUNS = {
         "sin_x",
     ),
     "kappa1_sinx": (
-        EvolveParams(kappa=1.0, gamma=2.0, dt=0.01, t_end=100.0, record_every=10),
+        EvolveParams(kappa=1.0, gamma=2.0, dt=0.05, t_end=100.0, record_every=2),
         "sin_x",
     ),
     "kappa09_half": (
-        EvolveParams(kappa=0.9, gamma=2.0, dt=0.0025, t_end=120.0, record_every=20),
+        EvolveParams(kappa=0.9, gamma=2.0, dt=0.05, t_end=120.0, record_every=1),
         "half_sin_x",
     ),
     "sharp_logconv": (

@@ -9,6 +9,7 @@ from aclab.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_kappa_grid,
     main,
 )
 
@@ -65,6 +66,7 @@ def test_removed_filter_choice_is_usage_error():
         ["energy-table", "--kappa-grid", "0.1,abc"],
         ["energy-table", "--kappa-grid", ","],
         ["energy-table", "--kappa-grid", "0.1:x:0.1"],
+        ["energy-table", "--kappa-grid", "0.1:inf:0.1"],
         ["evolve", "--kappa", "0.9", "--coeffs", "1:x"],
         ["evolve", "--kappa", "0.9", "--dt", "0.01", "--t-end", "0.015"],
     ],
@@ -97,6 +99,24 @@ def test_energy_table_monotone(tmp_path, capsys):
 def test_energy_table_single_row(tmp_path, capsys):
     code = run_cli(["energy-table", "--kappa-grid", "0.5", "--out", str(tmp_path)])
     assert code == EXIT_OK
+
+
+def test_kappa_grid_points_are_the_decimal_values():
+    # start + i*step would give 0.15000000000000002, 0.6000000000000001, ...
+    decimals = [f"0.{k:02d}".rstrip("0") for k in range(5, 100, 5)]
+    assert _parse_kappa_grid("0.05:0.95:0.05") == [float(d) for d in decimals]
+    assert _parse_kappa_grid("0.025:0.125:0.05") == [0.025, 0.075, 0.125]
+    assert _parse_kappa_grid("1e-1:3e-1:1e-1") == [0.1, 0.2, 0.3]
+
+
+def test_energy_table_grid_row_matches_single_kappa(tmp_path, capsys):
+    assert run_cli(["energy-table", "--kappa-grid", "0.5:0.6:0.05",
+                    "--out", str(tmp_path / "grid")]) == EXIT_OK
+    assert run_cli(["energy-table", "--kappa-grid", "0.6",
+                    "--out", str(tmp_path / "single")]) == EXIT_OK
+    grid_rows = (tmp_path / "grid" / "energy_table.csv").read_text().splitlines()
+    single_rows = (tmp_path / "single" / "energy_table.csv").read_text().splitlines()
+    assert grid_rows[-1] == single_rows[-1]
 
 
 def test_catalog_table(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from aclab.errors import BlowUpError, DomainError, SymmetryError
 from aclab.evolution import (
     EvolveParams,
+    _phi_functions,
     evolve,
     fractional_multiplier,
     initial_spectrum,
@@ -28,6 +30,23 @@ class TestFractionalMultiplier:
     def test_domain(self):
         with pytest.raises(DomainError):
             fractional_multiplier(0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [0.0, 1e-12, 1e-8, -1e-8, 0.0999, -0.0999, 0.1001, -0.1001, 1.0, -5.0, -100.0, -1e4],
+)
+def test_phi_functions_against_mpmath(z):
+    with mp.workdps(40):
+        zm = mp.mpf(z)
+        if z == 0.0:
+            want1, want2 = mp.mpf(1), mp.mpf(1) / 2
+        else:
+            want1 = mp.expm1(zm) / zm
+            want2 = (mp.expm1(zm) - zm) / zm**2
+        phi1, phi2 = _phi_functions(np.array([z]))
+        assert abs((phi1[0] - want1) / want1) <= 1e-14
+        assert abs((phi2[0] - want2) / want2) <= 1e-14
 
 
 class TestParams:
@@ -163,6 +182,18 @@ class TestEvolve:
         d1 = np.max(np.abs(terminals[0] - terminals[1]))
         d2 = np.max(np.abs(terminals[1] - terminals[2]))
         assert d1 / d2 == pytest.approx(4.0, abs=0.8)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05, 0.01])
+    def test_steady_state_is_fixed_point_at_any_dt(self, dt, gs_cache):
+        # u_kappa is an exact fixed point of the step, so the end state cannot depend on dt
+        params = EvolveParams(
+            kappa=0.9, dt=dt, t_end=120.0, record_every=max(1, round(0.1 / dt))
+        )
+        traj = evolve(initial_spectrum("half_sin_x", params.max_mode), params)
+        assert traj.terminal == "steady_detected"
+        sign, err = terminal_comparison(traj, gs_cache(0.9).field)
+        assert sign == 1.0
+        assert err <= 1e-9
 
     def test_deterministic(self):
         params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=10)
