@@ -210,7 +210,8 @@ def cmd_verify(cfg):
     serialize.write_json(path, [serialize.check_record(r) for r in results])
     width = max(len(r.name) for r in results)
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.observed}")
+        verdict = "PASS" if r.passed else "FAIL"
+        print(f"{verdict}  {r.name:<{width}}  {r.seconds:7.3f} s  {r.observed}")
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed; wrote {path}")
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE

@@ -8,6 +8,7 @@ milliseconds and are rebuilt where needed.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ class CheckResult:
     tolerance: str
     window: str | None = None
     detail: str = ""
+    seconds: float | None = None  # wall time, set by run_suite; not serialized
 
 
 @dataclass
@@ -476,6 +478,7 @@ def run_suite(suite, seed=20240817, progress=None):
     ctx = _Context(seed=seed)
     results = []
     for name, fn in SUITES[suite]:
+        t0 = time.perf_counter()
         try:
             result = fn(ctx)
         except AclabError as exc:  # a check that cannot even run has failed
@@ -487,6 +490,7 @@ def run_suite(suite, seed=20240817, progress=None):
                 tolerance="",
             )
         result.passed = bool(result.passed)  # numpy comparisons may leak np.bool_
+        result.seconds = time.perf_counter() - t0
         results.append(result)
         if progress is not None:
             progress(result)

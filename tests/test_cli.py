@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,10 @@ def test_verify_steady_suite(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "9/9 checks passed" in out
+    # one timing column between the check name and the observed quantity
+    rows = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(rows) == 9
+    assert all(re.search(r"  +\d+\.\d{3} s  ", line) for line in rows)
     records = json.loads((tmp_path / "verify_steady.json").read_text())
     assert len(records) == 9
     assert all(set(r) >= {"check_name", "pass", "observed", "expected", "tolerance"}
