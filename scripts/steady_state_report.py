@@ -1,23 +1,30 @@
 #!/usr/bin/env python3
 """Steady-state survey: energy table, replica catalogs, spectral gaps.
 
-Writes plot-ready CSVs into the output directory:
+Writes plot-ready files into the output directory:
 
   energy_table.csv       kappa, peak value, ground energy, energy/kappa
   catalog_kappa_*.json   every steady state at the sampled kappas
   spectral_gaps.csv      smallest linearization eigenvalue vs kappa
 
-Usage: python scripts/steady_state_report.py [--out OUT]
+The table and the catalogs are written by ``aclab energy-table`` and
+``aclab catalog``, so they are byte-identical to the CLI's files; only the
+spectral gaps are computed here.
+
+Usage: python scripts/steady_state_report.py [--out OUT] [--n-points N]
 """
 
 import argparse
-import math
+import sys
 from pathlib import Path
 
-from aclab import serialize
-from aclab.catalog import build_catalog, spectral_gap
+from aclab import cli, serialize
+from aclab.catalog import spectral_gap
 from aclab.ground_state import build_ground_state
 from aclab.spectral import TorusGrid
+
+KAPPA_GRID = "0.05:0.95:0.05"
+CATALOG_KAPPAS = ("0.9", "0.45", "0.26")
 
 
 def main():
@@ -25,32 +32,23 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("out/steady_report"))
     parser.add_argument("--n-points", type=int, default=2048)
     args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
+    common = ["--n-points", str(args.n_points), "--out", str(args.out)]
+
+    runs = [["energy-table", "--kappa-grid", KAPPA_GRID]]
+    runs += [["catalog", "--kappa", kappa] for kappa in CATALOG_KAPPAS]
+    for argv in runs:
+        status = cli.main(argv + common)
+        if status:
+            return status
+
     grid = TorusGrid(args.n_points)
-
-    kappas = [0.05 + 0.05 * i for i in range(19)]
-    states = [build_ground_state(k, grid) for k in kappas]
-    serialize.write_csv(
-        args.out / "energy_table.csv",
-        ("kappa", "N", "energy", "energy_over_kappa"),
-        [(gs.kappa, gs.peak.N, gs.energy, gs.energy / gs.kappa) for gs in states],
-    )
-    limit = 4.0 * math.sqrt(2.0) / 3.0
-    print(f"energy/kappa at kappa=0.05: {states[0].energy / 0.05:.10f} "
-          f"(small-diffusion limit {limit:.10f})")
-
-    for kappa in (0.9, 0.45, 0.26):
-        cat = build_catalog(kappa, grid)
-        path = args.out / f"catalog_kappa_{kappa!r}.json"
-        serialize.write_json(path, serialize.catalog_record(cat))
-        print(f"kappa={kappa}: {cat.m} steady state(s), energies "
-              + ", ".join(f"{r.energy:.6f}" for r in cat.replicas))
-
-    gaps = [(gs.kappa, spectral_gap(gs, M=256)) for gs in states if gs.kappa >= 0.3]
+    kappas = [k for k in cli._parse_kappa_grid(KAPPA_GRID) if k >= 0.3]
+    gaps = [(k, spectral_gap(build_ground_state(k, grid), M=256)) for k in kappas]
     serialize.write_csv(args.out / "spectral_gaps.csv", ("kappa", "gap"), gaps)
     print(f"wrote {args.out}/spectral_gaps.csv "
           f"(all gaps positive: {all(g > 0 for _, g in gaps)})")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

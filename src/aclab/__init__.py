@@ -31,8 +31,6 @@ from .diagnostics import (
     check_log_convexity,
     extract_profile,
     fit_rate,
-    project_high_mass,
-    project_mode1,
     theta_ode_oracle,
 )
 from .errors import (

@@ -21,7 +21,7 @@ from scipy.linalg import eigh
 
 from .errors import DomainError, ResolutionError
 from .ground_state import GroundState, build_ground_state, energy, eval_g
-from .spectral import TorusField, TorusGrid, require_odd
+from .spectral import TorusField, TorusGrid, sine_coeffs
 
 C_BOUNDARY_TOL = 1e-12
 C_NEAR_BOUNDARY = 1e-8
@@ -166,13 +166,13 @@ def linearization_gap(field: TorusField, kappa, M=256):
     n = grid.n_points
     if M > n // 2 - 1:
         raise DomainError(f"domain error: M={M} too large for n_points={n}")
-    x = grid.x
+    # int w sin(mx) sin(kx) dx = (pi/2)(a_|m-k| - a_(m+k)) for the cosine
+    # coefficients a_l of w = 3 field^2 - 1, on the grid a_l = a_(n-l)
+    a = sine_coeffs(3.0 * field.values**2 - 1.0, n // 2, cosine=True)
+    a = np.concatenate((a, a[-2:0:-1]))
     m = np.arange(1, M + 1)
-    weight = 3.0 * field.values**2 - 1.0
-    S = np.sin(np.outer(x, m))
-    W = (2.0 * np.pi / n) * (S.T @ (weight[:, None] * S))
-    A = W + np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
-    A = 0.5 * (A + A.T)
+    A = 0.5 * np.pi * (a[np.abs(m[:, None] - m)] - a[m[:, None] + m])
+    A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
     vals = eigh(A, eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0] / np.pi)
 
@@ -198,8 +198,7 @@ def basin_criterion(u0: TorusField, kappa) -> BasinVerdict:
     at 2*kappa, the flow from odd u0 can only settle on the +-ground
     profile.  Outside that range the verdict reports non-applicability.
     """
-    require_odd(u0.values)
-    e_u0 = energy(u0, kappa)
+    e_u0 = energy(u0, kappa)  # raises SymmetryError unless u0 is odd
     if not 0.0 < kappa < 0.5:
         return BasinVerdict(
             applicable=False,

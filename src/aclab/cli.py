@@ -190,7 +190,7 @@ def cmd_evolve(cfg):
             snap_path,
             {
                 "times": traj.times,
-                "coeffs": [s.coeffs for s in traj.snapshots],
+                "coeffs": traj.snapshots,
             },
         )
         print(f"wrote {snap_path}")

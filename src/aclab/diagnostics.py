@@ -1,4 +1,4 @@
-"""Post-processing of evolution runs: projections, rate fits, convexity.
+"""Post-processing of evolution runs: diagnostic series, rate fits, convexity.
 
 Fit windows exclude t < 1 by default and refuse signals within a factor 100
 of the absolute floor 1e-13, where exponentially decaying quantities sit on
@@ -44,15 +44,30 @@ class DiagnosticSeries:
         if np.any(np.asarray(self.mass) < 0.0):
             raise DomainError("domain error: mass must be nonnegative")
 
+    @classmethod
+    def from_spectra(cls, times, spectra, kappa, n_pad):
+        """Series of the (records, M) sine spectra ``spectra`` recorded at ``times``.
 
-def project_mode1(spec: SineSpectrum) -> float:
-    """First sine coefficient."""
-    return float(spec.coeffs[0])
-
-
-def project_high_mass(spec: SineSpectrum) -> float:
-    """L2 norm of the m >= 2 tail, sqrt(pi * sum_{m>=2} c_m^2)."""
-    return float(np.sqrt(np.pi * np.sum(spec.coeffs[1:] ** 2)))
+        The energy kappa^2/2 pi sum (m c_m)^2 + 1/4 int (1 - u^2)^2 dx and
+        the max norm are evaluated on the ``n_pad``-point grid, where the
+        quartic integral is exact for n_pad > 4M.
+        """
+        m = np.arange(1, spectra.shape[-1] + 1, dtype=float)
+        sum_sq = np.sum(spectra * spectra, axis=-1)
+        u = sine_values(spectra, n_pad)
+        linf = np.maximum(np.max(u, axis=-1), -np.min(u, axis=-1))
+        u *= u  # u^4 in place: the padded grid is the largest array here
+        u *= u
+        int_u4 = (2.0 * np.pi / n_pad) * np.sum(u, axis=-1)
+        grad = 0.5 * kappa**2 * np.pi * np.sum((m * spectra) ** 2, axis=-1)
+        return cls(
+            times=times,
+            mass=np.pi * sum_sq,
+            energy=grad + 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4),
+            c1=spectra[:, 0],
+            hi_mass=np.sqrt(np.pi * np.sum(spectra[:, 1:] ** 2, axis=-1)),
+            linf=linf,
+        )
 
 
 @dataclass(frozen=True)

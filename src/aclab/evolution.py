@@ -126,9 +126,15 @@ class EvolveParams:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One evolution run.
+
+    ``snapshots`` is the read-only (records, max_mode) array of the recorded
+    sine spectra; row i was taken at ``times[i]``.
+    """
+
     params: EvolveParams
     times: np.ndarray
-    snapshots: tuple
+    snapshots: np.ndarray
     diagnostics: DiagnosticSeries
     terminal: str  # "reached_t_end" | "steady_detected"
 
@@ -199,26 +205,14 @@ def initial_spectrum(preset, max_mode):
     return initial_spectrum(table[preset], max_mode)
 
 
-def _energy_from_state(c, kappa, n_pad):
-    # E = kappa^2/2 * pi * sum (m c_m)^2 + 1/4 int (1 - u^2)^2 dx,
-    # the quartic integral evaluated exactly on the padded grid
-    m = np.arange(1, c.size + 1, dtype=float)
-    grad = 0.5 * kappa**2 * np.pi * float(np.sum((m * c) ** 2))
-    u = sine_values(c, n_pad)
-    sum_sq = float(np.sum(c * c))
-    u2 = u * u  # u**4 would take numpy's slow pow path
-    int_u4 = (2.0 * np.pi / n_pad) * float(np.sum(u2 * u2))
-    quartic = 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4)
-    return grad + quartic, u
-
-
 def evolve(u0, params: EvolveParams) -> Trajectory:
     """Integrate from ``u0`` to ``t_end`` or until a steady state is detected.
 
     ``u0`` may be a :class:`TorusField` (odd to 1e-8, checked) or a
-    :class:`SineSpectrum`.  Snapshots and diagnostics (mass |u|_2^2, energy,
-    first mode, tail norm, grid max) are recorded every ``record_every``
-    steps.  Steady detection requires |u(t) - u(t - D)|_2 / D below
+    :class:`SineSpectrum`.  The spectrum is recorded every ``record_every``
+    steps and at the last one; the diagnostics (mass |u|_2^2, energy, first
+    mode, tail norm, grid max) are derived from the records after the run.
+    Steady detection requires |u(t) - u(t - D)|_2 / D below
     ``steady_tol`` for ten consecutive record points.
     """
     if isinstance(u0, TorusField):
@@ -235,54 +229,33 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     detect = params.steady_detection_enabled
 
     times = [0.0]
-    snaps = [SineSpectrum(c)]
-    mass, energies, c1s, hi, linf = [], [], [], [], []
-
-    def record(cc):
-        e, u_pad = _energy_from_state(cc, params.kappa, stepper.n_pad)
-        mass.append(np.pi * float(np.sum(cc * cc)))
-        energies.append(e)
-        c1s.append(float(cc[0]))
-        hi.append(float(np.sqrt(np.pi * np.sum(cc[1:] ** 2))))
-        linf.append(float(np.max(np.abs(u_pad))))
-
-    record(c)
-    c_prev = c.copy()
-    t_prev = 0.0
+    spectra = [c]
     consecutive = 0
     terminal = "reached_t_end"
 
     for kstep in range(1, n_steps + 1):
-        c = stepper.step(c)
+        c = stepper.step(c)  # a new array every step, so the records need no copies
         if not np.all(np.isfinite(c)):
             raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
         if kstep % params.record_every == 0 or kstep == n_steps:
             t = kstep * params.dt
-            times.append(t)
-            snaps.append(SineSpectrum(c))
-            record(c)
             if detect:
-                rate = float(np.sqrt(np.pi * np.sum((c - c_prev) ** 2))) / (t - t_prev)
+                rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])
                 consecutive = consecutive + 1 if rate < params.steady_tol else 0
-                if consecutive >= STEADY_CHECKS_REQUIRED:
-                    terminal = "steady_detected"
-                    break
-            c_prev = c.copy()
-            t_prev = t
+            times.append(t)
+            spectra.append(c)
+            if consecutive >= STEADY_CHECKS_REQUIRED:
+                terminal = "steady_detected"
+                break
 
-    diag = DiagnosticSeries(
-        times=np.array(times),
-        mass=np.array(mass),
-        energy=np.array(energies),
-        c1=np.array(c1s),
-        hi_mass=np.array(hi),
-        linf=np.array(linf),
-    )
+    times = np.array(times)
+    snapshots = np.array(spectra)
+    snapshots.flags.writeable = False
     return Trajectory(
         params=params,
-        times=np.array(times),
-        snapshots=tuple(snaps),
-        diagnostics=diag,
+        times=times,
+        snapshots=snapshots,
+        diagnostics=DiagnosticSeries.from_spectra(times, snapshots, params.kappa, stepper.n_pad),
         terminal=terminal,
     )
 
@@ -293,9 +266,9 @@ def terminal_comparison(traj: Trajectory, reference_field: TorusField):
     The sign follows the terminal first-mode coefficient, matching the +-
     degeneracy of the ground profile.
     """
-    spec = traj.snapshots[-1]
+    c = traj.snapshots[-1]
     grid = reference_field.grid
-    u_term = synthesize(spec, grid).values
-    sign = 1.0 if spec.coeffs[0] >= 0.0 else -1.0
+    u_term = synthesize(SineSpectrum(c), grid).values
+    sign = 1.0 if c[0] >= 0.0 else -1.0
     err = float(np.max(np.abs(u_term - sign * reference_field.values)))
     return sign, err

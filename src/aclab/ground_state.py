@@ -41,11 +41,9 @@ from scipy.special import elliprf
 from .errors import ConstructionError, DomainError, ResolutionError
 from .roots import find_root
 from .spectral import (
-    ODD_TOL,
     SineSpectrum,
     TorusField,
     TorusGrid,
-    odd_defect,
     sine_transform,
     spectral_derivative,
 )
@@ -301,17 +299,14 @@ def build_ground_state(kappa, grid: TorusGrid | None = None, *, residual_tol=RES
 def energy(field: TorusField, kappa: float) -> float:
     """Double-well energy int (kappa^2/2 (u')^2 + (1-u^2)^2/4) dx on the torus.
 
-    The derivative is spectral for odd fields and second-order centered
-    differences otherwise.
+    The derivative is spectral, so the field must be odd to ``ODD_TOL``;
+    asymmetric input raises :class:`SymmetryError`.
     """
     if kappa <= 0.0:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive")
     v = field.values
     grid = field.grid
-    if odd_defect(v) <= ODD_TOL:
-        du = spectral_derivative(sine_transform(field), 1, grid).values
-    else:
-        du = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * grid.dx)
+    du = spectral_derivative(sine_transform(field), 1, grid).values  # refuses non-odd v
     density = 0.5 * kappa**2 * du**2 + 0.25 * (1.0 - v**2) ** 2
     return float(grid.dx * np.sum(density))
 

@@ -17,16 +17,6 @@ from scipy.integrate import solve_ivp
 from .errors import ResolutionError
 
 
-def composite_simpson(f, a, b, n=1_000_000):
-    """Composite Simpson rule with n+1 nodes (n even)."""
-    if n % 2:
-        n += 1
-    x = np.linspace(a, b, n + 1)
-    y = f(x)
-    h = (b - a) / n
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
-
-
 def peak_complement_mp(kappa, dps=40):
     """Solve the quarter-period identity for w = 1 - N in mp precision."""
     with mp.workdps(dps):

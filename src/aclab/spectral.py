@@ -109,31 +109,40 @@ def require_odd(values):
 
 @lru_cache(maxsize=None)
 def _grid_factor(M, scale):
-    # scale * (-1)^m for m = 1..M: the grid starts at -pi, so mode m picks up
+    # scale * (-1)^m for m = 0..M: the grid starts at -pi, so mode m picks up
     # e^{-i m pi}; cached because the stepper asks for the same few per step
-    factor = scale * np.where(np.arange(1, M + 1) % 2 == 0, 1.0, -1.0)
+    factor = scale * np.where(np.arange(M + 1) % 2 == 0, 1.0, -1.0)
     factor.flags.writeable = False
     return factor
 
 
 def sine_values(coeffs, n, cosine=False):
-    """Samples of sum_m c_m sin(m x_j) on the n-point grid, m = 1..len(coeffs).
+    """Samples of sum_m c_m sin(m x_j) on the n-point grid, m = 1..M.
 
-    ``cosine=True`` samples sum_m c_m cos(m x_j) instead.  The grid must hold
-    the modes, len(coeffs) <= n/2 - 1; :func:`sine_coeffs` is the inverse.
+    ``coeffs`` has shape (..., M) and the result (..., n); each row along
+    the last axis is transformed on its own.  ``cosine=True`` samples
+    sum_m c_m cos(m x_j) instead.  The grid must hold the modes,
+    M <= n/2 - 1; :func:`sine_coeffs` is the inverse.
     """
-    M = coeffs.size
-    R = np.zeros(n // 2 + 1, dtype=complex)
-    R[1 : M + 1] = _grid_factor(M, (0.5 if cosine else -0.5j) * n) * coeffs
+    M = coeffs.shape[-1]
+    R = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    R[..., 1 : M + 1] = _grid_factor(M, (0.5 if cosine else -0.5j) * n)[1:] * coeffs
     return np.fft.irfft(R, n)
 
 
-def sine_coeffs(values, M):
-    """First ``M`` sine coefficients (1/pi) int f sin(m x) dx of grid samples.
+def sine_coeffs(values, M, cosine=False):
+    """Sine coefficients (1/pi) int f sin(m x) dx, m = 1..M, of grid samples.
 
-    Exact for odd fields band-limited below the grid's Nyquist mode.
+    ``values`` has shape (..., n) and the result (..., M).  ``cosine=True``
+    gives the cosine coefficients (1/pi) int f cos(m x) dx for m = 0..M
+    instead, shape (..., M + 1), with M up to n/2.  Exact for fields
+    band-limited below the grid's Nyquist mode.
     """
-    return _grid_factor(M, -(2.0 / values.size)) * np.fft.rfft(values)[1 : M + 1].imag
+    spectrum = np.fft.rfft(values)
+    scale = 2.0 / values.shape[-1]
+    if cosine:
+        return _grid_factor(M, scale) * spectrum[..., : M + 1].real
+    return _grid_factor(M, -scale)[1:] * spectrum[..., 1 : M + 1].imag
 
 
 def sine_transform(field: TorusField) -> SineSpectrum:

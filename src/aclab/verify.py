@@ -328,9 +328,7 @@ def check_ground_state_convergence(ctx):
     gs = build_ground_state(0.9)
     sign, err = terminal_comparison(traj, gs.field)
     cu = ground_state_spectrum(gs).coeffs[: traj.params.max_mode]
-    dist = np.array(
-        [math.sqrt(math.pi * float(np.sum((s.coeffs - cu) ** 2))) for s in traj.snapshots]
-    )
+    dist = np.sqrt(np.pi * np.sum((traj.snapshots - cu) ** 2, axis=1))
     sel = (dist > 1e-5) & (dist < 1e-2)
     fit = fit_rate(
         traj.times[sel], dist[sel], "exponential",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from aclab.catalog import (
     basin_criterion,
@@ -16,7 +17,7 @@ from aclab.catalog import (
     spectral_gap,
 )
 from aclab.errors import DomainError, SymmetryError
-from aclab.ground_state import energy, eval_g, ground_state_spectrum
+from aclab.ground_state import build_ground_state, energy, eval_g, ground_state_spectrum
 from aclab.oracles import first_return_period
 from aclab.spectral import TorusField, TorusGrid, spectrum_l2
 
@@ -157,6 +158,17 @@ class TestMinimalPeriod:
                 minimal_period(bad_c, 0.5)
 
 
+def _dense_linearization_gap(field, kappa, M):
+    n = field.grid.n_points
+    m = np.arange(1, M + 1)
+    S = np.sin(np.outer(field.grid.x, m))
+    weight = 3.0 * field.values**2 - 1.0
+    A = (2.0 * np.pi / n) * (S.T @ (weight[:, None] * S))
+    A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
+    A = 0.5 * (A + A.T)
+    return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0] / np.pi)
+
+
 class TestSpectralGap:
     def test_diagonal_limit_zero_field(self, grid2048):
         zero = TorusField(grid2048, np.zeros(2048))
@@ -174,6 +186,42 @@ class TestSpectralGap:
     def test_mode_cutoff_gate(self, gs_cache):
         with pytest.raises(DomainError):
             spectral_gap(gs_cache(0.9), M=32)
+        with pytest.raises(DomainError):
+            spectral_gap(gs_cache(0.9), M=1024)  # above n/2 - 1 = 1023
+        assert spectral_gap(gs_cache(0.9), M=1023) > 0.0
+
+    @pytest.mark.parametrize(
+        "kappa, n", [(0.05, 2048), (0.2, 1024), (0.4, 1024), (0.6, 1024), (0.8, 1024), (0.99, 1024)]
+    )
+    def test_against_dense_assembly(self, kappa, n):
+        # the FFT assembly against the n x M sine-matrix quadrature it replaced
+        field = build_ground_state(kappa, TorusGrid(n)).field
+        for M in (64, 256, n // 4, n // 2 - 1):
+            fast = linearization_gap(field, kappa, M=M)
+            assert fast == pytest.approx(_dense_linearization_gap(field, kappa, M), abs=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rough_field_against_dense_assembly(self, seed):
+        # odd white noise: the weight's coefficients near Nyquist are O(1), so the
+        # folded indices m + k > n/2 carry weight (smooth profiles leave them ~1e-16)
+        grid = TorusGrid(256)
+        v = np.random.default_rng(seed).normal(size=256)
+        v[1:] -= v[:0:-1]
+        v[0] = v[128] = 0.0
+        field = TorusField(grid, 0.5 * v)
+        for M in (64, 127):
+            fast = linearization_gap(field, 0.3, M=M)
+            assert fast == pytest.approx(_dense_linearization_gap(field, 0.3, M), abs=1e-10)
+
+    @pytest.mark.parametrize("kappa", [0.15, 0.26, 0.3])
+    def test_replicas_against_dense_assembly(self, kappa):
+        # replicas j >= 2 are saddles: negative eigenvalues agree as well
+        lowest = []
+        for r in build_catalog(kappa, TorusGrid(1024)):
+            fast = linearization_gap(r.field, kappa, M=256)
+            assert fast == pytest.approx(_dense_linearization_gap(r.field, kappa, 256), abs=1e-10)
+            lowest.append(fast)
+        assert lowest[0] > 0.0 and all(g < 0.0 for g in lowest[1:])
 
 
 class TestBasinCriterion:

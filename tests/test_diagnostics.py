@@ -13,8 +13,6 @@ from aclab.diagnostics import (
     check_log_convexity,
     extract_profile,
     fit_rate,
-    project_high_mass,
-    project_mode1,
     theta_ode_oracle,
 )
 from aclab.errors import DomainError, SignError, WindowError
@@ -36,24 +34,43 @@ def _synthetic_series(times, mass):
     )
 
 
+def _series_of(*spectra):
+    # one record per row, as evolve() keeps them
+    C = np.array(spectra, dtype=float)
+    return DiagnosticSeries.from_spectra(np.arange(C.shape[0], dtype=float), C, 1.0, 64)
+
+
 class TestProjections:
     def test_mode1(self):
-        spec = SineSpectrum([2.0, 0.0, 0.0, 0.0, 1.0])
-        assert project_mode1(spec) == 2.0
-        assert project_mode1(SineSpectrum([0.0, 1.0])) == 0.0
+        d = _series_of([2.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 0.0])
+        assert list(d.c1) == [2.0, 0.0]
 
     def test_high_mass(self):
-        assert project_high_mass(SineSpectrum([1.0])) == 0.0
-        assert project_high_mass(SineSpectrum([0.0, 1.0])) == pytest.approx(math.sqrt(math.pi))
+        d = _series_of([1.0, 0.0], [0.0, 1.0])
+        assert d.hi_mass[0] == 0.0
+        assert d.hi_mass[1] == pytest.approx(math.sqrt(math.pi))
 
     @given(
         coeffs=arrays(float, st.integers(1, 12), elements=st.floats(-3.0, 3.0))
     )
     def test_decomposition_exact(self, coeffs):
-        spec = SineSpectrum(coeffs)
+        d = _series_of(coeffs)
         mass = math.pi * float(np.sum(coeffs**2))
-        recomposed = math.pi * project_mode1(spec) ** 2 + project_high_mass(spec) ** 2
+        recomposed = math.pi * d.c1[0] ** 2 + d.hi_mass[0] ** 2
+        assert d.mass[0] == mass
         assert abs(mass - recomposed) <= 1e-12 * max(1.0, mass)
+
+    def test_energy_and_max_norm_of_single_mode(self):
+        # A sin x: E = kappa^2 A^2 pi/2 + (2 pi - 2 pi A^2 + 3/4 pi A^4)/4, max |u| = A
+        A, kappa = 0.5, 0.9
+        C = np.zeros((1, 16))
+        C[0, 0] = A
+        d = DiagnosticSeries.from_spectra(np.zeros(1), C, kappa, 64)
+        closed = kappa**2 * A**2 * math.pi / 2.0 + 0.25 * (
+            2.0 * math.pi - 2.0 * A**2 * math.pi + 0.75 * A**4 * math.pi
+        )
+        assert d.energy[0] == pytest.approx(closed, abs=1e-14)
+        assert d.linf[0] == pytest.approx(A, abs=1e-15)
 
 
 class TestFitRate:

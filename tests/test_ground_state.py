@@ -21,9 +21,10 @@ from aclab.ground_state import (
     peak_bounds,
     solve_peak,
 )
-from aclab.oracles import composite_simpson, peak_complement_mp
+from aclab.oracles import peak_complement_mp
 from aclab.quadrature import integrate
 from aclab.spectral import TorusField, TorusGrid
+from helpers import composite_simpson
 
 SQRT2 = math.sqrt(2.0)
 # a few ulps: the closed form and the reference quadrature round differently
@@ -222,9 +223,10 @@ class TestEnergy:
         assert energy(field, 0.5) == pytest.approx(0.5 * math.pi, abs=1e-12)
 
     def test_uniform_one(self, grid2048):
-        # even field: exercises the finite-difference derivative path
+        # an even field has no sine spectrum: refused, not differentiated otherwise
         field = TorusField(grid2048, np.ones(2048))
-        assert energy(field, 0.7) == pytest.approx(0.0, abs=1e-14)
+        with pytest.raises(SymmetryError, match="symmetry violation"):
+            energy(field, 0.7)
 
     def test_single_mode_closed_form(self, grid2048):
         A, kappa = 0.5, 0.9

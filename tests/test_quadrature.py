@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aclab.errors import DomainError, QuadratureError
-from aclab.oracles import composite_simpson
 from aclab.quadrature import integrate
+from helpers import composite_simpson
 
 
 def test_constant_integrand():

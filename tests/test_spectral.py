@@ -126,7 +126,45 @@ def test_sine_values_against_direct_sum(coeffs, cosine):
             assert np.max(np.abs(back - coeffs)) < 1e-12
 
 
+@given(
+    coeffs=arrays(
+        float,
+        st.tuples(st.integers(1, 5), st.integers(1, 31)),
+        elements=st.floats(-1.0, 1.0, allow_nan=False),
+    ),
+    cosine=st.booleans(),
+)
+def test_transform_pair_rows_equal_single_calls(coeffs, cosine):
+    # a (records, M) array transforms row by row, bit for bit
+    for n in (64, 128):
+        values = sine_values(coeffs, n, cosine=cosine)
+        assert values.shape == (coeffs.shape[0], n)
+        back = sine_coeffs(values, coeffs.shape[1], cosine=cosine)
+        for row, v, b in zip(coeffs, values, back):
+            assert np.array_equal(v, sine_values(row, n, cosine=cosine))
+            assert np.array_equal(b, sine_coeffs(v, coeffs.shape[1], cosine=cosine))
+
+
+@given(
+    coeffs=arrays(float, st.integers(1, 31), elements=st.floats(-1.0, 1.0, allow_nan=False)),
+    a0=st.floats(-1.0, 1.0),
+)
+def test_cosine_analysis_inverts_cosine_synthesis(coeffs, a0):
+    # a_0 is (1/pi) int f, so a constant a0/2 comes back as a_0 = a0
+    for n in (64, 128):
+        values = 0.5 * a0 + sine_values(coeffs, n, cosine=True)
+        back = sine_coeffs(values, coeffs.size, cosine=True)
+        assert back.shape == (coeffs.size + 1,)
+        assert abs(back[0] - a0) < 1e-12
+        assert np.max(np.abs(back[1:] - coeffs)) < 1e-12
+
+
 def test_fft_used_only_in_spectral():
+    # one home for every grid <-> spectrum map: no FFT and no dense trig basis elsewhere
     src = Path(aclab.__file__).parent
-    users = sorted(p.name for p in src.glob("*.py") if "np.fft" in p.read_text())
+    markers = ("np.fft", "np.sin(np.outer(", "np.cos(np.outer(")
+    users = sorted(
+        p.name for p in src.glob("*.py") if any(m in p.read_text() for m in markers)
+    )
     assert users == ["spectral.py"]
+    assert "np.outer(" not in (src / "spectral.py").read_text()
