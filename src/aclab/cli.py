@@ -7,7 +7,6 @@ Identical configurations produce byte-identical files.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -25,14 +24,6 @@ EXIT_DOMAIN_ERROR = 2
 EXIT_USAGE = 64
 
 FILTER_NAMES = {"none": "none", "bandgap": "odd_band_gap"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    parameters: dict
-    output_dir: Path
-    seed: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,12 +69,11 @@ def _parse_coeffs(text):
     return out
 
 
-def cmd_ground_state(cfg):
-    kappa = cfg.parameters["kappa"]
-    grid = TorusGrid(cfg.parameters["n_points"])
-    gs = build_ground_state(kappa, grid)
+def cmd_ground_state(args):
+    kappa = args.kappa
+    gs = build_ground_state(kappa, TorusGrid(args.n_points))
     report = energy_identities(gs)
-    out = cfg.output_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     tag = repr(float(kappa))
     serialize.write_json(out / f"ground_state_kappa_{tag}.json", serialize.ground_state_record(gs))
@@ -101,14 +91,13 @@ def cmd_ground_state(cfg):
     return EXIT_OK
 
 
-def cmd_energy_table(cfg):
-    kappas = cfg.parameters["kappa_grid"]
-    n_points = cfg.parameters["n_points"]
-    grid = TorusGrid(n_points)
+def cmd_energy_table(args):
+    kappas = _parse_kappa_grid(args.kappa_grid)
+    grid = TorusGrid(args.n_points)
     states = [build_ground_state(k, grid) for k in kappas]
     rows = [(gs.kappa, gs.peak.N, gs.energy, gs.energy / gs.kappa) for gs in states]
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / "energy_table.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "energy_table.csv"
     serialize.write_csv(path, ("kappa", "N", "energy", "energy_over_kappa"), rows)
     print(f"wrote {path} ({len(rows)} rows)")
     limit = 4.0 * math.sqrt(2.0) / 3.0
@@ -122,12 +111,11 @@ def cmd_energy_table(cfg):
     return EXIT_OK
 
 
-def cmd_catalog(cfg):
-    kappa = cfg.parameters["kappa"]
-    grid = TorusGrid(cfg.parameters["n_points"])
-    cat = build_catalog(kappa, grid)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / f"catalog_kappa_{float(kappa)!r}.json"
+def cmd_catalog(args):
+    kappa = args.kappa
+    cat = build_catalog(kappa, TorusGrid(args.n_points))
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"catalog_kappa_{float(kappa)!r}.json"
     serialize.write_json(path, serialize.catalog_record(cat))
     print(f"kappa = {serialize.fmt(kappa)}: {cat.m} steady state(s)")
     print(f"{'j':>3} {'energy':>22} {'period':>22}")
@@ -137,31 +125,30 @@ def cmd_catalog(cfg):
     return EXIT_OK
 
 
-def cmd_classify(cfg):
-    oc = classify_orbit(cfg.parameters["u0"], cfg.parameters["v0"], cfg.parameters["kappa"])
+def cmd_classify(args):
+    oc = classify_orbit(args.u0, args.v0, args.kappa)
     print(serialize.dumps(serialize.orbit_record(oc)), end="")
     return EXIT_OK
 
 
-def cmd_evolve(cfg):
-    p = cfg.parameters
+def cmd_evolve(args):
     params = EvolveParams(
-        kappa=p["kappa"],
-        gamma=p["gamma"],
-        dt=p["dt"],
-        t_end=p["t_end"],
-        n_points=p["n_points"],
-        filter=FILTER_NAMES[p["filter"]],
-        record_every=p["record_every"],
+        kappa=args.kappa,
+        gamma=args.gamma,
+        dt=args.dt,
+        t_end=args.t_end,
+        n_points=args.n_points,
+        filter=FILTER_NAMES[args.filter],
+        record_every=args.record_every,
     )
-    if p["coeffs"] is not None:
-        u0 = initial_spectrum(_parse_coeffs(p["coeffs"]), params.max_mode)
+    if args.coeffs is not None:
+        u0 = initial_spectrum(_parse_coeffs(args.coeffs), params.max_mode)
         label = "coeffs"
     else:
-        u0 = initial_spectrum(p["preset"], params.max_mode)
-        label = p["preset"]
+        u0 = initial_spectrum(args.preset, params.max_mode)
+        label = args.preset
     traj = evolve(u0, params)
-    out = cfg.output_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"trajectory_{label}_kappa_{float(params.kappa)!r}.csv"
     serialize.write_csv(csv_path, serialize.TRAJECTORY_HEADER, serialize.trajectory_rows(traj))
@@ -178,13 +165,13 @@ def cmd_evolve(cfg):
         "final_mass": float(traj.diagnostics.mass[-1]),
         "final_energy": float(traj.diagnostics.energy[-1]),
     }
-    if p["compare_steady"] and 0.0 < params.kappa < 1.0:
+    if args.compare_steady and 0.0 < params.kappa < 1.0:
         gs = build_ground_state(params.kappa, TorusGrid(2048))
         sign, err = terminal_comparison(traj, gs.field)
         summary["steady_match"] = f"{'+' if sign > 0 else '-'}u_kappa"
         summary["steady_max_error"] = err
         print(f"converged: {summary['steady_match']} (max error {err:.3e})")
-    if p["dump_snapshots"]:
+    if args.dump_snapshots:
         snap_path = out / f"snapshots_{label}_kappa_{float(params.kappa)!r}.json"
         serialize.write_json(
             snap_path,
@@ -202,11 +189,11 @@ def cmd_evolve(cfg):
     return EXIT_OK
 
 
-def cmd_verify(cfg):
-    suite = cfg.parameters["suite"]
-    results = run_suite(suite, seed=cfg.seed)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / f"verify_{suite}.json"
+def cmd_verify(args):
+    suite = args.suite
+    results = run_suite(suite, seed=args.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"verify_{suite}.json"
     serialize.write_json(path, [serialize.check_record(r) for r in results])
     width = max(len(r.name) for r in results)
     for r in results:
@@ -221,33 +208,36 @@ def build_parser():
     parser = _Parser(prog="aclab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=20240817, help="seed for randomized checks")
+    def command(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("ground-state", help="construct one steady profile")
+    def out_dir(p):
+        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+
+    p = command("ground-state", cmd_ground_state, help="construct one steady profile")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--n-points", type=int, default=2048)
-    common(p)
+    out_dir(p)
 
-    p = sub.add_parser("energy-table", help="ground energies over a kappa grid")
+    p = command("energy-table", cmd_energy_table, help="ground energies over a kappa grid")
     p.add_argument("--kappa-grid", type=str, default="0.05:0.95:0.05",
                    help="start:stop:step or comma-separated values")
     p.add_argument("--n-points", type=int, default=2048)
-    common(p)
+    out_dir(p)
 
-    p = sub.add_parser("catalog", help="all steady states at one kappa")
+    p = command("catalog", cmd_catalog, help="all steady states at one kappa")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--n-points", type=int, default=2048)
-    common(p)
+    out_dir(p)
 
-    p = sub.add_parser("classify", help="classify a steady-ODE orbit by its invariant")
+    p = command("classify", cmd_classify, help="classify a steady-ODE orbit by its invariant")
     p.add_argument("--u0", type=float, required=True)
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
-    common(p)
 
-    p = sub.add_parser("evolve", help="run the pseudo-spectral evolution")
+    p = command("evolve", cmd_evolve, help="run the pseudo-spectral evolution")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--dt", type=float, default=0.01)
@@ -262,41 +252,20 @@ def build_parser():
                    help="compare the terminal state against the steady profile")
     p.add_argument("--dump-snapshots", action="store_true",
                    help="also write the recorded spectra as JSON arrays")
-    common(p)
+    out_dir(p)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = command("verify", cmd_verify, help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=20240817, help="seed for randomized checks")
+    out_dir(p)
 
     return parser
 
 
-_HANDLERS = {
-    "ground-state": (cmd_ground_state, ("kappa", "n_points")),
-    "energy-table": (cmd_energy_table, ("kappa_grid", "n_points")),
-    "catalog": (cmd_catalog, ("kappa", "n_points")),
-    "classify": (cmd_classify, ("u0", "v0", "kappa")),
-    "evolve": (
-        cmd_evolve,
-        ("kappa", "gamma", "dt", "t_end", "n_points", "filter", "preset",
-         "coeffs", "record_every", "compare_steady", "dump_snapshots"),
-    ),
-    "verify": (cmd_verify, ("suite",)),
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler, keys = _HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        params = {k: getattr(args, k) for k in keys}
-        if args.command == "energy-table":
-            params["kappa_grid"] = _parse_kappa_grid(args.kappa_grid)
-        cfg = RunConfig(
-            command=args.command, parameters=params, output_dir=args.out, seed=args.seed
-        )
-        return handler(cfg)
+        return args.handler(args)
     except (DomainError, ResolutionError, SymmetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR

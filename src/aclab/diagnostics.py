@@ -16,6 +16,7 @@ from .spectral import SineSpectrum, sine_coeffs, sine_values
 
 SIGNAL_FLOOR = 1e-13
 MIN_FIT_POINTS = 20
+PROFILE_WINDOWS = 4  # late sub-windows whose estimates extract_profile compares
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class ProfileEstimate:
     zero_mode: bool
 
 
-def extract_profile(series: DiagnosticSeries, kappa, window=None, n_windows=4) -> ProfileEstimate:
+def extract_profile(series: DiagnosticSeries, kappa, window=None) -> ProfileEstimate:
     """Late-time first-mode amplitude of the decaying solution.
 
     For kappa > 1 the compensated amplitude c1(t) exp((kappa^2-1) t) is
@@ -150,14 +151,14 @@ def extract_profile(series: DiagnosticSeries, kappa, window=None, n_windows=4) -
     sel = (t >= lo) & (t <= hi)
     t_w = t[sel]
     c1_w = series.c1[sel]
-    if t_w.size < n_windows * 5:
+    if t_w.size < PROFILE_WINDOWS * 5:
         raise WindowError(
-            f"window error: need >= {n_windows * 5} points in [{lo}, {hi}], got {t_w.size}"
+            f"window error: need >= {PROFILE_WINDOWS * 5} points in [{lo}, {hi}], got {t_w.size}"
         )
     if float(np.max(np.abs(c1_w))) < SIGNAL_FLOOR:
         return ProfileEstimate(value=0.0, stability=0.0, zero_mode=True)
 
-    edges = np.linspace(lo, hi, n_windows + 1)
+    edges = np.linspace(lo, hi, PROFILE_WINDOWS + 1)
     estimates = []
     for a, b in zip(edges[:-1], edges[1:]):
         m = (t_w >= a) & (t_w <= b)

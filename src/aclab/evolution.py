@@ -35,6 +35,7 @@ FILTER_ODD_BAND_GAP = "odd_band_gap"
 FILTERS = (FILTER_NONE, FILTER_ODD_BAND_GAP)
 
 STEADY_CHECKS_REQUIRED = 10
+STEADY_TOL = 1e-10  # record-to-record L2 rate below which a run counts as steady
 
 _PHI_SERIES_RADIUS = 0.1
 _PHI_SERIES_TERMS = 14
@@ -85,7 +86,6 @@ class EvolveParams:
     n_points: int = 256
     filter: str = FILTER_NONE
     record_every: int = 10
-    steady_tol: float = 1e-10
     detect_steady: bool | None = None
     cubic: bool = True
 
@@ -106,8 +106,6 @@ class EvolveParams:
             raise DomainError(f"domain error: filter={self.filter!r} not in {FILTERS}")
         if self.record_every < 1:
             raise DomainError("domain error: record_every must be >= 1")
-        if self.steady_tol <= 0.0:
-            raise DomainError("domain error: steady_tol must be positive")
 
     @property
     def grid(self):
@@ -213,7 +211,7 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     steps and at the last one; the diagnostics (mass |u|_2^2, energy, first
     mode, tail norm, grid max) are derived from the records after the run.
     Steady detection requires |u(t) - u(t - D)|_2 / D below
-    ``steady_tol`` for ten consecutive record points.
+    ``STEADY_TOL`` for ten consecutive record points.
     """
     if isinstance(u0, TorusField):
         spec0 = sine_transform(u0)  # raises on asymmetric input
@@ -241,7 +239,7 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
             t = kstep * params.dt
             if detect:
                 rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])
-                consecutive = consecutive + 1 if rate < params.steady_tol else 0
+                consecutive = consecutive + 1 if rate < STEADY_TOL else 0
             times.append(t)
             spectra.append(c)
             if consecutive >= STEADY_CHECKS_REQUIRED:

@@ -56,6 +56,7 @@ DEFAULT_N_POINTS = 2048
 KAPPA_MIN_AT_DEFAULT = 0.03
 
 RESIDUAL_TOL = 1e-8
+IDENTITY_TOL = 1e-8  # spread allowed between the three energy forms
 PEAK_RESIDUAL_TOL = 1e-12
 PEAK_KAPPA_MIN = 0.015
 
@@ -221,7 +222,7 @@ def _solve_quarter_angles(x_targets, kappa, q, g_total):
     )
 
 
-def build_ground_state(kappa, grid: TorusGrid | None = None, *, residual_tol=RESIDUAL_TOL):
+def build_ground_state(kappa, grid: TorusGrid | None = None):
     """Build the steady profile on ``grid`` by inverting the quarter-period map.
 
     The quarter profile on [0, pi/2] is extended to the torus by odd
@@ -277,7 +278,7 @@ def build_ground_state(kappa, grid: TorusGrid | None = None, *, residual_tol=RES
     u_xx = spectral_derivative(spec, 2, grid).values
     residual_profile = kappa**2 * u_xx + values - values**3
     residual = float(np.max(np.abs(residual_profile)))
-    if residual >= residual_tol:
+    if residual >= RESIDUAL_TOL:
         raise ConstructionError(
             f"construction failure: PDE residual {residual:.3e} at kappa={kappa}, "
             f"n_points={n}",
@@ -319,12 +320,12 @@ class EnergyIdentityReport:
     max_discrepancy: float
 
 
-def energy_identities(gs: GroundState, tol=1e-8) -> EnergyIdentityReport:
+def energy_identities(gs: GroundState) -> EnergyIdentityReport:
     """Evaluate the steady-profile energy three ways and compare.
 
     Definition, the quarter-integral of (1 - U^4), and the first-integral
     form int (1/2 (U^2-1)^2 - 1/4 (N^2-1)^2) dx must coincide; a discrepancy
-    beyond ``tol`` raises :class:`IdentityError`.
+    beyond ``IDENTITY_TOL`` raises :class:`IdentityError`.
     """
     from .errors import IdentityError
 
@@ -338,7 +339,7 @@ def energy_identities(gs: GroundState, tol=1e-8) -> EnergyIdentityReport:
     worst = max(
         abs(e_def - e_quartic), abs(e_def - e_profile), abs(e_quartic - e_profile)
     )
-    if worst > tol:
+    if worst > IDENTITY_TOL:
         raise IdentityError(
             f"identity violation: energy forms disagree by {worst:.3e} at "
             f"kappa={gs.kappa}"

@@ -1,7 +1,9 @@
 """Independent truth sources used by tests and the verification suites.
 
 Nothing here shares code paths with the construction it checks: the peak
-value is re-solved with mpmath tanh-sinh quadrature and the steady profile
+value is re-solved in mpmath through Gauss's arithmetic-geometric mean,
+R_F(0, 1+q, 2q) = pi / (2 AGM(sqrt(1+q), sqrt(2q))), where the construction
+evaluates scipy's double-precision Carlson R_F, and the steady profile is
 re-derived by Taylor-series shooting of the second-order ODE in arbitrary
 precision.  Plain double-precision shooting cannot serve as an oracle for
 small kappa: the profile rides the saddle at u = 1 and initial-condition
@@ -14,7 +16,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ResolutionError
+from .errors import DomainError, ResolutionError, WindowError
 
 
 def peak_complement_mp(kappa, dps=40):
@@ -23,17 +25,10 @@ def peak_complement_mp(kappa, dps=40):
         target = mp.pi / (2 * mp.sqrt(2) * mp.mpf(kappa))
 
         def g_of_s(s):
-            # 1/sqrt(sin^2 p + q(1 + cos^2 p)), with cos^2 = 1 - sin^2 folded in
+            # R_F(0, 1+q, 2q) = pi / (2 AGM(sqrt(1+q), sqrt(2q))), DLMF 19.8(i), 19.22(i)
             w = mp.e**s
             q = w * (2 - w)
-            two_q, one_minus_q = 2 * q, 1 - q
-            return (
-                mp.quad(
-                    lambda p: 1 / mp.sqrt(two_q + one_minus_q * mp.sin(p) ** 2),
-                    [0, mp.pi / 2],
-                )
-                - target
-            )
+            return mp.pi / (2 * mp.agm(mp.sqrt(1 + q), mp.sqrt(2 * q))) - target
 
         s_lo = -2 * target - 8
         s = mp.findroot(g_of_s, (s_lo, mp.mpf(0)), solver="anderson", tol=mp.mpf(10) ** (-2 * dps + 8))
@@ -86,10 +81,11 @@ def shoot_profile(kappa, xs, dps=40, order=50):
     Raises :class:`ResolutionError` when the march misses the peak value
     1 - N by more than 1e-17 or an output is not finite: below kappa ~ 0.045
     the launch round-off, amplified by ~1/(1-N), outgrows ``dps`` digits.
+    Points outside [0, pi/2] raise :class:`DomainError`.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < -1e-15 or xs.max() > 0.5 * math.pi + 1e-15):
-        raise ValueError("shoot_profile expects points inside [0, pi/2]")
+        raise DomainError("domain error: shoot_profile expects points inside [0, pi/2]")
     with mp.workdps(dps):
         kap = mp.mpf(kappa)
         w = peak_complement_mp(kappa, dps=dps)
@@ -141,7 +137,8 @@ def first_return_period(u0, v0, kappa, t_max):
 
     Integrates kappa^2 u'' = u^3 - u from (u0, v0) and measures the gap
     between consecutive upward zero crossings of u, which closed orbits hit
-    exactly once per period.
+    exactly once per period.  Fewer than two crossings in ``t <= t_max``
+    raise :class:`WindowError`.
     """
 
     def rhs(t, y):
@@ -164,7 +161,7 @@ def first_return_period(u0, v0, kappa, t_max):
     )
     crossings = sol.t_events[0]
     if crossings.size < 2:
-        raise RuntimeError(
-            f"first-return oracle saw {crossings.size} upward crossings in t <= {t_max}"
+        raise WindowError(
+            f"window error: first-return oracle saw {crossings.size} upward crossings in t <= {t_max}"
         )
     return float(crossings[1] - crossings[0])

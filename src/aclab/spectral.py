@@ -156,27 +156,27 @@ def sine_transform(field: TorusField) -> SineSpectrum:
     return SineSpectrum(sine_coeffs(field.values, field.grid.n_points // 2 - 1))
 
 
-def synthesize(spec: SineSpectrum, grid: TorusGrid) -> TorusField:
-    """Evaluate a sine spectrum on a grid (inverse of :func:`sine_transform`)."""
-    n = grid.n_points
-    M = spec.max_mode
+def _require_room(spec: SineSpectrum, grid: TorusGrid):
+    n, M = grid.n_points, spec.max_mode
     if M > n // 2 - 1:
         raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
-    return TorusField(grid, sine_values(spec.coeffs, n))
 
 
-def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid | None = None) -> TorusField:
+def synthesize(spec: SineSpectrum, grid: TorusGrid) -> TorusField:
+    """Evaluate a sine spectrum on a grid (inverse of :func:`sine_transform`)."""
+    _require_room(spec, grid)
+    return TorusField(grid, sine_values(spec.coeffs, grid.n_points))
+
+
+def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid) -> TorusField:
     """Differentiate a sine spectrum term by term and sample on a grid.
 
     Order 1 yields sum m c_m cos(mx); order 2 yields -sum m^2 c_m sin(mx).
+    A grid that cannot hold the spectrum's modes raises :class:`DomainError`.
     """
     if order not in (1, 2):
         raise DomainError(f"domain error: order must be 1 or 2, got {order!r}")
-    if grid is None:
-        n = 16
-        while n // 2 - 1 < spec.max_mode:
-            n *= 2
-        grid = TorusGrid(n)
+    _require_room(spec, grid)
     m = spec.modes.astype(float)
     if order == 1:
         return TorusField(grid, sine_values(m * spec.coeffs, grid.n_points, cosine=True))

@@ -149,7 +149,7 @@ def check_profile_residual_and_oracle(ctx):
 def check_energy_identities(ctx):
     worst = 0.0
     for kap in RESIDUAL_KAPPAS:
-        rep = energy_identities(build_ground_state(kap), tol=1e-8)
+        rep = energy_identities(build_ground_state(kap))
         worst = max(worst, rep.max_discrepancy)
     return CheckResult(
         name="energy_identity_triple_agreement",

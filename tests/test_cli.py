@@ -55,6 +55,20 @@ def test_usage_error_exit_code():
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ground-state", "--kappa", "0.5", "--seed", "1"],
+        ["classify", "--u0", "0.3", "--v0", "0.0", "--kappa", "0.5", "--out", "x"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(args):
+    # --seed belongs to verify alone, and classify writes no file
+    with pytest.raises(SystemExit) as info:
+        run_cli(args)
+    assert info.value.code == EXIT_USAGE
+
+
 def test_removed_filter_choice_is_usage_error():
     with pytest.raises(SystemExit) as info:
         run_cli(["evolve", "--kappa", "0.9", "--filter", "odd"])

@@ -245,7 +245,7 @@ class TestEnergy:
 class TestEnergyIdentities:
     @pytest.mark.parametrize("kappa", [0.5, 0.9])
     def test_triple_agreement(self, gs_cache, kappa):
-        rep = energy_identities(gs_cache(kappa), tol=1e-8)
+        rep = energy_identities(gs_cache(kappa))
         assert rep.max_discrepancy <= 1e-8
 
     def test_zero_field_quarter_form(self, grid2048):

@@ -1,14 +1,23 @@
 """The Taylor-shooting oracle against the mp evaluations its fast paths replace."""
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from aclab.errors import AclabError, ResolutionError
+import aclab.oracles
+from aclab.errors import AclabError, DomainError, ResolutionError, WindowError
 from aclab.ground_state import build_ground_state
-from aclab.oracles import _horner2, _taylor_coeffs, peak_complement_mp, shoot_profile
+from aclab.oracles import (
+    _horner2,
+    _taylor_coeffs,
+    first_return_period,
+    peak_complement_mp,
+    shoot_profile,
+)
 
 
 def _taylor_coeffs_fsum(u0, v0, kappa2, order):
@@ -70,8 +79,10 @@ def test_taylor_coeffs_match_fsum_recurrence(kappa2, u0, v0):
             assert abs(x - y) <= mp.mpf("1e-35") * abs(y)
 
 
-def test_peak_complement_matches_two_transcendental_integrand():
-    kappa, dps = 0.7, 40
+@pytest.mark.parametrize("kappa", [0.05, 0.3, 0.7, 0.9])
+def test_peak_complement_matches_two_transcendental_integrand(kappa):
+    # the quarter-period integral by tanh-sinh quadrature, the path the AGM replaced
+    dps = 40
     with mp.workdps(dps):
         target = mp.pi / (2 * mp.sqrt(2) * mp.mpf(kappa))
 
@@ -117,3 +128,34 @@ def test_refuses_kappa_beyond_its_digits():
     vals, info = shoot_profile(0.05, xs)
     assert info["peak_value_gap"] <= 1e-17
     assert np.all(np.isfinite(vals)) and vals.max() <= 1.0
+
+
+def test_points_outside_quarter_period_raise_domain_error():
+    with pytest.raises(DomainError) as exc:
+        shoot_profile(0.5, [2.0])
+    assert isinstance(exc.value, AclabError)
+
+
+def test_first_return_without_two_crossings_raises_window_error():
+    # the orbit through (0.5, 0) at kappa = 0.5 has period 3.49, so t <= 1 holds no full turn
+    with pytest.raises(WindowError, match="upward crossings in t <= 1.0") as exc:
+        first_return_period(0.5, 0.0, 0.5, t_max=1.0)
+    assert isinstance(exc.value, AclabError)
+
+
+def test_oracles_import_nothing_of_the_construction():
+    # the module docstring: "nothing here shares code paths with the construction it checks"
+    names = set()
+    for node in ast.walk(ast.parse(Path(aclab.oracles.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    construction = {"ground_state", "spectral", "catalog", "elliprf"}
+    hits = sorted(
+        n for n in names
+        if construction & set(n.split(".")) or n == "scipy.special" or n.startswith("scipy.special.")
+    )
+    assert hits == []

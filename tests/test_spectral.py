@@ -62,7 +62,9 @@ def test_derivative_examples(grid64):
     assert np.max(np.abs(d1.values - 3.0 * np.cos(3 * x))) < 1e-12
 
     with pytest.raises(DomainError):
-        spectral_derivative(SineSpectrum([1.0]), 3)
+        spectral_derivative(SineSpectrum([1.0]), 3, grid64)
+    with pytest.raises(DomainError, match="cannot hold 32 sine modes"):
+        spectral_derivative(SineSpectrum(np.ones(32)), 2, grid64)
 
 
 def test_ground_state_band_gap(gs_cache):
