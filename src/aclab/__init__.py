@@ -62,7 +62,6 @@ from .ground_state import (
     energy,
     energy_identities,
     eval_g,
-    ground_state_spectrum,
     kink_comparison,
     kink_profile,
     peak_bounds,
@@ -76,8 +75,6 @@ from .spectral import (
     TorusGrid,
     sine_transform,
     spectral_derivative,
-    spectrum_l2,
-    spectrum_sobolev,
     synthesize,
 )
 

@@ -42,7 +42,6 @@ class SteadyReplica:
     field: TorusField
     energy: float
     period: float
-    source: GroundState
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ def build_catalog(kappa, grid: TorusGrid | None = None) -> SteadyCatalog:
                 field=field,
                 energy=energy(field, kappa),
                 period=2.0 * math.pi / j,
-                source=gs,
             )
         )
     return SteadyCatalog(kappa=kappa, m=m, replicas=tuple(replicas))

@@ -211,7 +211,8 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     steps and at the last one; the diagnostics (mass |u|_2^2, energy, first
     mode, tail norm, grid max) are derived from the records after the run.
     Steady detection requires |u(t) - u(t - D)|_2 / D below
-    ``STEADY_TOL`` for ten consecutive record points.
+    ``STEADY_TOL`` for ten consecutive record points.  The band-gap filter
+    would zero any even mode of ``u0``, so such data raise :class:`DomainError`.
     """
     if isinstance(u0, TorusField):
         spec0 = sine_transform(u0)  # raises on asymmetric input
@@ -222,6 +223,8 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
 
     stepper = _Stepper(params)
     c = _fit_to_cutoff(spec0, params.max_mode)
+    if params.filter == FILTER_ODD_BAND_GAP and np.any(c[1::2] != 0.0):
+        raise DomainError("domain error: the band-gap filter would zero even modes of u0")
 
     n_steps = round(params.t_end / params.dt)  # a whole number, checked by EvolveParams
     detect = params.steady_detection_enabled

@@ -41,7 +41,6 @@ from scipy.special import elliprf
 from .errors import ConstructionError, DomainError, ResolutionError
 from .roots import find_root
 from .spectral import (
-    SineSpectrum,
     TorusField,
     TorusGrid,
     sine_transform,
@@ -166,7 +165,6 @@ class GroundState:
     energy: float
     quarter_x: np.ndarray
     quarter_u: np.ndarray
-    derivative: TorusField
     residual: float
 
 
@@ -227,10 +225,11 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
 
     The quarter profile on [0, pi/2] is extended to the torus by odd
     reflection about 0 and even reflection about pi/2 (the steady equation
-    patches smoothly across both seams).  The returned profile carries an
-    analytic first derivative and is validated against the PDE residual in
-    max norm; failure raises :class:`ConstructionError` with the residual
-    profile attached.
+    patches smoothly across both seams).  The profile is validated against
+    the PDE residual in max norm; failure raises :class:`ConstructionError`
+    with the residual profile attached, or :class:`ResolutionError` where the
+    rounding floor kappa^2 (n/2)^2 eps of the spectral u'' is at least
+    ``RESIDUAL_TOL / 4``, since there exact profiles fail the check too.
     """
     grid = grid if grid is not None else TorusGrid(DEFAULT_N_POINTS)
     if not 0.0 < kappa < 1.0:
@@ -255,23 +254,11 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
     u_quarter[1:-1] = N * np.cos(psis)
     u_quarter[-1] = N
 
-    # u'(x) = sin(psi) sqrt((1-q)(sin^2 psi + q (1 + cos^2 psi))) / (sqrt 2 kappa)
-    spsi = np.sin(np.concatenate(([0.5 * math.pi], psis, [0.0])))
-    cpsi = np.cos(np.concatenate(([0.5 * math.pi], psis, [0.0])))
-    den = spsi**2 + q * (1.0 + cpsi**2)
-    du_quarter = spsi * np.sqrt((1.0 - q) * den) / (math.sqrt(2.0) * kappa)
-
     values = np.empty(n)
     values[i0 : i0 + n4 + 1] = u_quarter
     values[i0 + n4 + 1 :] = u_quarter[n4 - 1 : 0 : -1]  # even about pi/2
     values[0] = 0.0
     values[1:i0] = -values[n - 1 : i0 : -1]  # odd about 0
-
-    dvals = np.empty(n)
-    dvals[i0 : i0 + n4 + 1] = du_quarter
-    dvals[i0 + n4 + 1 :] = -du_quarter[n4 - 1 : 0 : -1]  # odd about pi/2
-    dvals[0] = -du_quarter[0]
-    dvals[1:i0] = dvals[n - 1 : i0 : -1]  # even about 0
 
     field = TorusField(grid, values)
     spec = sine_transform(field)
@@ -279,6 +266,12 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
     residual_profile = kappa**2 * u_xx + values - values**3
     residual = float(np.max(np.abs(residual_profile)))
     if residual >= RESIDUAL_TOL:
+        rounding_floor = kappa**2 * (n // 2) ** 2 * np.finfo(float).eps
+        if rounding_floor >= 0.25 * RESIDUAL_TOL:
+            raise ResolutionError(
+                f"resolution error: PDE residual {residual:.3e} at kappa={kappa}, "
+                f"n_points={n}: the rounding floor of u'' is {rounding_floor:.3e}"
+            )
         raise ConstructionError(
             f"construction failure: PDE residual {residual:.3e} at kappa={kappa}, "
             f"n_points={n}",
@@ -292,7 +285,6 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
         energy=e,
         quarter_x=x_quarter.copy(),
         quarter_u=u_quarter,
-        derivative=TorusField(grid, dvals),
         residual=residual,
     )
 
@@ -361,7 +353,3 @@ def kink_comparison(gs: GroundState):
     kink = kink_profile(gs.kappa, gs.quarter_x)
     diff = kink - gs.quarter_u
     return float(np.max(np.abs(diff))), bool(np.min(diff) >= -1e-12)
-
-
-def ground_state_spectrum(gs: GroundState) -> SineSpectrum:
-    return sine_transform(gs.field)

@@ -18,6 +18,9 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ResolutionError, WindowError
 
+SHOOT_DPS = 40  # working digits of the march
+TAYLOR_ORDER = 50  # series terms per step
+
 
 def peak_complement_mp(kappa, dps=40):
     """Solve the quarter-period identity for w = 1 - N in mp precision."""
@@ -68,27 +71,27 @@ def _sum_scaled(a, h, t):
     return np.polyval(scaled[::-1], t)
 
 
-def shoot_profile(kappa, xs, dps=40, order=50):
+def shoot_profile(kappa, xs):
     """Steady profile u at points ``xs`` in [0, pi/2] by Taylor shooting.
 
     Launches from (u, u') = (0, sqrt(1 - (1 - N^2)^2) / (sqrt 2 kappa)), the
     slope the orbit invariant dictates at u = 0, and marches fixed Taylor
-    steps sized well inside the series' convergence disk, all in ``dps``
+    steps sized well inside the series' convergence disk, all in ``SHOOT_DPS``
     digits.  The requested points are summed in double from each step's
     series scaled to the step length.  Also returns the drift of the orbit
     invariant as an internal error estimate.
 
     Raises :class:`ResolutionError` when the march misses the peak value
     1 - N by more than 1e-17 or an output is not finite: below kappa ~ 0.045
-    the launch round-off, amplified by ~1/(1-N), outgrows ``dps`` digits.
+    the launch round-off, amplified by ~1/(1-N), outgrows ``SHOOT_DPS`` digits.
     Points outside [0, pi/2] raise :class:`DomainError`.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < -1e-15 or xs.max() > 0.5 * math.pi + 1e-15):
         raise DomainError("domain error: shoot_profile expects points inside [0, pi/2]")
-    with mp.workdps(dps):
+    with mp.workdps(SHOOT_DPS):
         kap = mp.mpf(kappa)
-        w = peak_complement_mp(kappa, dps=dps)
+        w = peak_complement_mp(kappa, dps=SHOOT_DPS)
         q = w * (2 - w)
         v0 = mp.sqrt(1 - q * q) / (mp.sqrt(2) * kap)
         c_init = kap**2 * v0**2  # invariant at u=0: kappa^2 v^2 + u^2 - u^4/2
@@ -104,7 +107,7 @@ def shoot_profile(kappa, xs, dps=40, order=50):
             x_hi = float(x)
             x_lo = float(x - x_hi)
             h = min(h_step, x_end - x_hi + 1e-18)
-            a = _taylor_coeffs(u, v, kap**2, order)
+            a = _taylor_coeffs(u, v, kap**2, TAYLOR_ORDER)
             # evaluate any requested points inside [x, x+h]
             stop = int(np.searchsorted(xs_sorted, x_hi + h + 1e-15, side="right"))
             if stop > pos:
@@ -123,7 +126,7 @@ def shoot_profile(kappa, xs, dps=40, order=50):
         if not (gap <= 1e-17 and np.all(np.isfinite(out))):
             raise ResolutionError(
                 f"shooting at kappa={kappa} misses the peak value by {gap:.3e} "
-                f"(limit 1e-17) in {dps} digits"
+                f"(limit 1e-17) in {SHOOT_DPS} digits"
             )
         return out, {
             "invariant_drift": float(drift),
@@ -137,8 +140,8 @@ def first_return_period(u0, v0, kappa, t_max):
 
     Integrates kappa^2 u'' = u^3 - u from (u0, v0) and measures the gap
     between consecutive upward zero crossings of u, which closed orbits hit
-    exactly once per period.  Fewer than two crossings in ``t <= t_max``
-    raise :class:`WindowError`.
+    exactly once per period; the integration stops at the second one.
+    Fewer than two crossings in ``t <= t_max`` raise :class:`WindowError`.
     """
 
     def rhs(t, y):
@@ -148,6 +151,7 @@ def first_return_period(u0, v0, kappa, t_max):
         return y[0]
 
     upward_zero.direction = 1.0
+    upward_zero.terminal = 2
     sol = solve_ivp(
         rhs,
         (0.0, t_max),

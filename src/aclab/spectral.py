@@ -181,14 +181,3 @@ def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid) -> Toru
     if order == 1:
         return TorusField(grid, sine_values(m * spec.coeffs, grid.n_points, cosine=True))
     return TorusField(grid, sine_values(-(m**2) * spec.coeffs, grid.n_points))
-
-
-def spectrum_l2(spec: SineSpectrum) -> float:
-    """L2 norm on the torus; int sin^2(mx) dx = pi."""
-    return float(np.sqrt(np.pi * np.sum(spec.coeffs**2)))
-
-
-def spectrum_sobolev(spec: SineSpectrum, s: int = 10) -> float:
-    """Weighted-coefficient Sobolev norm sqrt(pi * sum (1+m^2)^s c_m^2)."""
-    m = spec.modes.astype(float)
-    return float(np.sqrt(np.pi * np.sum((1.0 + m**2) ** s * spec.coeffs**2)))

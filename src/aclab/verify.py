@@ -16,23 +16,23 @@ import numpy as np
 from .catalog import build_catalog, classify_orbit, spectral_gap
 from .diagnostics import (
     check_eta0_inequality,
+    check_log_convexity,
     extract_profile,
     fit_rate,
     theta_ode_oracle,
 )
-from .errors import AclabError, DomainError
+from .errors import AclabError
 from .evolution import EvolveParams, evolve, initial_spectrum, terminal_comparison
 from .ground_state import (
     G_AT_ZERO,
     build_ground_state,
     energy_identities,
     eval_g,
-    ground_state_spectrum,
     peak_bounds,
     solve_peak,
 )
 from .oracles import first_return_period, shoot_profile
-from .spectral import SineSpectrum, TorusGrid
+from .spectral import SineSpectrum, TorusGrid, sine_transform
 
 ENERGY_RATIO_LIMIT = 4.0 * math.sqrt(2.0) / 3.0
 
@@ -327,7 +327,7 @@ def check_ground_state_convergence(ctx):
     traj = ctx.trajectory("kappa09_half")
     gs = build_ground_state(0.9)
     sign, err = terminal_comparison(traj, gs.field)
-    cu = ground_state_spectrum(gs).coeffs[: traj.params.max_mode]
+    cu = sine_transform(gs.field).coeffs[: traj.params.max_mode]
     dist = np.sqrt(np.pi * np.sum((traj.snapshots - cu) ** 2, axis=1))
     sel = (dist > 1e-5) & (dist < 1e-2)
     fit = fit_rate(
@@ -351,33 +351,24 @@ def check_ground_state_convergence(ctx):
     )
 
 
-def _worst_log_convexity(series):
-    """Worst m(t) / (m(t1)^(1-l) m(t2)^l) over recorded t1 < t < t2, and its (t1, t2).
-
-    Per t1, the formula and first-maximum tie-break of ``check_log_convexity``
-    with ``factor=1``, evaluated for every t2 at once.
-    """
-    t, m = series.times, series.mass
-    if np.any(m <= 0.0):
-        raise DomainError("domain error: mass must be positive")
-    worst, worst_pair = 0.0, (0.0, 0.0)
-    for i in range(t.size - 2):
-        # rows t2 = t[i+2:], columns t = t[i+1:-1]; t < t2 is the lower triangle
-        lam = (t[i + 1 : -1] - t[i]) / (t[i + 2 :, None] - t[i])
-        ratios = m[i + 1 : -1] / (m[i] ** (1.0 - lam) * m[i + 2 :, None] ** lam)
-        row = np.tril(ratios).max(axis=1)
-        k = int(np.argmax(row))
-        if row[k] > worst:
-            worst, worst_pair = float(row[k]), (float(t[i]), float(t[i + 2 + k]))
-    return worst, worst_pair
-
-
 def check_sharp_log_convexity(ctx):
-    worst, worst_pair = _worst_log_convexity(ctx.trajectory("sharp_logconv").diagnostics)
+    """Sharp interpolation test of the mass over every recorded t1 < t < t2.
+
+    ln m lies on or below its chords exactly when its consecutive slopes never
+    decrease, so only the windows (t_i, t_{i+2}) are tested; the first worst
+    one is reported.
+    """
+    d = ctx.trajectory("sharp_logconv").diagnostics
+    t = d.times
+    worst = max(
+        (check_log_convexity(d, t[i], t[i + 2]) for i in range(t.size - 2)),
+        key=lambda rep: rep.worst_ratio,
+    )
     return CheckResult(
         name="sharp_log_convexity",
-        passed=worst <= 1.0 + 1e-12,
-        observed=f"worst interpolation ratio {worst:.15f} on t1,t2 = {worst_pair}",
+        passed=worst.passed,
+        observed=f"worst interpolation ratio {worst.worst_ratio:.15f} on t1,t2 = "
+        f"{(worst.t1, worst.t2)}",
         expected="mass log-convex with factor 1 over every recorded triple",
         tolerance="ratio <= 1 + 1e-12",
         window="t in [0, 5]",

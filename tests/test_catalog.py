@@ -17,9 +17,9 @@ from aclab.catalog import (
     spectral_gap,
 )
 from aclab.errors import DomainError, SymmetryError
-from aclab.ground_state import build_ground_state, energy, eval_g, ground_state_spectrum
+from aclab.ground_state import build_ground_state, energy, eval_g
 from aclab.oracles import first_return_period
-from aclab.spectral import TorusField, TorusGrid, spectrum_l2
+from aclab.spectral import TorusField, TorusGrid, sine_transform, spectral_derivative
 
 SQRT2 = math.sqrt(2.0)
 
@@ -110,14 +110,12 @@ class TestClassifyOrbit:
 
     def test_invariant_conserved_along_profile(self, gs_cache):
         gs = gs_cache(0.5)
+        du = spectral_derivative(sine_transform(gs.field), 1, gs.field.grid).values
         idx = [10, 200, 700, 1500]
-        cs = [
-            classify_orbit(gs.field.values[i], gs.derivative.values[i], 0.5).C
-            for i in idx
-        ]
+        cs = [classify_orbit(gs.field.values[i], du[i], 0.5).C for i in idx]
         assert max(cs) - min(cs) < 1e-9
         for i in idx:
-            oc = classify_orbit(gs.field.values[i], gs.derivative.values[i], 0.5)
+            oc = classify_orbit(gs.field.values[i], du[i], 0.5)
             assert oc.kind == "periodic"
             assert oc.period == pytest.approx(2.0 * math.pi, abs=1e-9)
 
@@ -252,8 +250,6 @@ def test_h1_distance_controlled_by_energy_gap(gs_cache, grid2048):
     # bounded by a fixed multiple of sqrt(E(u) - E(U)); the constant is not
     # pinned, so only boundedness across shrinking perturbations is checked
     gs = gs_cache(0.9)
-    from aclab.spectral import sine_transform
-
     base = gs.field.values
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
@@ -262,7 +258,7 @@ def test_h1_distance_controlled_by_energy_gap(gs_cache, grid2048):
             field = TorusField(grid2048, u)
             gap = energy(field, 0.9) - gs.energy
             assert gap > 0.0
-            diff = sine_transform(field).coeffs - ground_state_spectrum(gs).coeffs
+            diff = sine_transform(field).coeffs - sine_transform(gs.field).coeffs
             m = np.arange(1, diff.size + 1)
             h1 = math.sqrt(math.pi * float(np.sum((1.0 + m**2) * diff**2)))
             ratios.append(h1 / math.sqrt(gap))

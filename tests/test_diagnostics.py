@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from aclab.diagnostics import (
 )
 from aclab.errors import DomainError, SignError, WindowError
 from aclab.evolution import EvolveParams, evolve, initial_spectrum
-from aclab.ground_state import ground_state_spectrum
-from aclab.spectral import SineSpectrum, spectrum_sobolev
+from aclab.spectral import SineSpectrum, sine_transform
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ class TestLogConvexity:
 
 
 def _worst_over_pairs(series):
-    # the all-pairs loop over check_log_convexity that _worst_log_convexity replaces
+    # the all-pairs loop over check_log_convexity that the consecutive triples replace
     t = series.times
     worst, worst_pair = 0.0, (0.0, 0.0)
     for i in range(t.size):
@@ -188,17 +188,47 @@ def _worst_over_pairs(series):
     return worst, worst_pair
 
 
+def _sharp_check_on(series):
+    traj = SimpleNamespace(diagnostics=series)
+    return verify.check_sharp_log_convexity(
+        verify._Context(seed=0, trajectories={"sharp_logconv": traj})
+    )
+
+
 class TestWorstLogConvexity:
     def test_matches_pairwise_loop_on_recorded_run(self):
+        # the gate's run is log-convex, so its worst window is a consecutive
+        # triple and the two scans agree on the ratio and the pair bit for bit
         params, preset = verify._RUNS["sharp_logconv"]
         d = evolve(initial_spectrum(preset, params.max_mode), params).diagnostics
-        assert verify._worst_log_convexity(d) == _worst_over_pairs(d)
+        worst, pair = _worst_over_pairs(d)
+        result = _sharp_check_on(d)
+        assert result.passed and worst <= 1.0 + 1e-12
+        assert result.observed == f"worst interpolation ratio {worst:.15f} on t1,t2 = {pair}"
 
     def test_matches_pairwise_loop_on_ties(self):
-        # log-linear mass: every ratio is 1 up to round-off, so ties decide the pair
+        # log-linear mass: every ratio is 1 up to round-off
         t = np.linspace(0.0, 2.0, 41)
         series = _synthetic_series(t, np.exp(-2.0 * t))
-        assert verify._worst_log_convexity(series) == _worst_over_pairs(series)
+        worst, _ = _worst_over_pairs(series)
+        assert worst <= 1.0 + 1e-12
+        assert _sharp_check_on(series).passed
+
+    @pytest.mark.parametrize("bump", [1e-3, 1e-6])
+    def test_matches_pairwise_loop_on_planted_dent(self, bump):
+        # a log-linear mass with one record raised: every window around it
+        # sees the same ratio 1 + bump up to round-off, and the narrowest
+        # one is the triple the check reports
+        t = np.linspace(0.0, 2.0, 41)
+        mass = np.exp(-2.0 * t)
+        mass[17] *= 1.0 + bump
+        series = _synthetic_series(t, mass)
+        worst, _ = _worst_over_pairs(series)
+        result = _sharp_check_on(series)
+        assert worst > 1.0 + 1e-12
+        assert not result.passed
+        assert float(result.observed.split()[3]) == pytest.approx(worst, rel=1e-12)
+        assert result.observed.endswith(f"on t1,t2 = {(float(t[16]), float(t[18]))}")
 
 
 class TestEta0:
@@ -209,7 +239,7 @@ class TestEta0:
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_ground_state(self, gs_cache):
-        spec = ground_state_spectrum(gs_cache(0.5))
+        spec = sine_transform(gs_cache(0.5).field)
         rep = check_eta0_inequality(SineSpectrum(spec.coeffs[:64]), 2.0)
         assert rep.lhs >= rep.rhs
 
@@ -297,13 +327,6 @@ def test_sin_2x_run_has_vanishing_first_mode():
     assert float(np.max(np.abs(traj.diagnostics.c1))) == 0.0
     prof = extract_profile(traj.diagnostics, 2.0, window=(1.0, 3.0))
     assert prof.zero_mode and prof.value == 0.0
-
-
-def test_weighted_sobolev_norm():
-    # H^s norms enter only through the weighted-coefficient convention
-    assert spectrum_sobolev(SineSpectrum([1.0]), s=10) == pytest.approx(
-        math.sqrt(math.pi * 2.0**10)
-    )
 
 
 def test_kappa1_remainder_surrogate(kappa1_run):

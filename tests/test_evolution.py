@@ -141,6 +141,13 @@ class TestFilter:
         traj = evolve(initial_spectrum("sin_x", params.max_mode), params)
         assert np.all(traj.snapshots[:, 1::2] == 0.0)
 
+    @pytest.mark.parametrize("preset", ["sin_2x", "mixed"])
+    def test_band_gap_refuses_even_initial_modes(self, preset):
+        # filtering would zero them at step 1: sin 2x would relax to u = 0
+        params = EvolveParams(kappa=0.3, dt=0.05, t_end=1.0, filter="odd_band_gap")
+        with pytest.raises(DomainError, match="even modes"):
+            evolve(initial_spectrum(preset, params.max_mode), params)
+
     @pytest.mark.parametrize(
         "preset, zero_modes",
         [

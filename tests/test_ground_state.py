@@ -23,7 +23,7 @@ from aclab.ground_state import (
 )
 from aclab.oracles import peak_complement_mp
 from aclab.quadrature import integrate
-from aclab.spectral import TorusField, TorusGrid
+from aclab.spectral import TorusField, TorusGrid, sine_transform, spectral_derivative
 from helpers import composite_simpson
 
 SQRT2 = math.sqrt(2.0)
@@ -200,7 +200,7 @@ class TestProfile:
     def test_orbit_invariant_constant_along_profile(self, gs_cache):
         gs = gs_cache(0.5)
         u = gs.field.values
-        v = gs.derivative.values
+        v = spectral_derivative(sine_transform(gs.field), 1, gs.field.grid).values
         C = orbit_invariant(u, v, gs.kappa)
         expected = 0.5 * (1.0 - gs.peak.q**2)
         assert np.max(np.abs(C - expected)) < 1e-9
@@ -208,6 +208,20 @@ class TestProfile:
     def test_resolution_gate(self):
         with pytest.raises(ResolutionError, match="n_points"):
             build_ground_state(0.02, TorusGrid(2048))
+
+    def test_rounding_floor_is_a_resolution_error(self):
+        # at n = 16384 the rounding floor kappa^2 (n/2)^2 eps of the spectral
+        # u'' reaches RESIDUAL_TOL near kappa = 0.8, so exact profiles may
+        # fail the residual check there: the grid is refused, never the profile
+        grid = TorusGrid(16384)
+        refused = {}
+        for kappa in (0.3, 0.5, 0.7, 0.822, 0.8711, 0.9, 0.95):
+            try:
+                assert build_ground_state(kappa, grid).residual < 1e-8
+            except ResolutionError as exc:
+                refused[kappa] = str(exc)
+        assert {0.822, 0.8711} <= set(refused) and 0.3 not in refused
+        assert "rounding floor of u'' is 1.007e-08" in refused[0.822]
 
     def test_small_kappa_energy_ratio_trend(self, gs_cache):
         limit = 4.0 * SQRT2 / 3.0

@@ -7,8 +7,10 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import aclab.oracles
+from aclab.catalog import classify_orbit
 from aclab.errors import AclabError, DomainError, ResolutionError, WindowError
 from aclab.ground_state import build_ground_state
 from aclab.oracles import (
@@ -159,3 +161,36 @@ def test_oracles_import_nothing_of_the_construction():
         if construction & set(n.split(".")) or n == "scipy.special" or n.startswith("scipy.special.")
     )
     assert hits == []
+
+
+def _first_return_period_to_t_max(u0, v0, kappa, t_max):
+    # the oracle as first written: integrate over all of [0, t_max], stop at no event
+    def rhs(t, y):
+        return [y[1], (y[0] ** 3 - y[0]) / kappa**2]
+
+    def upward_zero(t, y):
+        return y[0]
+
+    upward_zero.direction = 1.0
+    sol = solve_ivp(
+        rhs, (0.0, t_max), [u0, v0], method="DOP853", rtol=1e-12, atol=1e-12,
+        events=upward_zero, dense_output=False, max_step=t_max / 50.0,
+    )
+    crossings = sol.t_events[0]
+    return float(crossings[1] - crossings[0])
+
+
+def test_first_return_stops_at_the_second_crossing_with_the_same_period():
+    # stopping changes no step before the second crossing, so the period is bit-identical
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 12:
+        kappa = float(rng.uniform(0.25, 2.0))
+        u0, v0 = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))
+        oc = classify_orbit(u0, v0, kappa)
+        if oc.kind != "periodic" or oc.near_boundary or oc.amplitude <= 1e-3:
+            continue
+        t_max = 3.0 * oc.period + 5.0
+        period = first_return_period(u0, v0, kappa, t_max)
+        assert period == _first_return_period_to_t_max(u0, v0, kappa, t_max)
+        checked += 1

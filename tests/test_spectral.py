@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 import aclab
 from aclab.errors import DomainError, SymmetryError
-from aclab.ground_state import ground_state_spectrum
 from aclab.spectral import (
     SineSpectrum,
     TorusField,
@@ -17,7 +16,6 @@ from aclab.spectral import (
     sine_transform,
     sine_values,
     spectral_derivative,
-    spectrum_l2,
     synthesize,
 )
 
@@ -70,7 +68,7 @@ def test_derivative_examples(grid64):
 def test_ground_state_band_gap(gs_cache):
     # even-index sine modes of the steady profile vanish: it is symmetric
     # about pi/2, which kills every even harmonic
-    spec = ground_state_spectrum(gs_cache(0.5))
+    spec = sine_transform(gs_cache(0.5).field)
     even = spec.coeffs[1::2]
     assert np.max(np.abs(even)) < 1e-10
     assert np.max(np.abs(spec.coeffs[0::2])) > 0.1
@@ -78,7 +76,7 @@ def test_ground_state_band_gap(gs_cache):
 
 def test_ground_state_second_derivative_residual(gs_cache):
     gs = gs_cache(0.5)
-    spec = ground_state_spectrum(gs)
+    spec = sine_transform(gs.field)
     u = gs.field.values
     u_xx = spectral_derivative(spec, 2, gs.field.grid).values
     residual = 0.25 * u_xx + u - u**3
@@ -90,10 +88,6 @@ def test_field_validation(grid64):
         TorusField(grid64, np.ones(10))
     with pytest.raises(DomainError):
         TorusField(grid64, np.full(64, np.nan))
-
-
-def test_l2_norm():
-    assert spectrum_l2(SineSpectrum([1.0])) == pytest.approx(np.sqrt(np.pi))
 
 
 @given(
