@@ -62,7 +62,6 @@ from .ground_state import (
     energy,
     energy_identities,
     eval_g,
-    kink_comparison,
     kink_profile,
     peak_bounds,
     solve_peak,

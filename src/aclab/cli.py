@@ -127,7 +127,7 @@ def cmd_catalog(args):
 
 def cmd_classify(args):
     oc = classify_orbit(args.u0, args.v0, args.kappa)
-    print(serialize.dumps(serialize.orbit_record(oc)), end="")
+    print(serialize.dumps(oc), end="")
     return EXIT_OK
 
 

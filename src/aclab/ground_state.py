@@ -8,28 +8,20 @@ value N = u(pi/2):
 
 after the substitution u = N sin(theta).  g is strictly increasing with
 g(0) = pi/(2 sqrt 2) and g -> inf as N -> 1, so the peak value is unique.
-The profile itself inverts the strictly increasing map
 
-    x(theta) = sqrt(2) kappa * int_0^theta ...,   u = N sin(theta),
+Deep in the small kappa regime 1 - N is exponentially small, so the
+complement w = 1 - N is tracked instead of N, and both closed forms below are
+written in q = w (2 - w) = 1 - N^2, which never cancels:
 
-pointwise per grid node; working in the angle keeps the integrand bounded
-and the inversion well conditioned all the way to the peak.
+* g(N) = R_F(0, 1 + q, 2q) in Carlson's symmetric integral (DLMF 19.25.5),
+  whose arguments are sums of nonnegative terms however small q is;
+* the profile is a Jacobi sn, since sn'' = -(1 + k^2) sn + 2 k^2 sn^3:
 
-Two representation choices keep everything accurate deep into the small
-kappa regime, where 1 - N is exponentially small:
+      u(x) = N sn(z | k),   z = x sqrt((1 + q) / 2) / kappa,
+      k'^2 = 1 - k^2 = 2q / (1 + q),
 
-* the complement w = 1 - N is tracked instead of N, and the integrand uses
-  2 - N^2 (1 + sin^2) = cos^2 theta + q (1 + sin^2 theta) with q = w (2 - w),
-  which never cancels;
-* integrals run in the angle psi = pi/2 - theta measured from the peak,
-  where they have the closed form (DLMF 19.25.5)
-
-      x / (sqrt 2 kappa) = int_psi^{pi/2} dp / sqrt(sin^2 p + q (1 + cos^2 p))
-          = cos(psi) R_F((1 + q) sin^2 psi, 2q + (1 - q) sin^2 psi, 1 + q)
-
-  in Carlson's symmetric integral R_F, whose three arguments are sums of
-  nonnegative terms and so never cancel, however small q is; g(N) is its
-  value at psi = 0.
+  evaluated as N sin(am(z | k)) by the AGM from k' (DLMF 22.20(ii)).  The
+  peak x = pi/2 is the quarter period z = K(k) = sqrt(1 + q) g(N).
 """
 
 import math
@@ -60,14 +52,8 @@ PEAK_RESIDUAL_TOL = 1e-12
 PEAK_KAPPA_MIN = 0.015
 
 
-def _scaled_position(psi, q):
-    """x / (sqrt 2 kappa) of the node at peak angle ``psi``, elementwise."""
-    s2 = np.sin(psi) ** 2
-    return np.cos(psi) * elliprf((1.0 + q) * s2, 2.0 * q + (1.0 - q) * s2, 1.0 + q)
-
-
 def _g_from_complement(w):
-    # the scaled position of the peak, psi = 0
+    # g(1 - w) = R_F(0, 1 + q, 2q), with q = 1 - N^2 free of cancellation
     q = w * (2.0 - w)
     return float(elliprf(0.0, 1.0 + q, 2.0 * q))
 
@@ -172,56 +158,31 @@ def kappa_floor(grid: TorusGrid) -> float:
     return KAPPA_MIN_AT_DEFAULT * DEFAULT_N_POINTS / grid.n_points
 
 
-def _solve_quarter_angles(x_targets, kappa, q, g_total):
-    """Invert the profile map at each target x, returning peak angles psi.
+def _jacobi_amplitude(z, k_complement):
+    """Jacobi amplitude am(z | k) by the descending AGM (DLMF 22.20(ii)).
 
-    Solves _scaled_position(psi) = x/(sqrt 2 kappa) by Newton's method on
-    all nodes at once; a per-node bracket [lo, hi] replaces any step that
-    leaves it by bisection.  The residual is taken in the position itself,
-    whose rounding shrinks with x and vanishes at the x = 0 seam; against
-    the integral from the peak it would carry the rounding of g_total at
-    every node, noise the spectral residual check amplifies by m^2.
-    Convergence is measured through the effect on u = N cos(psi), which
-    stays conditioned at the peak where the integrand blows up.
+    The AGM starts from a_0 = 1, b_0 = k' rather than from m = k^2, which
+    rounds to 1 long before k' is negligible.  c_n = (a_{n-1} - b_{n-1})/2
+    is taken as a difference, not as c_{n-1}^2 / (4 a_n), which starts from
+    the rounded c_0 = k (up to 20 ulps off in sn at small kappa).  The
+    backward arcsin recurrence runs on all of ``z`` at once.
     """
-    targets = x_targets / (math.sqrt(2.0) * kappa)
-    lo = np.zeros(targets.size)
-    hi = np.full(targets.size, 0.5 * math.pi)
-    # the integrand is >= 1/sqrt(p^2 + 2q), so the integral from the peak
-    # exceeds asinh(psi/sqrt(2q)) and this start is not left of the root
-    psis = np.minimum(math.sqrt(2.0 * q) * np.sinh(g_total - targets), hi)
-    active = np.arange(targets.size)
-    for _ in range(80):
-        psi = psis[active]
-        s = np.sin(psi)
-        den = s * s + q * (1.0 + np.cos(psi) ** 2)
-        err = targets[active] - _scaled_position(psi, q)
-        step = err * np.sqrt(den)
-        dpsi = np.abs(step)
-        lo_a, hi_a = lo[active], hi[active]
-        # first-order effect on u in sin(psi) plus the curvature term that
-        # dominates at the peak
-        done = (s * dpsi + 0.5 * dpsi * dpsi <= 2e-15) | (hi_a - lo_a <= 4e-16)
-        hi_a = np.where(err > 0.0, psi, hi_a)
-        lo_a = np.where(err > 0.0, lo_a, psi)
-        cand = psi - step
-        outside = ~((lo_a < cand) & (cand < hi_a))
-        # converged nodes still take their last Newton step, unbracketed: it
-        # squares their error, which is otherwise independent from node to
-        # node at up to 2e-15 in u, noise the residual check amplifies by m^2
-        cand = np.where(outside & ~done, 0.5 * (lo_a + hi_a), cand)
-        psis[active] = cand
-        lo[active], hi[active] = lo_a, hi_a
-        active = active[~done]
-        if active.size == 0:
-            return psis
-    raise ConstructionError(
-        f"construction failure: angle solve stalled at x={x_targets[active[0]]!r}"
-    )
+    a, b = 1.0, k_complement
+    ratios = []
+    while True:
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        ratios.append(c / a)
+        if c <= np.finfo(float).eps * a:
+            break
+    phi = 2.0 ** len(ratios) * a * z
+    for r in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
+    return phi
 
 
 def build_ground_state(kappa, grid: TorusGrid | None = None):
-    """Build the steady profile on ``grid`` by inverting the quarter-period map.
+    """Build the steady profile on ``grid`` from its closed form N sn(z | k).
 
     The quarter profile on [0, pi/2] is extended to the torus by odd
     reflection about 0 and even reflection about pi/2 (the steady equation
@@ -241,18 +202,13 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
             f"{grid.n_points}; increase n_points to resolve the transition layer"
         )
     peak = solve_peak(kappa)
-    q, N = peak.q, peak.N
-    g_total = _g_from_complement(peak.complement)
+    q = peak.q
 
     n = grid.n_points
     i0, n4 = n // 2, n // 4
     x_quarter = grid.x[i0 : i0 + n4 + 1]
-    psis = _solve_quarter_angles(x_quarter[1:-1], kappa, q, g_total)
-
-    u_quarter = np.empty(n4 + 1)
-    u_quarter[0] = 0.0
-    u_quarter[1:-1] = N * np.cos(psis)
-    u_quarter[-1] = N
+    z = x_quarter * math.sqrt(0.5 * (1.0 + q)) / kappa
+    u_quarter = peak.N * np.sin(_jacobi_amplitude(z, math.sqrt(2.0 * q / (1.0 + q))))
 
     values = np.empty(n)
     values[i0 : i0 + n4 + 1] = u_quarter
@@ -277,12 +233,11 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
             f"n_points={n}",
             residual=residual_profile,
         )
-    e = energy(field, kappa)
     return GroundState(
         kappa=kappa,
         peak=peak,
         field=field,
-        energy=e,
+        energy=_energy_from_spectrum(field, spec, kappa),
         quarter_x=x_quarter.copy(),
         quarter_u=u_quarter,
         residual=residual,
@@ -297,9 +252,14 @@ def energy(field: TorusField, kappa: float) -> float:
     """
     if kappa <= 0.0:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive")
+    return _energy_from_spectrum(field, sine_transform(field), kappa)  # refuses non-odd
+
+
+def _energy_from_spectrum(field: TorusField, spec, kappa):
+    """:func:`energy` of ``field`` given its sine spectrum ``spec``."""
     v = field.values
     grid = field.grid
-    du = spectral_derivative(sine_transform(field), 1, grid).values  # refuses non-odd v
+    du = spectral_derivative(spec, 1, grid).values
     density = 0.5 * kappa**2 * du**2 + 0.25 * (1.0 - v**2) ** 2
     return float(grid.dx * np.sum(density))
 
@@ -342,14 +302,3 @@ def energy_identities(gs: GroundState) -> EnergyIdentityReport:
 def kink_profile(kappa, x):
     """The infinite-line kink tanh(x / (sqrt 2 kappa)) sampled at ``x``."""
     return np.tanh(np.asarray(x, dtype=float) / (math.sqrt(2.0) * kappa))
-
-
-def kink_comparison(gs: GroundState):
-    """(sup |U - kink|, kink dominates pointwise) on the quarter interval.
-
-    Domination is asserted with round-off slack 1e-12; near x = 0 the two
-    profiles agree to below machine precision.
-    """
-    kink = kink_profile(gs.kappa, gs.quarter_x)
-    diff = kink - gs.quarter_u
-    return float(np.max(np.abs(diff))), bool(np.min(diff) >= -1e-12)

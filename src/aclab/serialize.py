@@ -99,16 +99,6 @@ def catalog_record(cat) -> dict:
     }
 
 
-def orbit_record(oc) -> dict:
-    return {
-        "C": oc.C,
-        "kind": oc.kind,
-        "period": oc.period,
-        "amplitude": oc.amplitude,
-        "near_boundary": oc.near_boundary,
-    }
-
-
 def trajectory_rows(traj):
     d = traj.diagnostics
     for i in range(d.times.size):

@@ -10,59 +10,66 @@ from aclab.catalog import orbit_invariant
 from aclab.errors import DomainError, ResolutionError, SymmetryError
 from aclab.ground_state import (
     G_AT_ZERO,
+    RESIDUAL_TOL,
     _g_from_complement,
-    _scaled_position,
+    _jacobi_amplitude,
     build_ground_state,
     energy,
     energy_identities,
     eval_g,
-    kink_comparison,
     kink_profile,
     peak_bounds,
     solve_peak,
 )
 from aclab.oracles import peak_complement_mp
-from aclab.quadrature import integrate
 from aclab.spectral import TorusField, TorusGrid, sine_transform, spectral_derivative
 from helpers import composite_simpson
 
 SQRT2 = math.sqrt(2.0)
-# a few ulps: the closed form and the reference quadrature round differently
+# a few ulps: the closed form and the 30-digit reference round differently
 CLOSED_FORM_RTOL = 8.0 * np.finfo(float).eps
-QUAD_TOL = 1e-15
 
 
-def _peak_integrand(q):
-    def f(psi):
-        return 1.0 / np.sqrt(np.sin(psi) ** 2 + q * (1.0 + np.cos(psi) ** 2))
-
-    return f
-
-
-def _quad_reference(f, a, b):
-    """integrate() with the absolute error it guarantees, tol * max(1, |Q|)."""
-    value = integrate(f, a, b, tol=QUAD_TOL)
-    return pytest.approx(value, rel=CLOSED_FORM_RTOL, abs=QUAD_TOL * max(1.0, abs(value)))
+def _g_reference(q):
+    """g at 1 - N^2 = q (an mpf) to 30 digits: R_F(0, 1+q, 2q) as one AGM."""
+    with mp.workdps(30):
+        return mp.pi / (2 * mp.agm(mp.sqrt(1 + q), mp.sqrt(2 * q)))
 
 
 class TestClosedForm:
-    """The Carlson closed forms against adaptive quadrature of their integrand."""
+    """The closed forms against 30-digit mpmath references."""
 
-    @given(
-        log10_w=st.floats(-48.0, 0.0),
-        psi=st.floats(0.0, 0.5 * math.pi),
-    )
-    def test_against_quadrature(self, log10_w, psi):
-        w = 10.0**log10_w
-        q = w * (2.0 - w)
-        f = _peak_integrand(q)
-        assert _g_from_complement(w) == _quad_reference(f, 0.0, 0.5 * math.pi)
-        assert _scaled_position(psi, q) == _quad_reference(f, psi, 0.5 * math.pi)
+    @given(log10_w=st.floats(-48.0, 0.0))
+    def test_g_against_mpmath(self, log10_w):
+        w = mp.mpf(10.0**log10_w)
+        ref = _g_reference(w * (2 - w))
+        expected = pytest.approx(float(ref), rel=CLOSED_FORM_RTOL, abs=0.0)
+        assert _g_from_complement(float(w)) == expected
 
     @given(N=st.floats(0.0, 1.0 - 1e-9))
-    def test_eval_g_against_quadrature(self, N):
-        q = (1.0 - N) * (1.0 + N)
-        assert eval_g(N) == _quad_reference(_peak_integrand(q), 0.0, 0.5 * math.pi)
+    def test_eval_g_against_mpmath(self, N):
+        ref = _g_reference((1 - mp.mpf(N)) * (1 + mp.mpf(N)))
+        assert eval_g(N) == pytest.approx(float(ref), rel=CLOSED_FORM_RTOL, abs=0.0)
+
+    @given(log10_w=st.floats(-48.0, 0.0))
+    def test_profile_against_mpmath_sn(self, log10_w):
+        # sin am(z | k) with k' from q in double, against sn(z | k^2) with k^2
+        # from the same w in enough digits that 1 - k^2 = 2q / (1 + q) survives;
+        # nodes from z = 1e-6 K, because mpmath's sn carries absolute noise
+        # near z = 0 (-7e-76 at z = 0, w = 1e-48), and every grid node but the
+        # exact x = 0 seam lies above z = 1e-4
+        w = 10.0**log10_w
+        q = w * (2.0 - w)
+        t = np.concatenate([np.geomspace(1e-6, 1e-2, 5), np.linspace(0.05, 1.0, 12)])
+        with mp.workdps(30 + math.ceil(-math.log10(q))):
+            W = mp.mpf(w)
+            Q = W * (2 - W)
+            m = (1 - W) ** 2 / (1 + Q)
+            K = mp.ellipk(m)
+            z = np.array([float(ti * K) for ti in t])
+            ref = np.array([float(mp.ellipfun("sn", zi, m=m)) for zi in z])
+        sn = np.sin(_jacobi_amplitude(z, math.sqrt(2.0 * q / (1.0 + q))))
+        np.testing.assert_allclose(sn, ref, rtol=CLOSED_FORM_RTOL, atol=0.0)
 
 
 class TestEvalG:
@@ -183,14 +190,15 @@ class TestProfile:
             assert gs_cache(kappa).residual < 1e-8
 
     def test_kink_comparison_small_kappa(self, gs_cache):
-        sup, dominates = kink_comparison(gs_cache(0.1))
-        assert sup < 1e-3
-        assert dominates
+        gs = gs_cache(0.1)
+        diff = kink_profile(gs.kappa, gs.quarter_x) - gs.quarter_u
+        assert np.max(np.abs(diff)) < 1e-3
+        assert np.min(diff) >= -1e-12  # round-off slack near x = 0
 
     def test_kink_dominates_everywhere(self, gs_cache):
         for kappa in (0.3, 0.5, 0.9):
-            _, dominates = kink_comparison(gs_cache(kappa))
-            assert dominates
+            gs = gs_cache(kappa)
+            assert np.min(kink_profile(kappa, gs.quarter_x) - gs.quarter_u) >= -1e-12
 
     def test_pointwise_ordering_in_kappa(self, gs_cache):
         u_small = gs_cache(0.3).quarter_u
@@ -213,15 +221,18 @@ class TestProfile:
         # at n = 16384 the rounding floor kappa^2 (n/2)^2 eps of the spectral
         # u'' reaches RESIDUAL_TOL near kappa = 0.8, so exact profiles may
         # fail the residual check there: the grid is refused, never the profile
-        grid = TorusGrid(16384)
-        refused = {}
+        n = 16384
+        grid = TorusGrid(n)
+        built = set()
         for kappa in (0.3, 0.5, 0.7, 0.822, 0.8711, 0.9, 0.95):
             try:
-                assert build_ground_state(kappa, grid).residual < 1e-8
+                assert build_ground_state(kappa, grid).residual < RESIDUAL_TOL
+                built.add(kappa)
             except ResolutionError as exc:
-                refused[kappa] = str(exc)
-        assert {0.822, 0.8711} <= set(refused) and 0.3 not in refused
-        assert "rounding floor of u'' is 1.007e-08" in refused[0.822]
+                floor = kappa**2 * (n // 2) ** 2 * np.finfo(float).eps
+                assert floor >= 0.25 * RESIDUAL_TOL
+                assert f"rounding floor of u'' is {floor:.3e}" in str(exc)
+        assert 0.3 in built
 
     def test_small_kappa_energy_ratio_trend(self, gs_cache):
         limit = 4.0 * SQRT2 / 3.0
@@ -254,6 +265,12 @@ class TestEnergy:
     def test_domain(self, grid2048):
         with pytest.raises(DomainError):
             energy(TorusField(grid2048, np.zeros(2048)), 0.0)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9])
+    def test_build_energy_is_public_energy(self, gs_cache, kappa):
+        # the build reuses the residual check's spectrum; the value is the same
+        gs = gs_cache(kappa)
+        assert gs.energy == energy(gs.field, kappa)
 
 
 class TestEnergyIdentities:
