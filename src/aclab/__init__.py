@@ -52,7 +52,6 @@ from .evolution import (
     evolve,
     fractional_multiplier,
     initial_spectrum,
-    step,
     terminal_comparison,
 )
 from .ground_state import (

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import DomainError, ResolutionError
-from .ground_state import GroundState, build_ground_state, energy, eval_g
+from .ground_state import DEFAULT_N_POINTS, GroundState, build_ground_state, energy, eval_g
 from .spectral import TorusField, TorusGrid, sine_coeffs
 
 C_BOUNDARY_TOL = 1e-12
@@ -64,7 +64,7 @@ def build_catalog(kappa, grid: TorusGrid | None = None) -> SteadyCatalog:
     """
     if not 0.0 < kappa < 1.0:
         raise DomainError(f"domain error: kappa={kappa!r} outside (0, 1)")
-    grid = grid if grid is not None else TorusGrid(2048)
+    grid = grid if grid is not None else TorusGrid(DEFAULT_N_POINTS)
     m = count_states(kappa)
     n = grid.n_points
     replicas = []
@@ -110,35 +110,30 @@ def classify_orbit(u0, v0, kappa) -> OrbitClass:
 
     Boundary cases use tolerance 1e-12 on C; orbits within 1e-8 of a
     boundary keep their open-interval class but carry ``near_boundary``,
-    since the classification is discontinuous there.
+    since the classification is discontinuous there.  A non-finite C raises
+    :class:`DomainError`.
     """
     if kappa <= 0.0:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive")
     C = orbit_invariant(u0, v0, kappa)
+    if not math.isfinite(C):
+        raise DomainError(f"domain error: orbit invariant C={C!r} is not finite")
     near = C_BOUNDARY_TOL < min(abs(C), abs(C - 0.5)) <= C_NEAR_BOUNDARY
 
+    # negative C forces u0^2 >= 2, the escaping region, as does C > 1/2
+    kind, period, amplitude = KIND_UNBOUNDED, None, None
     if abs(C) <= C_BOUNDARY_TOL:
         if abs(u0) < 1.0:
-            return OrbitClass(C=C, kind=KIND_ZERO, period=None, amplitude=None, near_boundary=near)
-        return OrbitClass(C=C, kind=KIND_UNBOUNDED, period=None, amplitude=None, near_boundary=near)
-    if abs(C - 0.5) <= C_BOUNDARY_TOL:
-        kind = KIND_HETEROCLINIC if abs(u0) <= 1.0 + C_BOUNDARY_TOL else KIND_UNBOUNDED
-        return OrbitClass(C=C, kind=kind, period=None, amplitude=None, near_boundary=near)
-    if C > 0.5 or C < 0.0:  # negative C forces u0^2 >= 2, the escaping region
-        return OrbitClass(C=C, kind=KIND_UNBOUNDED, period=None, amplitude=None, near_boundary=near)
-
-    # 0 < C < 1/2: inner branch is periodic, outer branch escapes
-    amp2 = 2.0 * C / (1.0 + math.sqrt(1.0 - 2.0 * C))
-    if u0 * u0 > amp2 * (1.0 + 1e-9):
-        return OrbitClass(C=C, kind=KIND_UNBOUNDED, period=None, amplitude=None, near_boundary=near)
-    amp = math.sqrt(amp2)
-    return OrbitClass(
-        C=C,
-        kind=KIND_PERIODIC,
-        period=minimal_period(C, kappa),
-        amplitude=amp,
-        near_boundary=near,
-    )
+            kind = KIND_ZERO
+    elif abs(C - 0.5) <= C_BOUNDARY_TOL:
+        if abs(u0) <= 1.0 + C_BOUNDARY_TOL:
+            kind = KIND_HETEROCLINIC
+    elif 0.0 < C < 0.5:
+        # the inner branch is periodic, the outer branch escapes
+        amp2 = 2.0 * C / (1.0 + math.sqrt(1.0 - 2.0 * C))
+        if u0 * u0 <= amp2 * (1.0 + 1e-9):
+            kind, period, amplitude = KIND_PERIODIC, minimal_period(C, kappa), math.sqrt(amp2)
+    return OrbitClass(C=C, kind=kind, period=period, amplitude=amplitude, near_boundary=near)
 
 
 def minimal_period(C, kappa):

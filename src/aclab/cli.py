@@ -14,7 +14,7 @@ from . import serialize
 from .catalog import build_catalog, classify_orbit
 from .errors import AclabError, DomainError, ResolutionError, SymmetryError
 from .evolution import EvolveParams, evolve, initial_spectrum, terminal_comparison
-from .ground_state import build_ground_state, energy_identities, kink_profile
+from .ground_state import DEFAULT_N_POINTS, build_ground_state, energy_identities, kink_profile
 from .spectral import TorusGrid
 from .verify import SUITES, run_suite
 
@@ -166,7 +166,7 @@ def cmd_evolve(args):
         "final_energy": float(traj.diagnostics.energy[-1]),
     }
     if args.compare_steady and 0.0 < params.kappa < 1.0:
-        gs = build_ground_state(params.kappa, TorusGrid(2048))
+        gs = build_ground_state(params.kappa, TorusGrid(DEFAULT_N_POINTS))
         sign, err = terminal_comparison(traj, gs.field)
         summary["steady_match"] = f"{'+' if sign > 0 else '-'}u_kappa"
         summary["steady_max_error"] = err
@@ -218,18 +218,18 @@ def build_parser():
 
     p = command("ground-state", cmd_ground_state, help="construct one steady profile")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--n-points", type=int, default=2048)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     out_dir(p)
 
     p = command("energy-table", cmd_energy_table, help="ground energies over a kappa grid")
     p.add_argument("--kappa-grid", type=str, default="0.05:0.95:0.05",
                    help="start:stop:step or comma-separated values")
-    p.add_argument("--n-points", type=int, default=2048)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     out_dir(p)
 
     p = command("catalog", cmd_catalog, help="all steady states at one kappa")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--n-points", type=int, default=2048)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     out_dir(p)
 
     p = command("classify", cmd_classify, help="classify a steady-ODE orbit by its invariant")

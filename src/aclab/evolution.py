@@ -74,9 +74,7 @@ class EvolveParams:
 
     ``t_end`` must be a whole number of steps ``dt`` (to 1e-9 relative).
     ``detect_steady=None`` resolves to enabled except at kappa = 1, where
-    slow algebraic decay produces false positives.  ``cubic=False`` is a
-    test hook that drops the nonlinear term, leaving the exact linear
-    propagator.
+    slow algebraic decay produces false positives.
     """
 
     kappa: float
@@ -87,7 +85,6 @@ class EvolveParams:
     filter: str = FILTER_NONE
     record_every: int = 10
     detect_steady: bool | None = None
-    cubic: bool = True
 
     def __post_init__(self):
         if self.kappa <= 0.0:
@@ -153,33 +150,15 @@ class _Stepper:
         return -sine_coeffs(u * u * u, c.size)
 
     def step(self, c):
-        p = self.params
-        if p.cubic:
-            # overflow here surfaces as non-finite coefficients, which the
-            # caller turns into BlowUpError; the warning is just noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                n0 = self.cubic_term(c)
-                a = self.e_full * c + self.dt_phi1 * n0
-                out = a + self.dt_phi2 * (self.cubic_term(a) - n0)
-        else:
-            out = self.e_full * c
-        if p.filter == FILTER_ODD_BAND_GAP:
+        # overflow here surfaces as non-finite coefficients, which the
+        # caller turns into BlowUpError; the warning is just noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            n0 = self.cubic_term(c)
+            a = self.e_full * c + self.dt_phi1 * n0
+            out = a + self.dt_phi2 * (self.cubic_term(a) - n0)
+        if self.params.filter == FILTER_ODD_BAND_GAP:
             out[1::2] = 0.0
         return out
-
-
-def _fit_to_cutoff(spec: SineSpectrum, M):
-    c = np.zeros(M)
-    c[: spec.coeffs.size] = spec.coeffs[:M]
-    return c
-
-
-def step(state: SineSpectrum, params: EvolveParams) -> SineSpectrum:
-    """Advance one time step; pure function of (state, params)."""
-    out = _Stepper(params).step(_fit_to_cutoff(state, params.max_mode))
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("blow-up detected at step 1", step_index=1)
-    return SineSpectrum(out)
 
 
 def initial_spectrum(preset, max_mode):
@@ -222,7 +201,8 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
         raise DomainError(f"domain error: unsupported initial data {type(u0)!r}")
 
     stepper = _Stepper(params)
-    c = _fit_to_cutoff(spec0, params.max_mode)
+    c = np.zeros(params.max_mode)
+    c[: spec0.coeffs.size] = spec0.coeffs[: params.max_mode]
     if params.filter == FILTER_ODD_BAND_GAP and np.any(c[1::2] != 0.0):
         raise DomainError("domain error: the band-gap filter would zero even modes of u0")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import elliprf
 
-from .errors import ConstructionError, DomainError, ResolutionError
+from .errors import ConstructionError, DomainError, IdentityError, ResolutionError
 from .roots import find_root
 from .spectral import (
     TorusField,
@@ -279,11 +279,9 @@ def energy_identities(gs: GroundState) -> EnergyIdentityReport:
     form int (1/2 (U^2-1)^2 - 1/4 (N^2-1)^2) dx must coincide; a discrepancy
     beyond ``IDENTITY_TOL`` raises :class:`IdentityError`.
     """
-    from .errors import IdentityError
-
     v = gs.field.values
     dx = gs.field.grid.dx
-    e_def = energy(gs.field, gs.kappa)
+    e_def = gs.energy  # the build evaluates the definition on this field
     # integrand even about 0 and symmetric about pi/2: quarter integral = full/4
     e_quartic = 0.25 * dx * float(np.sum(1.0 - v**4))
     q = gs.peak.q

@@ -24,6 +24,7 @@ from .diagnostics import (
 from .errors import AclabError
 from .evolution import EvolveParams, evolve, initial_spectrum, terminal_comparison
 from .ground_state import (
+    DEFAULT_N_POINTS,
     G_AT_ZERO,
     build_ground_state,
     energy_identities,
@@ -39,13 +40,13 @@ ENERGY_RATIO_LIMIT = 4.0 * math.sqrt(2.0) / 3.0
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     observed: str
     expected: str
     tolerance: str
     window: str | None = None
     detail: str = ""
+    name: str = ""  # the check's key in the suite table, set by run_suite
     seconds: float | None = None  # wall time, set by run_suite; not serialized
 
 
@@ -91,7 +92,6 @@ def check_g_zero(ctx):
     observed = eval_g(0.0)
     err = abs(observed - G_AT_ZERO)
     return CheckResult(
-        name="g_zero",
         passed=err <= 1e-12,
         observed=f"g(0) = {observed:.15f}",
         expected=f"pi/(2 sqrt 2) = {G_AT_ZERO:.15f}",
@@ -119,7 +119,6 @@ def check_peak_bounds(ctx):
             f"kappa={kap}: {lo:.3e} < 1-N = {pv.complement:.3e} < {hi:.3e} -> {holds}"
         )
     return CheckResult(
-        name="peak_two_sided_bounds",
         passed=ok,
         observed=f"min margin factor {worst:.3g}",
         expected="lower < 1-N < upper wherever N > sqrt(2/3)",
@@ -137,7 +136,6 @@ def check_profile_residual_and_oracle(ctx):
         vals, _ = shoot_profile(kap, gs.quarter_x)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(vals - gs.quarter_u))))
     return CheckResult(
-        name="profile_residual_and_shooting_oracle",
         passed=worst_resid < 1e-8 and worst_oracle < 1e-7,
         observed=f"max residual {worst_resid:.3e}, max oracle gap {worst_oracle:.3e}",
         expected="residual < 1e-8 and oracle gap < 1e-7 over kappa in "
@@ -152,7 +150,6 @@ def check_energy_identities(ctx):
         rep = energy_identities(build_ground_state(kap))
         worst = max(worst, rep.max_discrepancy)
     return CheckResult(
-        name="energy_identity_triple_agreement",
         passed=worst <= 1e-8,
         observed=f"max pairwise discrepancy {worst:.3e}",
         expected="three energy forms agree",
@@ -167,7 +164,6 @@ def check_energy_monotonicity(ctx):
     increasing = bool(np.all(diffs > 0.0))
     below = bool(np.all(np.array(energies) < 0.5 * math.pi))
     return CheckResult(
-        name="ground_energy_monotonicity",
         passed=increasing and below,
         observed=f"min gap {diffs.min():.3e}, max energy {max(energies):.6f}",
         expected=f"strictly increasing, all below pi/2 = {0.5 * math.pi:.6f}",
@@ -181,7 +177,6 @@ def check_small_kappa_energy_ratio(ctx):
     ratio = gs.energy / 0.02
     rel = abs(ratio / ENERGY_RATIO_LIMIT - 1.0)
     return CheckResult(
-        name="small_kappa_energy_ratio",
         passed=rel <= 0.01,
         observed=f"E/kappa = {ratio:.10f}",
         expected=f"4 sqrt(2)/3 = {ENERGY_RATIO_LIMIT:.10f}",
@@ -192,7 +187,7 @@ def check_small_kappa_energy_ratio(ctx):
 
 def check_catalog(ctx):
     kappa = 0.26
-    grid = TorusGrid(2048)
+    grid = TorusGrid(DEFAULT_N_POINTS)
     cat = build_catalog(kappa, grid)
     problems = []
     if cat.m != 3:
@@ -215,7 +210,6 @@ def check_catalog(ctx):
     if not mono:
         problems.append("energies not increasing in j")
     return CheckResult(
-        name="catalog_at_kappa_026",
         passed=not problems,
         observed=f"m={cat.m}, identity gap {worst_ident:.2e}, energy gap {worst_energy:.2e}",
         expected="m=3, replicas match compressed profiles and their energies, "
@@ -255,7 +249,6 @@ def check_orbit_classification(ctx):
         and checked_periods >= 5
     )
     return CheckResult(
-        name="orbit_classification_and_periods",
         passed=ok,
         observed=f"kinds {kinds}, {checked_periods} periods vs oracle, "
         f"worst gap {worst_period:.3e}",
@@ -274,7 +267,6 @@ def check_spectral_gap(ctx):
         worst_gap = min(worst_gap, g256)
         worst_drift = max(worst_drift, abs(g512 - g256))
     return CheckResult(
-        name="linearization_spectral_gap",
         passed=worst_gap > 0.0 and worst_drift <= 1e-6,
         observed=f"min gap {worst_gap:.6f}, max drift under M doubling {worst_drift:.3e}",
         expected="positive gap, stable under M: 256 -> 512",
@@ -292,7 +284,6 @@ def check_fast_decay(ctx):
     rate_ok = abs(rate_fit.rate_or_exponent - 3.0) <= 0.06
     tail_ok = tail_fit.rate_or_exponent >= 8.8
     return CheckResult(
-        name="fast_decay_kappa2",
         passed=rate_ok and tail_ok and bound_ok,
         observed=f"L2 rate {rate_fit.rate_or_exponent:.5f}, tail rate "
         f"{tail_fit.rate_or_exponent:.4f}, bound holds {bound_ok}",
@@ -313,7 +304,6 @@ def check_algebraic_decay(ctx):
     exp_ok = abs(exp_fit.rate_or_exponent - 0.5) <= 0.05
     beta_ok = abs(beta_sq - 2.0 / 3.0) <= 0.05 * (2.0 / 3.0)
     return CheckResult(
-        name="algebraic_decay_kappa1",
         passed=bound_ok and exp_ok and beta_ok,
         observed=f"exponent {exp_fit.rate_or_exponent:.4f}, beta^2 {beta_sq:.6f}, "
         f"bound holds {bound_ok}",
@@ -341,7 +331,6 @@ def check_ground_state_convergence(ctx):
         and not fit.rejected
     )
     return CheckResult(
-        name="convergence_to_ground_state",
         passed=ok,
         observed=f"terminal {traj.terminal}, sign {sign:+.0f}, max error {err:.3e}, "
         f"exp fit residual {fit.residual:.3f} at rate {fit.rate_or_exponent:.4f}",
@@ -365,7 +354,6 @@ def check_sharp_log_convexity(ctx):
         key=lambda rep: rep.worst_ratio,
     )
     return CheckResult(
-        name="sharp_log_convexity",
         passed=worst.passed,
         observed=f"worst interpolation ratio {worst.worst_ratio:.15f} on t1,t2 = "
         f"{(worst.t1, worst.t2)}",
@@ -379,7 +367,6 @@ def check_no_extinction(ctx):
     names = ("kappa2_sinx", "kappa1_sinx", "kappa09_half", "sharp_logconv")
     min_mass = min(float(np.min(ctx.trajectory(n).diagnostics.mass)) for n in names)
     return CheckResult(
-        name="no_finite_time_extinction",
         passed=min_mass > 0.0,
         observed=f"min recorded mass {min_mass:.3e}",
         expected="mass strictly positive in every run",
@@ -395,7 +382,6 @@ def check_eta0_random(ctx):
         rep = check_eta0_inequality(SineSpectrum(coeffs), 2.0)
         worst = min(worst, rep.ratio)
     return CheckResult(
-        name="eta0_inequality_random",
         passed=worst >= 0.75 * (1.0 - 1e-12),
         observed=f"min ratio lhs/|u|_4^4 = {worst:.6f}",
         expected="ratio >= 3/4 on 100 random odd 8-mode spectra",
@@ -419,7 +405,6 @@ def check_theta_oracle(ctx):
         and sup_t2 <= 2.0
     )
     return CheckResult(
-        name="theta_ode_oracle",
         passed=ok,
         observed=f"theta* err {err_star:.2e}, restart gap {consistency:.2e}, "
         f"suppressed regime sup t^2 theta = {sup_t2:.4f}",
@@ -472,12 +457,12 @@ def run_suite(suite, seed=20240817, progress=None):
             result = fn(ctx)
         except AclabError as exc:  # a check that cannot even run has failed
             result = CheckResult(
-                name=name,
                 passed=False,
                 observed=f"error: {exc}",
                 expected="check completes",
                 tolerance="",
             )
+        result.name = name
         result.passed = bool(result.passed)  # numpy comparisons may leak np.bool_
         result.seconds = time.perf_counter() - t0
         results.append(result)

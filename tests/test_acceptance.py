@@ -6,6 +6,8 @@ per criterion; the same checks back ``aclab verify --suite all``.
 
 import pytest
 
+from aclab import verify
+from aclab.errors import AclabError
 from aclab.verify import ALL_CHECK_NAMES, run_suite
 
 SEED = 20240817
@@ -17,7 +19,7 @@ def results():
 
 
 def test_all_criteria_present(results):
-    assert set(results) == set(ALL_CHECK_NAMES)
+    assert tuple(results) == ALL_CHECK_NAMES  # table order
     assert len(ALL_CHECK_NAMES) == 16
 
 
@@ -30,3 +32,15 @@ def test_criterion(results, name):
     )
     print(line)
     assert r.passed, line + (f" :: {r.detail}" if r.detail else "")
+
+
+def test_raising_check_fails_under_its_table_name(monkeypatch):
+    def broken(ctx):
+        raise AclabError("planted failure")
+
+    monkeypatch.setitem(verify.SUITES, "steady", (("g_zero", broken),))
+    seen = []
+    (result,) = run_suite("steady", progress=seen.append)
+    assert seen == [result]
+    assert result.name == "g_zero" and result.passed is False
+    assert result.observed.startswith("error:")

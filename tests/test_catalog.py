@@ -103,6 +103,11 @@ class TestClassifyOrbit:
         assert 0.0 < oc.C < 0.5
         assert oc.kind == "unbounded"
 
+    @pytest.mark.parametrize("u0, v0", [(math.nan, 0.0), (0.3, math.inf), (math.inf, 0.0)])
+    def test_non_finite_invariant_refused(self, u0, v0):
+        with pytest.raises(DomainError, match="not finite"):
+            classify_orbit(u0, v0, 0.5)
+
     def test_near_boundary_flag(self):
         oc = classify_orbit(math.sqrt(2.0e-10), 0.0, 0.5)
         assert oc.near_boundary

@@ -8,13 +8,13 @@ from aclab.errors import BlowUpError, DomainError, SymmetryError
 from aclab.evolution import (
     EvolveParams,
     _phi_functions,
+    _Stepper,
     evolve,
     fractional_multiplier,
     initial_spectrum,
-    step,
     terminal_comparison,
 )
-from aclab.spectral import SineSpectrum, TorusField, TorusGrid, sine_values
+from aclab.spectral import TorusField, TorusGrid, sine_values
 
 
 def _record_by_loop(c, kappa, n_pad):
@@ -93,18 +93,21 @@ class TestParams:
 class TestStep:
     def test_zero_fixed_point(self):
         params = EvolveParams(kappa=0.9)
-        out = step(SineSpectrum(np.zeros(params.max_mode)), params)
-        assert np.all(out.coeffs == 0.0)
+        out = _Stepper(params).step(np.zeros(params.max_mode))
+        assert np.all(out == 0.0)
 
-    def test_exact_linear_propagator(self):
-        params = EvolveParams(kappa=2.0, dt=0.01, cubic=False)
-        state = initial_spectrum("sin_x", params.max_mode)
+    def test_exact_linear_propagator(self, monkeypatch):
+        # without the cubic the phi terms vanish and the step is e^z exactly
+        monkeypatch.setattr(_Stepper, "cubic_term", lambda self, c: np.zeros_like(c))
+        params = EvolveParams(kappa=2.0, dt=0.01)
+        stepper = _Stepper(params)
+        c = initial_spectrum("sin_x", params.max_mode).coeffs
         expected = 1.0
         for _ in range(5):
-            state = step(state, params)
+            c = stepper.step(c)
             expected *= math.exp(-(4.0 - 1.0) * params.dt)
-            assert state.coeffs[0] == pytest.approx(expected, rel=1e-15)
-            assert np.max(np.abs(state.coeffs[1:])) == 0.0
+            assert c[0] == pytest.approx(expected, rel=1e-15)
+            assert np.max(np.abs(c[1:])) == 0.0
 
     def test_algebraic_mass_bound(self):
         # |u(t)|_2 <= sqrt(pi) |u0|_2 / sqrt(t |u0|_2^2 + pi) for kappa=1
@@ -119,15 +122,16 @@ class TestStep:
 class TestFilter:
     def test_band_gap_zeroes_even_modes(self):
         params = EvolveParams(kappa=2.0, filter="odd_band_gap")
-        out = step(SineSpectrum([1.0, 0.1, 0.0, 0.05]), params)
-        assert np.all(out.coeffs[1::2] == 0.0)
-        assert out.coeffs[0] != 0.0
+        c = initial_spectrum({1: 1.0, 2: 0.1, 4: 0.05}, params.max_mode).coeffs
+        out = _Stepper(params).step(c)
+        assert np.all(out[1::2] == 0.0)
+        assert out[0] != 0.0
 
     def test_odd_modes_preserved(self):
-        spec = SineSpectrum([0.5, 0.1, 0.3, 0.05])
-        filtered = step(spec, EvolveParams(kappa=0.9, filter="odd_band_gap"))
-        plain = step(spec, EvolveParams(kappa=0.9))
-        assert np.array_equal(filtered.coeffs[0::2], plain.coeffs[0::2])
+        params = EvolveParams(kappa=0.9)
+        c = initial_spectrum({1: 0.5, 2: 0.1, 3: 0.3, 4: 0.05}, params.max_mode).coeffs
+        filtered = _Stepper(EvolveParams(kappa=0.9, filter="odd_band_gap")).step(c)
+        assert np.array_equal(filtered[0::2], _Stepper(params).step(c)[0::2])
 
     def test_unknown_kind(self):
         for kind in ("odd_projection", "other"):

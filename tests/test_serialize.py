@@ -57,7 +57,7 @@ def test_rate_fit_rows_exponential():
 def test_check_record_keeps_detail():
     from aclab.verify import CheckResult
 
-    result = CheckResult("g_zero", True, "obs", "exp", "1e-12", detail="|error| = 0")
+    result = CheckResult(True, "obs", "exp", "1e-12", detail="|error| = 0", name="g_zero")
     record = serialize.check_record(result)
     assert record["detail"] == "|error| = 0"
     assert record["check_name"] == "g_zero" and record["pass"] is True
