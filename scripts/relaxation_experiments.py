@@ -22,7 +22,7 @@ import numpy as np
 from aclab import serialize
 from aclab.diagnostics import extract_profile, fit_rate
 from aclab.evolution import evolve, initial_spectrum, terminal_comparison
-from aclab.ground_state import build_ground_state
+from aclab.ground_state import DEFAULT_N_POINTS, build_ground_state
 from aclab.spectral import TorusGrid
 from aclab.verify import _RUNS
 
@@ -83,7 +83,7 @@ def main():
           f"level^2 {prof.value**2:.6f} (expect {2 / 3:.6f})")
 
     settle = run_and_dump("kappa09", "kappa09_half", out)
-    gs = build_ground_state(0.9, TorusGrid(2048))
+    gs = build_ground_state(0.9, TorusGrid(DEFAULT_N_POINTS))
     sign, err = terminal_comparison(settle, gs.field)
     summary["kappa09"] = {
         "terminal": settle.terminal,

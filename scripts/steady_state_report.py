@@ -20,7 +20,7 @@ from pathlib import Path
 
 from aclab import cli, serialize
 from aclab.catalog import spectral_gap
-from aclab.ground_state import build_ground_state
+from aclab.ground_state import DEFAULT_N_POINTS, build_ground_state
 from aclab.spectral import TorusGrid
 
 KAPPA_GRID = "0.05:0.95:0.05"
@@ -30,7 +30,7 @@ CATALOG_KAPPAS = ("0.9", "0.45", "0.26")
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out/steady_report"))
-    parser.add_argument("--n-points", type=int, default=2048)
+    parser.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     args = parser.parse_args()
     common = ["--n-points", str(args.n_points), "--out", str(args.out)]
 

@@ -102,7 +102,8 @@ class OrbitClass:
 
 
 def orbit_invariant(u0, v0, kappa):
-    return kappa**2 * v0**2 + u0**2 - 0.5 * u0**4
+    # products, not **: a float power overflows with an exception, a product to inf
+    return (kappa * kappa) * (v0 * v0) + u0 * u0 - 0.5 * ((u0 * u0) * (u0 * u0))
 
 
 def classify_orbit(u0, v0, kappa) -> OrbitClass:

@@ -13,22 +13,22 @@ Deep in the small kappa regime 1 - N is exponentially small, so the
 complement w = 1 - N is tracked instead of N, and both closed forms below are
 written in q = w (2 - w) = 1 - N^2, which never cancels:
 
-* g(N) = R_F(0, 1 + q, 2q) in Carlson's symmetric integral (DLMF 19.25.5),
-  whose arguments are sums of nonnegative terms however small q is;
+* g(N) = R_F(0, 1 + q, 2q) = pi / (2 AGM(sqrt(1 + q), sqrt(2q))) (DLMF
+  19.25.5, 19.8(i)), whose starting pair never cancels however small q is;
 * the profile is a Jacobi sn, since sn'' = -(1 + k^2) sn + 2 k^2 sn^3:
 
       u(x) = N sn(z | k),   z = x sqrt((1 + q) / 2) / kappa,
       k'^2 = 1 - k^2 = 2q / (1 + q),
 
-  evaluated as N sin(am(z | k)) by the AGM from k' (DLMF 22.20(ii)).  The
-  peak x = pi/2 is the quarter period z = K(k) = sqrt(1 + q) g(N).
+  evaluated as N sin(am(z | k)) by the same AGM, started from k' (DLMF
+  22.20(ii)).  The peak x = pi/2 is the quarter period
+  z = K(k) = sqrt(1 + q) g(N).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import elliprf
 
 from .errors import ConstructionError, DomainError, IdentityError, ResolutionError
 from .roots import find_root
@@ -42,20 +42,33 @@ from .spectral import (
 G_AT_ZERO = math.pi / (2.0 * math.sqrt(2.0))
 
 DEFAULT_N_POINTS = 2048
-# transition layer width ~ sqrt(2) kappa; below this the default grid cannot
-# resolve it and the residual check silently degrades
-KAPPA_MIN_AT_DEFAULT = 0.03
 
 RESIDUAL_TOL = 1e-8
 IDENTITY_TOL = 1e-8  # spread allowed between the three energy forms
 PEAK_RESIDUAL_TOL = 1e-12
 PEAK_KAPPA_MIN = 0.015
+_EPS = np.finfo(float).eps
+
+
+def _agm(a, b):
+    """Gauss's AGM of a >= b > 0, with the ratios c_n / a_n of its steps.
+
+    c_n = (a_{n-1} - b_{n-1}) / 2 is taken as a difference, not as
+    c_{n-1}^2 / (4 a_n), which would start from a rounded c_0.
+    """
+    ratios = []
+    while True:
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        ratios.append(c / a)
+        if c <= _EPS * a:
+            return a, ratios
 
 
 def _g_from_complement(w):
     # g(1 - w) = R_F(0, 1 + q, 2q), with q = 1 - N^2 free of cancellation
     q = w * (2.0 - w)
-    return float(elliprf(0.0, 1.0 + q, 2.0 * q))
+    return 0.5 * math.pi / _agm(math.sqrt(1.0 + q), math.sqrt(2.0 * q))[0]
 
 
 def eval_g(N):
@@ -154,27 +167,15 @@ class GroundState:
     residual: float
 
 
-def kappa_floor(grid: TorusGrid) -> float:
-    return KAPPA_MIN_AT_DEFAULT * DEFAULT_N_POINTS / grid.n_points
-
-
 def _jacobi_amplitude(z, k_complement):
     """Jacobi amplitude am(z | k) by the descending AGM (DLMF 22.20(ii)).
 
     The AGM starts from a_0 = 1, b_0 = k' rather than from m = k^2, which
-    rounds to 1 long before k' is negligible.  c_n = (a_{n-1} - b_{n-1})/2
-    is taken as a difference, not as c_{n-1}^2 / (4 a_n), which starts from
-    the rounded c_0 = k (up to 20 ulps off in sn at small kappa).  The
-    backward arcsin recurrence runs on all of ``z`` at once.
+    rounds to 1 long before k' is negligible; a rounded c_0 = k would put sn
+    up to 20 ulps off at small kappa.  The backward arcsin recurrence runs on
+    all of ``z`` at once.
     """
-    a, b = 1.0, k_complement
-    ratios = []
-    while True:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        ratios.append(c / a)
-        if c <= np.finfo(float).eps * a:
-            break
+    a, ratios = _agm(1.0, k_complement)
     phi = 2.0 ** len(ratios) * a * z
     for r in reversed(ratios):
         phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
@@ -186,21 +187,15 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
 
     The quarter profile on [0, pi/2] is extended to the torus by odd
     reflection about 0 and even reflection about pi/2 (the steady equation
-    patches smoothly across both seams).  The profile is validated against
-    the PDE residual in max norm; failure raises :class:`ConstructionError`
-    with the residual profile attached, or :class:`ResolutionError` where the
-    rounding floor kappa^2 (n/2)^2 eps of the spectral u'' is at least
-    ``RESIDUAL_TOL / 4``, since there exact profiles fail the check too.
+    patches smoothly across both seams).  The profile is exact to rounding,
+    so its PDE residual in max norm is the only resolution test: a residual
+    of ``RESIDUAL_TOL`` or more raises :class:`ResolutionError`, whether the
+    grid is too coarse for the transition layer of width ~ sqrt(2) kappa or
+    the rounding floor kappa^2 (n/2)^2 eps of the spectral u'' is too high.
     """
     grid = grid if grid is not None else TorusGrid(DEFAULT_N_POINTS)
     if not 0.0 < kappa < 1.0:
         raise DomainError(f"domain error: kappa={kappa!r} outside (0, 1)")
-    floor = kappa_floor(grid)
-    if kappa < floor:
-        raise ResolutionError(
-            f"resolution error: kappa={kappa} below {floor:.4g} at n_points="
-            f"{grid.n_points}; increase n_points to resolve the transition layer"
-        )
     peak = solve_peak(kappa)
     q = peak.q
 
@@ -219,19 +214,12 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
     field = TorusField(grid, values)
     spec = sine_transform(field)
     u_xx = spectral_derivative(spec, 2, grid).values
-    residual_profile = kappa**2 * u_xx + values - values**3
-    residual = float(np.max(np.abs(residual_profile)))
+    residual = float(np.max(np.abs(kappa**2 * u_xx + values - values**3)))
     if residual >= RESIDUAL_TOL:
-        rounding_floor = kappa**2 * (n // 2) ** 2 * np.finfo(float).eps
-        if rounding_floor >= 0.25 * RESIDUAL_TOL:
-            raise ResolutionError(
-                f"resolution error: PDE residual {residual:.3e} at kappa={kappa}, "
-                f"n_points={n}: the rounding floor of u'' is {rounding_floor:.3e}"
-            )
-        raise ConstructionError(
-            f"construction failure: PDE residual {residual:.3e} at kappa={kappa}, "
-            f"n_points={n}",
-            residual=residual_profile,
+        rounding_floor = kappa**2 * (n // 2) ** 2 * _EPS
+        raise ResolutionError(
+            f"resolution error: PDE residual {residual:.3e} at kappa={kappa}, "
+            f"n_points={n}: the rounding floor of u'' is {rounding_floor:.3e}"
         )
     return GroundState(
         kappa=kappa,

@@ -1,13 +1,13 @@
 """Independent truth sources used by tests and the verification suites.
 
 Nothing here shares code paths with the construction it checks: the peak
-value is re-solved in mpmath through Gauss's arithmetic-geometric mean,
-R_F(0, 1+q, 2q) = pi / (2 AGM(sqrt(1+q), sqrt(2q))), where the construction
-evaluates scipy's double-precision Carlson R_F, and the steady profile is
-re-derived by Taylor-series shooting of the second-order ODE in arbitrary
-precision.  Plain double-precision shooting cannot serve as an oracle for
-small kappa: the profile rides the saddle at u = 1 and initial-condition
-round-off is amplified by ~1/(1-N), which reaches 1e9 already at kappa=0.1.
+value is re-solved in 40-digit mpmath through Gauss's arithmetic-geometric
+mean, R_F(0, 1+q, 2q) = pi / (2 AGM(sqrt(1+q), sqrt(2q))), the construction's
+formula (itself checked by Simpson quadrature and the shooting oracle's peak
+gap), and the steady profile is re-derived by Taylor-series shooting of the
+second-order ODE in arbitrary precision.  Double-precision shooting cannot
+serve as an oracle for small kappa: the profile rides the saddle at u = 1,
+where initial-condition round-off grows by ~1/(1-N), 1e9 already at kappa=0.1.
 """
 
 import math

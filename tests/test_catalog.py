@@ -108,6 +108,12 @@ class TestClassifyOrbit:
         with pytest.raises(DomainError, match="not finite"):
             classify_orbit(u0, v0, 0.5)
 
+    @pytest.mark.parametrize("u0, v0", [(1e100, 0.0), (0.0, 1e200)])
+    def test_overflowing_invariant_refused(self, u0, v0):
+        # squares and fourth powers overflow to inf rather than raising OverflowError
+        with pytest.raises(DomainError, match="not finite"):
+            classify_orbit(u0, v0, 0.5)
+
     def test_near_boundary_flag(self):
         oc = classify_orbit(math.sqrt(2.0e-10), 0.0, 0.5)
         assert oc.near_boundary

@@ -92,6 +92,21 @@ def test_malformed_input_is_domain_error(args, tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("u0, v0", [("1e100", "0"), ("0", "1e200")])
+def test_classify_overflowing_invariant_is_domain_error(u0, v0, capsys):
+    assert run_cli(["classify", "--u0", u0, "--v0", v0, "--kappa", "0.5"]) == EXIT_DOMAIN_ERROR
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_points, code", [("2048", EXIT_OK), ("512", EXIT_DOMAIN_ERROR)])
+def test_ground_state_resolution_is_judged_by_the_residual(n_points, code, tmp_path, capsys):
+    # kappa = 0.02 builds at the default grid; n_points = 512 cannot resolve its layer
+    args = ["ground-state", "--kappa", "0.02", "--n-points", n_points, "--out", str(tmp_path)]
+    assert run_cli(args) == code
+    if code == EXIT_DOMAIN_ERROR:
+        assert "n_points=512" in capsys.readouterr().err
+
+
 def test_classify_json(capsys):
     code = run_cli(["classify", "--u0", "0.3", "--v0", "0.0", "--kappa", "0.5"])
     assert code == EXIT_OK

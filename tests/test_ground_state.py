@@ -1,12 +1,17 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import elliprf
 
+import aclab.ground_state
 from aclab.catalog import orbit_invariant
+from aclab.cli import _parse_kappa_grid
 from aclab.errors import DomainError, ResolutionError, SymmetryError
 from aclab.ground_state import (
     G_AT_ZERO,
@@ -70,6 +75,53 @@ class TestClosedForm:
             ref = np.array([float(mp.ellipfun("sn", zi, m=m)) for zi in z])
         sn = np.sin(_jacobi_amplitude(z, math.sqrt(2.0 * q / (1.0 + q))))
         np.testing.assert_allclose(sn, ref, rtol=CLOSED_FORM_RTOL, atol=0.0)
+
+
+def _g_by_elliprf(w):
+    # the Carlson R_F path the AGM replaced, kept as its reference
+    q = w * (2.0 - w)
+    return float(elliprf(0.0, 1.0 + q, 2.0 * q))
+
+
+# every kappa the CLI defaults, the acceptance gate and the benchmark solve for
+CLI_AND_GATE_KAPPAS = sorted(
+    set(_parse_kappa_grid("0.05:0.95:0.05"))
+    | {0.05 + 0.05 * i for i in range(19)}
+    | {0.02, 0.26, 0.52, 0.78, 0.45, 0.9, 0.5, 0.39999999999999997, 0.44999999999999996}
+    | {0.49999999999999994, 0.5499999999999999, 0.7999999999999999}
+)
+
+
+class TestAgainstElliprf:
+    @settings(max_examples=400)
+    @given(log10_w=st.floats(-60.0, 0.0))
+    def test_g_within_two_ulp(self, log10_w):
+        w = 10.0**log10_w
+        ref = _g_by_elliprf(w)
+        assert abs(_g_from_complement(w) - ref) <= 2.0 * math.ulp(ref)
+
+    def test_peak_bit_identical_at_cli_and_gate_kappa(self, monkeypatch):
+        agm = [solve_peak(k) for k in CLI_AND_GATE_KAPPAS]
+        monkeypatch.setattr(aclab.ground_state, "_g_from_complement", _g_by_elliprf)
+        for k, peak in zip(CLI_AND_GATE_KAPPAS, agm):
+            ref = solve_peak(k)
+            assert (peak.N, peak.complement) == (ref.N, ref.complement), k
+
+
+def test_no_module_imports_scipy_special():
+    # the construction runs its own AGM; scipy.special stays off the library
+    hits = []
+    for path in sorted(Path(aclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            hits += [(path.name, n) for n in names if n.split(".")[:2] == ["scipy", "special"]]
+    assert hits == []
 
 
 class TestEvalG:
@@ -153,8 +205,8 @@ class TestProfile:
         assert np.array_equal(quarter[1:], mirrored)
 
     def test_residual_claim_of_readme(self, gs_cache):
-        # the README promises a residual below 1e-9 for kappa in [0.03, 0.95]
-        # at n_points = 2048, and kappa = 0.02 needs n_points = 8192
+        # the README promises a residual below 1e-9 for kappa in [0.015, 0.95]
+        # at n_points = 2048; kappa = 0.02 keeps it at n_points = 8192 too
         cases = [(float(k), 2048) for k in np.linspace(0.05, 0.95, 19)] + [(0.02, 8192)]
         worst = max((gs_cache(k, n).residual, k, n) for k, n in cases)
         assert worst[0] < 1e-9, worst
@@ -214,8 +266,14 @@ class TestProfile:
         assert np.max(np.abs(C - expected)) < 1e-9
 
     def test_resolution_gate(self):
-        with pytest.raises(ResolutionError, match="n_points"):
-            build_ground_state(0.02, TorusGrid(2048))
+        # the residual there is 8.8e-5: n_points = 512 cannot resolve the layer
+        with pytest.raises(ResolutionError, match="n_points=512"):
+            build_ground_state(0.02, TorusGrid(512))
+
+    @pytest.mark.parametrize("kappa, n", [(0.015, 2048), (0.02, 2048), (0.1, 256), (0.4, 64)])
+    def test_builds_below_the_former_grid_floor(self, kappa, n):
+        # the exact profile passes the residual test down to about kappa * n = 19
+        assert build_ground_state(kappa, TorusGrid(n)).residual < 1e-9
 
     def test_rounding_floor_is_a_resolution_error(self):
         # at n = 16384 the rounding floor kappa^2 (n/2)^2 eps of the spectral
