@@ -29,7 +29,7 @@ C_NEAR_BOUNDARY = 1e-8
 
 def count_states(kappa):
     """Number of nontrivial steady states: m with 1/(m+1) <= kappa < 1/m."""
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive")
     if kappa >= 1.0:
         return 0
@@ -114,7 +114,7 @@ def classify_orbit(u0, v0, kappa) -> OrbitClass:
     since the classification is discontinuous there.  A non-finite C raises
     :class:`DomainError`.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive")
     C = orbit_invariant(u0, v0, kappa)
     if not math.isfinite(C):
@@ -141,7 +141,7 @@ def minimal_period(C, kappa):
     """Minimal period of the periodic orbit with invariant C in (0, 1/2)."""
     if not 0.0 < C < 0.5:
         raise DomainError(f"domain error: need 0 < C < 1/2, got C={C!r}")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive")
     amp = math.sqrt(2.0 * C / (1.0 + math.sqrt(1.0 - 2.0 * C)))
     return 4.0 * math.sqrt(2.0) * kappa * eval_g(amp)

@@ -16,7 +16,7 @@ from .errors import AclabError, DomainError, ResolutionError, SymmetryError
 from .evolution import EvolveParams, evolve, initial_spectrum, terminal_comparison
 from .ground_state import DEFAULT_N_POINTS, build_ground_state, energy_identities, kink_profile
 from .spectral import TorusGrid
-from .verify import SUITES, run_suite
+from .verify import ENERGY_RATIO_LIMIT, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -100,9 +100,8 @@ def cmd_energy_table(args):
     path = args.out / "energy_table.csv"
     serialize.write_csv(path, ("kappa", "N", "energy", "energy_over_kappa"), rows)
     print(f"wrote {path} ({len(rows)} rows)")
-    limit = 4.0 * math.sqrt(2.0) / 3.0
     print(f"energy/kappa at smallest kappa: {serialize.fmt(rows[0][3])} "
-          f"(small-diffusion limit {serialize.fmt(limit)})")
+          f"(small-diffusion limit {serialize.fmt(ENERGY_RATIO_LIMIT)})")
     energies = [r[2] for r in rows]
     if any(b <= a for a, b in zip(energies, energies[1:])):
         print("FAIL: ground energies are not strictly increasing", file=sys.stderr)
@@ -239,15 +238,15 @@ def build_parser():
 
     p = command("evolve", cmd_evolve, help="run the pseudo-spectral evolution")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--n-points", type=int, default=256)
+    p.add_argument("--gamma", type=float, default=EvolveParams.gamma)
+    p.add_argument("--dt", type=float, default=EvolveParams.dt)
+    p.add_argument("--t-end", type=float, default=EvolveParams.t_end)
+    p.add_argument("--n-points", type=int, default=EvolveParams.n_points)
     p.add_argument("--filter", choices=sorted(FILTER_NAMES), default="none")
     p.add_argument("--preset", choices=("sin_x", "half_sin_x", "sin_2x", "mixed"),
                    default="sin_x")
     p.add_argument("--coeffs", type=str, default=None, help='initial data as "m:c,m:c,..."')
-    p.add_argument("--record-every", type=int, default=10)
+    p.add_argument("--record-every", type=int, default=EvolveParams.record_every)
     p.add_argument("--compare-steady", action="store_true",
                    help="compare the terminal state against the steady profile")
     p.add_argument("--dump-snapshots", action="store_true",

@@ -27,7 +27,6 @@ from .spectral import (
     sine_coeffs,
     sine_transform,
     sine_values,
-    synthesize,
 )
 
 FILTER_NONE = "none"
@@ -87,14 +86,14 @@ class EvolveParams:
     detect_steady: bool | None = None
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
-            raise DomainError(f"domain error: kappa={self.kappa!r} must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise DomainError(f"domain error: kappa={self.kappa!r} must be positive and finite")
         if not 0.0 < self.gamma <= 2.0:
             raise DomainError(f"domain error: gamma={self.gamma!r} outside (0, 2]")
         if not 0.0 < self.dt <= 0.1:
             raise DomainError(f"domain error: dt={self.dt!r} outside (0, 0.1]")
-        if self.t_end <= 0.0:
-            raise DomainError(f"domain error: t_end={self.t_end!r} must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise DomainError(f"domain error: t_end={self.t_end!r} must be positive and finite")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise DomainError(f"domain error: t_end={self.t_end!r} is not a multiple of dt")
@@ -103,10 +102,6 @@ class EvolveParams:
             raise DomainError(f"domain error: filter={self.filter!r} not in {FILTERS}")
         if self.record_every < 1:
             raise DomainError("domain error: record_every must be >= 1")
-
-    @property
-    def grid(self):
-        return TorusGrid(self.n_points)
 
     @property
     def max_mode(self):
@@ -248,8 +243,7 @@ def terminal_comparison(traj: Trajectory, reference_field: TorusField):
     degeneracy of the ground profile.
     """
     c = traj.snapshots[-1]
-    grid = reference_field.grid
-    u_term = synthesize(SineSpectrum(c), grid).values
+    u_term = sine_values(c, reference_field.grid.n_points)
     sign = 1.0 if c[0] >= 0.0 else -1.0
     err = float(np.max(np.abs(u_term - sign * reference_field.values)))
     return sign, err

@@ -238,7 +238,7 @@ def energy(field: TorusField, kappa: float) -> float:
     The derivative is spectral, so the field must be odd to ``ODD_TOL``;
     asymmetric input raises :class:`SymmetryError`.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive")
     return _energy_from_spectrum(field, sine_transform(field), kappa)  # refuses non-odd
 

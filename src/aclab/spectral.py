@@ -85,10 +85,6 @@ class SineSpectrum:
     def max_mode(self):
         return self.coeffs.size
 
-    @property
-    def modes(self):
-        return np.arange(1, self.coeffs.size + 1)
-
 
 def odd_defect(values):
     """Max deviation of grid samples from odd symmetry about x = 0."""
@@ -122,9 +118,12 @@ def sine_values(coeffs, n, cosine=False):
     ``coeffs`` has shape (..., M) and the result (..., n); each row along
     the last axis is transformed on its own.  ``cosine=True`` samples
     sum_m c_m cos(m x_j) instead.  The grid must hold the modes,
-    M <= n/2 - 1; :func:`sine_coeffs` is the inverse.
+    M <= n/2 - 1, or :class:`DomainError` is raised; :func:`sine_coeffs` is
+    the inverse.
     """
     M = coeffs.shape[-1]
+    if M > n // 2 - 1:
+        raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
     R = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
     R[..., 1 : M + 1] = _grid_factor(M, (0.5 if cosine else -0.5j) * n)[1:] * coeffs
     return np.fft.irfft(R, n)
@@ -149,23 +148,11 @@ def sine_transform(field: TorusField) -> SineSpectrum:
     """Project an odd field onto the sine basis, c_m = (1/pi) * int f sin(mx).
 
     The field must be odd about x = 0 to within ``ODD_TOL``; asymmetric input
-    raises :class:`SymmetryError`.  Round trip with :func:`synthesize` is
+    raises :class:`SymmetryError`.  Round trip with :func:`sine_values` is
     exact to round-off for band-limited fields.
     """
     require_odd(field.values)
     return SineSpectrum(sine_coeffs(field.values, field.grid.n_points // 2 - 1))
-
-
-def _require_room(spec: SineSpectrum, grid: TorusGrid):
-    n, M = grid.n_points, spec.max_mode
-    if M > n // 2 - 1:
-        raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
-
-
-def synthesize(spec: SineSpectrum, grid: TorusGrid) -> TorusField:
-    """Evaluate a sine spectrum on a grid (inverse of :func:`sine_transform`)."""
-    _require_room(spec, grid)
-    return TorusField(grid, sine_values(spec.coeffs, grid.n_points))
 
 
 def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid) -> TorusField:
@@ -176,8 +163,7 @@ def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid) -> Toru
     """
     if order not in (1, 2):
         raise DomainError(f"domain error: order must be 1 or 2, got {order!r}")
-    _require_room(spec, grid)
-    m = spec.modes.astype(float)
+    m = np.arange(1.0, spec.max_mode + 1)
     if order == 1:
         return TorusField(grid, sine_values(m * spec.coeffs, grid.n_points, cosine=True))
     return TorusField(grid, sine_values(-(m**2) * spec.coeffs, grid.n_points))

@@ -40,6 +40,24 @@ class TestCountStates:
             count_states(0.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field: count_states(math.nan),
+        lambda field: minimal_period(0.1, math.nan),
+        lambda field: classify_orbit(0.3, 0.0, math.nan),
+        lambda field: energy(field, math.nan),
+        lambda field: basin_criterion(field, math.nan),
+    ],
+    ids=["count_states", "minimal_period", "classify_orbit", "energy", "basin_criterion"],
+)
+def test_nan_kappa_refused(call):
+    grid = TorusGrid(64)
+    field = TorusField(grid, 0.5 * np.sin(grid.x))
+    with pytest.raises(DomainError):
+        call(field)
+
+
 class TestCatalog:
     def test_single_replica_is_ground_state(self, gs_cache, grid2048):
         cat = build_catalog(0.9, grid2048)

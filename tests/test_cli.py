@@ -85,6 +85,10 @@ def test_removed_filter_choice_is_usage_error():
         ["evolve", "--kappa", "0.9", "--coeffs", "1:x"],
         ["evolve", "--kappa", "0.9", "--dt", "0.01", "--t-end", "0.015"],
         ["evolve", "--kappa", "0.3", "--preset", "sin_2x", "--filter", "bandgap"],
+        ["evolve", "--kappa", "nan"],
+        ["evolve", "--kappa", "inf"],
+        ["evolve", "--kappa", "0.9", "--t-end", "nan"],
+        ["evolve", "--kappa", "0.9", "--t-end", "inf"],
     ],
 )
 def test_malformed_input_is_domain_error(args, tmp_path, capsys):

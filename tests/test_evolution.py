@@ -79,6 +79,12 @@ class TestParams:
         with pytest.raises(DomainError):
             EvolveParams(kappa=1.0, n_points=100)
 
+    @pytest.mark.parametrize("field", ["kappa", "t_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            EvolveParams(**{"kappa": 0.9, field: value})
+
     def test_t_end_must_be_whole_number_of_steps(self):
         with pytest.raises(DomainError, match="not a multiple of dt"):
             EvolveParams(kappa=0.9, dt=0.01, t_end=0.015)
@@ -262,6 +268,13 @@ class TestEvolve:
         sign, err = terminal_comparison(traj, gs_cache(0.9).field)
         assert sign == -1.0
         assert err < 1e-3
+
+    def test_terminal_comparison_refuses_a_reference_grid_too_small(self, gs_cache):
+        # 4096 points carry 1024 modes; a 2048-point reference holds 1023
+        params = EvolveParams(kappa=0.9, dt=0.01, t_end=0.01, n_points=4096)
+        traj = evolve(initial_spectrum("sin_x", params.max_mode), params)
+        with pytest.raises(DomainError, match="cannot hold 1024 sine modes"):
+            terminal_comparison(traj, gs_cache(0.9).field)
 
 
 class TestInitialSpectrum:

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -122,6 +125,22 @@ def test_no_module_imports_scipy_special():
                 continue
             hits += [(path.name, n) for n in names if n.split(".")[:2] == ["scipy", "special"]]
     assert hits == []
+
+
+def test_steady_state_modules_import_without_scipy_or_mpmath():
+    # a fresh process: the package itself must not pull the heavy modules in
+    code = (
+        "import sys, aclab.ground_state, aclab.spectral; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    )
+    env = dict(os.environ)
+    src = str(Path(aclab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestEvalG:

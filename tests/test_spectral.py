@@ -16,7 +16,6 @@ from aclab.spectral import (
     sine_transform,
     sine_values,
     spectral_derivative,
-    synthesize,
 )
 
 
@@ -100,9 +99,17 @@ def test_field_validation(grid64):
 def test_round_trip_band_limited(coeffs, grid64):
     # band-limited means M <= n/4; round trip is exact to 1e-10
     spec = SineSpectrum(coeffs)
-    back = sine_transform(synthesize(spec, grid64))
+    back = sine_transform(TorusField(grid64, sine_values(spec.coeffs, 64)))
     assert np.max(np.abs(back.coeffs[: spec.max_mode] - spec.coeffs)) < 1e-10
     assert np.max(np.abs(back.coeffs[spec.max_mode :])) < 1e-10
+
+
+@pytest.mark.parametrize("cosine", [False, True])
+@pytest.mark.parametrize("M", [32, 40])
+def test_sine_values_refuses_modes_the_grid_cannot_hold(M, cosine):
+    # M = n/2 would lose (sine) or halve (cosine) the Nyquist mode
+    with pytest.raises(DomainError, match=f"grid with 64 points cannot hold {M} sine modes"):
+        sine_values(np.ones(M), 64, cosine=cosine)
 
 
 @given(
