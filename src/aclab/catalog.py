@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import DomainError, ResolutionError
 from .ground_state import DEFAULT_N_POINTS, GroundState, build_ground_state, energy, eval_g
@@ -111,11 +110,11 @@ def classify_orbit(u0, v0, kappa) -> OrbitClass:
 
     Boundary cases use tolerance 1e-12 on C; orbits within 1e-8 of a
     boundary keep their open-interval class but carry ``near_boundary``,
-    since the classification is discontinuous there.  A non-finite C raises
-    :class:`DomainError`.
+    since the classification is discontinuous there.  A kappa whose square
+    is not finite, or a non-finite C, raises :class:`DomainError`.
     """
-    if not kappa > 0.0:
-        raise DomainError(f"domain error: kappa={kappa!r} must be positive")
+    if not (0.0 < kappa and kappa * kappa < math.inf):
+        raise DomainError(f"domain error: kappa={kappa!r} must be positive with a finite square")
     C = orbit_invariant(u0, v0, kappa)
     if not math.isfinite(C):
         raise DomainError(f"domain error: orbit invariant C={C!r} is not finite")
@@ -154,6 +153,8 @@ def linearization_gap(field: TorusField, kappa, M=256):
     sine basis sin(mx), m = 1..M, and returns the smallest eigenvalue
     relative to the L2 Gram.  A positive value certifies the gap.
     """
+    from scipy.linalg import eigh  # loaded on first call: the import takes about 0.3 s
+
     if M < 64:
         raise DomainError(f"domain error: need M >= 64, got M={M!r}")
     grid = field.grid

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, SignError, WindowError
 from .spectral import SineSpectrum, sine_coeffs, sine_values
@@ -270,6 +269,8 @@ def theta_ode_oracle(theta0, t0, forcing, t_end) -> ThetaFit:
     remainder bound reports sup |theta - theta_star/t| * t^2 / ln t there.
     The map must keep theta in [0, inf); leaving it raises SignError.
     """
+    from scipy.integrate import solve_ivp  # loaded on first call: the import takes about 0.3 s
+
     if t0 < 3.0:
         raise DomainError(f"domain error: need t0 >= 3, got {t0}")
     if theta0 < 0.0:

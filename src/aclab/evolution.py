@@ -44,7 +44,7 @@ def fractional_multiplier(m, kappa, gamma):
     """Symbol of kappa^2 (-d_xx)^(gamma/2) on sin(m x): kappa^2 m^gamma."""
     if np.any(np.asarray(m) < 1):
         raise DomainError(f"domain error: mode index must be >= 1, got {m!r}")
-    return kappa**2 * np.asarray(m, dtype=float) ** gamma
+    return kappa * kappa * np.asarray(m, dtype=float) ** gamma
 
 
 def _phi_functions(z):
@@ -86,8 +86,8 @@ class EvolveParams:
     detect_steady: bool | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.kappa < math.inf:
-            raise DomainError(f"domain error: kappa={self.kappa!r} must be positive and finite")
+        if not (0.0 < self.kappa and self.kappa * self.kappa < math.inf):  # the symbol holds kappa^2
+            raise DomainError(f"domain error: kappa={self.kappa!r} must be positive and finite, as must kappa^2")
         if not 0.0 < self.gamma <= 2.0:
             raise DomainError(f"domain error: gamma={self.gamma!r} outside (0, 2]")
         if not 0.0 < self.dt <= 0.1:

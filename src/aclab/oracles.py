@@ -14,7 +14,6 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ResolutionError, WindowError
 
@@ -143,6 +142,7 @@ def first_return_period(u0, v0, kappa, t_max):
     exactly once per period; the integration stops at the second one.
     Fewer than two crossings in ``t <= t_max`` raise :class:`WindowError`.
     """
+    from scipy.integrate import solve_ivp  # loaded on first call: the import takes about 0.3 s
 
     def rhs(t, y):
         return [y[1], (y[0] ** 3 - y[0]) / kappa**2]

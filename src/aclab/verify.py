@@ -32,7 +32,6 @@ from .ground_state import (
     peak_bounds,
     solve_peak,
 )
-from .oracles import first_return_period, shoot_profile
 from .spectral import SineSpectrum, TorusGrid, sine_transform
 
 ENERGY_RATIO_LIMIT = 4.0 * math.sqrt(2.0) / 3.0
@@ -128,6 +127,7 @@ def check_peak_bounds(ctx):
 
 
 def check_profile_residual_and_oracle(ctx):
+    from .oracles import shoot_profile  # mpmath loads with the oracles, not with verify
     worst_resid = 0.0
     worst_oracle = 0.0
     for kap in RESIDUAL_KAPPAS:
@@ -220,6 +220,7 @@ def check_catalog(ctx):
 
 
 def check_orbit_classification(ctx):
+    from .oracles import first_return_period  # mpmath loads with the oracles, not with verify
     rng = np.random.default_rng(ctx.seed)
     kinds = {"unbounded": 0, "heteroclinic_or_constant": 0, "periodic": 0, "zero": 0}
     worst_period = 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,12 @@ class TestClassifyOrbit:
         oc = classify_orbit(u0, v0, kappa)
         assert oc.kind == "heteroclinic_or_constant"
         assert oc.C == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa, v0", [(math.inf, 0.0), (1e200, 0.0), (1e200, 0.5)])
+    def test_kappa_with_overflowing_square_is_named(self, kappa, v0):
+        # the message names the input at fault, not the invariant C = nan or inf it gives
+        with pytest.raises(DomainError, match=re.escape(f"kappa={kappa!r}")):
+            classify_orbit(0.3, v0, kappa)
 
     def test_periodic_orbit_with_time_of_flight(self):
         oc = classify_orbit(0.3, 0.0, 0.5)

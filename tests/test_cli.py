@@ -89,6 +89,7 @@ def test_removed_filter_choice_is_usage_error():
         ["evolve", "--kappa", "inf"],
         ["evolve", "--kappa", "0.9", "--t-end", "nan"],
         ["evolve", "--kappa", "0.9", "--t-end", "inf"],
+        ["evolve", "--kappa", "1e200"],
     ],
 )
 def test_malformed_input_is_domain_error(args, tmp_path, capsys):
@@ -100,6 +101,12 @@ def test_malformed_input_is_domain_error(args, tmp_path, capsys):
 def test_classify_overflowing_invariant_is_domain_error(u0, v0, capsys):
     assert run_cli(["classify", "--u0", u0, "--v0", v0, "--kappa", "0.5"]) == EXIT_DOMAIN_ERROR
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["inf", "1e200"])
+def test_classify_bad_kappa_is_named(kappa, capsys):
+    assert run_cli(["classify", "--u0", "0.3", "--v0", "0", "--kappa", kappa]) == EXIT_DOMAIN_ERROR
+    assert f"kappa={float(kappa)!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_points, code", [("2048", EXIT_OK), ("512", EXIT_DOMAIN_ERROR)])

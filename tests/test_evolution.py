@@ -85,6 +85,12 @@ class TestParams:
         with pytest.raises(DomainError, match="must be positive and finite"):
             EvolveParams(**{"kappa": 0.9, field: value})
 
+    @pytest.mark.parametrize("kappa", [1e200, -1e200, 1.5e154])
+    def test_kappa_with_overflowing_square_refused(self, kappa):
+        # the symbol kappa^2 m^gamma would overflow: refused by name, not by OverflowError
+        with pytest.raises(DomainError, match=r"kappa=.*as must kappa\^2"):
+            EvolveParams(kappa=kappa)
+
     def test_t_end_must_be_whole_number_of_steps(self):
         with pytest.raises(DomainError, match="not a multiple of dt"):
             EvolveParams(kappa=0.9, dt=0.01, t_end=0.015)

@@ -111,26 +111,60 @@ class TestAgainstElliprf:
             assert (peak.N, peak.complement) == (ref.N, ref.complement), k
 
 
+def _imported_names(node):
+    """Dotted names an import statement binds or reads from; [] for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        return [module] + [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+    return []
+
+
+def _module_level_nodes(tree):
+    """Every node that runs on import: the tree without function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _library_sources():
+    return [(p.name, ast.parse(p.read_text())) for p in sorted(Path(aclab.__file__).parent.glob("*.py"))]
+
+
 def test_no_module_imports_scipy_special():
     # the construction runs its own AGM; scipy.special stays off the library
     hits = []
-    for path in sorted(Path(aclab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            hits += [(path.name, n) for n in names if n.split(".")[:2] == ["scipy", "special"]]
+    for name, tree in _library_sources():
+        for node in ast.walk(tree):
+            hits += [(name, n) for n in _imported_names(node) if n.split(".")[:2] == ["scipy", "special"]]
+    assert hits == []
+
+
+def test_heavy_imports_wait_for_the_functions_that_need_them():
+    # scipy (0.3 s per subpackage) and the mpmath oracles load on first call;
+    # only oracles.py, the mpmath module itself, imports mpmath on import
+    hits = []
+    for name, tree in _library_sources():
+        for node in _module_level_nodes(tree):
+            for n in _imported_names(node):
+                parts = n.split(".")  # ".oracles.x" -> ["", "oracles", "x"]
+                if parts[0] == "scipy" or parts[:2] == ["", "oracles"]:
+                    hits.append((name, n))
+                elif parts[0] == "mpmath" and name != "oracles.py":
+                    hits.append((name, n))
     assert hits == []
 
 
 def test_steady_state_modules_import_without_scipy_or_mpmath():
-    # a fresh process: the package itself must not pull the heavy modules in
+    # a fresh process: the steady-state modules, and every CLI command, start
+    # without the heavy modules; the oracles and eigh load on first call
     code = (
-        "import sys, aclab.ground_state, aclab.spectral; "
+        "import sys, aclab.ground_state, aclab.spectral, aclab.catalog, aclab.diagnostics, "
+        "aclab.evolution, aclab.serialize, aclab.verify, aclab.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
     )
     env = dict(os.environ)
