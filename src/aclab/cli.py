@@ -47,9 +47,10 @@ def _parse_kappa_grid(text):
         start, stop, step = (_number(float, p, text) for p in parts)
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
             raise DomainError(f"domain error: bad grid spec {text!r}")
-        count = int(round((stop - start) / step)) + 1
-        # summed in decimal, so 0.05:0.95:0.05 holds 0.15, not 0.15000000000000002
-        d_start, d_step = Decimal(parts[0]), Decimal(parts[2])
+        # counted and summed in decimal, so 0.05:0.95:0.05 holds 0.15, not
+        # 0.15000000000000002, and 0.1:0.36:0.1 stops at 0.3
+        d_start, d_stop, d_step = (Decimal(p) for p in parts)
+        count = int((d_stop - d_start) // d_step) + 1
         return [float(d_start + i * d_step) for i in range(count)]
     kappas = [_number(float, p, text) for p in text.split(",") if p.strip()]
     if not kappas:

@@ -21,7 +21,7 @@ from .diagnostics import (
     fit_rate,
     theta_ode_oracle,
 )
-from .errors import AclabError
+from .errors import AclabError, DomainError
 from .evolution import EvolveParams, evolve, initial_spectrum, terminal_comparison
 from .ground_state import (
     DEFAULT_N_POINTS,
@@ -450,6 +450,8 @@ def run_suite(suite, seed=20240817, progress=None):
     """Run a named suite, returning the list of CheckResults in order."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"domain error: seed {seed!r} is not a non-negative integer")
     ctx = _Context(seed=seed)
     results = []
     for name, fn in SUITES[suite]:

@@ -90,6 +90,7 @@ def test_removed_filter_choice_is_usage_error():
         ["evolve", "--kappa", "0.9", "--t-end", "nan"],
         ["evolve", "--kappa", "0.9", "--t-end", "inf"],
         ["evolve", "--kappa", "1e200"],
+        ["verify", "--suite", "steady", "--seed", "-1"],
     ],
 )
 def test_malformed_input_is_domain_error(args, tmp_path, capsys):
@@ -149,6 +150,9 @@ def test_kappa_grid_points_are_the_decimal_values():
     assert _parse_kappa_grid("0.05:0.95:0.05") == [float(d) for d in decimals]
     assert _parse_kappa_grid("0.025:0.125:0.05") == [0.025, 0.075, 0.125]
     assert _parse_kappa_grid("1e-1:3e-1:1e-1") == [0.1, 0.2, 0.3]
+    # the count stops at the last point not past stop, never rounds up past it
+    assert _parse_kappa_grid("0.1:0.36:0.1") == [0.1, 0.2, 0.3]
+    assert _parse_kappa_grid("0.05:0.99:0.05") == [float(d) for d in decimals]
 
 
 def test_energy_table_grid_row_matches_single_kappa(tmp_path, capsys):

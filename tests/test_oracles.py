@@ -7,6 +7,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import aclab.oracles
@@ -14,12 +16,37 @@ from aclab.catalog import classify_orbit
 from aclab.errors import AclabError, DomainError, ResolutionError, WindowError
 from aclab.ground_state import build_ground_state
 from aclab.oracles import (
-    _horner2,
-    _taylor_coeffs,
+    GUARD_BITS,
+    SHOOT_DPS,
+    _scaled_taylor_coeffs,
     first_return_period,
     peak_complement_mp,
     shoot_profile,
 )
+
+PREC = mp.libmp.dps_to_prec(SHOOT_DPS) + GUARD_BITS  # the march's fixed-point bits
+
+
+def _taylor_coeffs(u0, v0, kappa2, order):
+    # the march's recurrence in mp floating point, as it ran before the integer one
+    a = [u0, v0] + [mp.mpf(0)] * order
+    b = [mp.mpf(0)] * (order + 1)
+    c = [mp.mpf(0)] * (order + 1)
+    for k in range(order):
+        a_rev = a[k::-1]
+        b[k] = mp.fdot(a[: k + 1], a_rev)
+        c[k] = mp.fdot(b[: k + 1], a_rev)
+        a[k + 2] = (c[k] - a[k]) / (kappa2 * (k + 1) * (k + 2))
+    return a
+
+
+def _horner2(a, h):
+    u = mp.mpf(0)
+    v = mp.mpf(0)
+    for k in range(len(a) - 1, 0, -1):
+        u = a[k] + u * h
+        v = k * a[k] + v * h
+    return a[0] + u * h, v
 
 
 def _taylor_coeffs_fsum(u0, v0, kappa2, order):
@@ -60,7 +87,50 @@ def _shoot_mp(kappa, xs, dps=40, order=50):
             x += mp.mpf(h)
 
 
-@pytest.mark.parametrize("kappa", [0.3, 0.9])
+def _shoot_mp_summed_in_double(kappa, xs, dps=40, order=50):
+    # the march on mp numbers, each step's points summed in double from the
+    # coefficients a_k h^k: shoot_profile's outputs before its integer march
+    with mp.workdps(dps):
+        kap = mp.mpf(kappa)
+        w = peak_complement_mp(kappa, dps=dps)
+        q = w * (2 - w)
+        v0 = mp.sqrt(1 - q * q) / (mp.sqrt(2) * kap)
+        h_step = min(0.44 * float(kap), 0.3)
+        u, v, x = mp.mpf(0), v0, mp.mpf(0)
+        out = np.empty(xs.size)
+        idx = np.argsort(xs)
+        xs_sorted = xs[idx]
+        pos = 0
+        x_end = 0.5 * math.pi
+        while True:
+            x_hi = float(x)
+            x_lo = float(x - x_hi)
+            h = min(h_step, x_end - x_hi + 1e-18)
+            a = _taylor_coeffs(u, v, kap**2, order)
+            stop = int(np.searchsorted(xs_sorted, x_hi + h + 1e-15, side="right"))
+            hk, scaled = mp.mpf(1), []
+            for ak in a:
+                scaled.append(float(ak * hk))
+                hk *= mp.mpf(h)
+            t = ((xs_sorted[pos:stop] - x_hi) - x_lo) / h
+            out[idx[pos:stop]] = np.polyval(scaled[::-1], t)
+            pos = stop
+            if x_hi + h >= x_end - 1e-15:
+                return out
+            u, v = _horner2(a, mp.mpf(h))
+            x += mp.mpf(h)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.65, 0.9])
+def test_outputs_equal_the_mp_march_bit_for_bit(kappa):
+    # the two marches part near 2^-136; the doubles summed from their series
+    # can differ only in terms below about 1e-35, and move no output here
+    xs = build_ground_state(kappa).quarter_x
+    vals, _ = shoot_profile(kappa, xs)
+    assert np.array_equal(vals, _shoot_mp_summed_in_double(kappa, xs))
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.3, 0.9])
 def test_double_sums_match_mp_sums_at_profile_nodes(kappa):
     xs = build_ground_state(kappa).quarter_x
     vals, info = shoot_profile(kappa, xs)
@@ -79,6 +149,55 @@ def test_taylor_coeffs_match_fsum_recurrence(kappa2, u0, v0):
         assert len(fast) == len(ref) == 52
         for x, y in zip(fast, ref):
             assert abs(x - y) <= mp.mpf("1e-35") * abs(y)
+
+
+def _assert_fixed_series_matches_mp(u0, v0, kappa2):
+    # the integer series from (u0, h v0) and (h/kappa)^2 rounded to 2^-PREC,
+    # against the mp recurrence run 64 bits finer from those same rounded values
+    with mp.workprec(PREC + 64):
+        h = mp.mpf(min(0.44 * math.sqrt(kappa2), 0.3))
+        u = int(mp.nint(mp.ldexp(mp.mpf(u0), PREC)))
+        v = int(mp.nint(mp.ldexp(h * mp.mpf(v0), PREC)))
+        r = int(mp.floor(mp.ldexp(h * h / mp.mpf(kappa2), PREC)))
+        ref = _taylor_coeffs(
+            mp.ldexp(u, -PREC), mp.ldexp(v, -PREC) / h, h * h / mp.ldexp(r, -PREC), 50
+        )
+        ref = [ak * h**k for k, ak in enumerate(ref)]
+        fixed = _scaled_taylor_coeffs(u, v, r, 50, PREC)
+        assert len(fixed) == len(ref) == 52
+        bound = mp.ldexp(max(abs(x) for x in ref), -(PREC - 8))
+        for x, y in zip(fixed, ref):
+            assert abs(mp.ldexp(x, -PREC) - y) <= bound
+
+
+@pytest.mark.parametrize("kappa2", ["0.01", "0.81"])
+@pytest.mark.parametrize("u0, v0", [("0", "7.07"), ("0.6", "0.8"), ("-0.3", "2.5")])
+def test_fixed_point_coeffs_match_mp_recurrence(kappa2, u0, v0):
+    _assert_fixed_series_matches_mp(u0, v0, float(kappa2))
+
+
+@given(
+    kappa=st.floats(0.045, 0.99),
+    theta=st.floats(-1.0, 1.0),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_fixed_point_coeffs_match_mp_recurrence_on_profile_orbits(kappa, theta, sign):
+    # (u0, v0) on the orbit the oracle marches at kappa, where
+    # kappa^2 v0^2 + u0^2 - u0^4/2 = (1 - q^2)/2 and |u0| <= N
+    with mp.workdps(SHOOT_DPS):
+        w = peak_complement_mp(kappa, dps=SHOOT_DPS)
+        q = w * (2 - w)
+        u0 = theta * (1 - w)
+        v0 = sign * mp.sqrt(max(0, (1 - q * q) / 2 - u0**2 + u0**4 / 2)) / kappa
+    _assert_fixed_series_matches_mp(u0, v0, kappa * kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.02])
+def test_march_past_the_separatrix_is_refused(kappa):
+    # the launch round-off throws the orbit onto an unbounded one; the march
+    # stops at |u| = 2 rather than carry integers that grow without bound
+    with pytest.raises(ResolutionError, match=r"by inf "):
+        shoot_profile(kappa, np.linspace(0.0, 0.5 * math.pi, 9))
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.7, 0.9])
