@@ -23,6 +23,8 @@ EXIT_CHECK_FAILURE = 1
 EXIT_DOMAIN_ERROR = 2
 EXIT_USAGE = 64
 
+MAX_GRID_POINTS = 100_000  # one ground state each
+
 FILTER_NAMES = {"none": "none", "bandgap": "odd_band_gap"}
 
 
@@ -50,7 +52,13 @@ def _parse_kappa_grid(text):
         # counted and summed in decimal, so 0.05:0.95:0.05 holds 0.15, not
         # 0.15000000000000002, and 0.1:0.36:0.1 stops at 0.3
         d_start, d_stop, d_step = (Decimal(p) for p in parts)
-        count = int((d_stop - d_start) // d_step) + 1
+        # a tiny step overflows the decimal quotient, so the float one screens it
+        count = math.inf
+        if (stop - start) / step <= MAX_GRID_POINTS:
+            count = int((d_stop - d_start) // d_step) + 1
+        if count > MAX_GRID_POINTS:
+            raise DomainError(f"domain error: grid spec {text!r} holds more than "
+                              f"{MAX_GRID_POINTS} points")
         return [float(d_start + i * d_step) for i in range(count)]
     kappas = [_number(float, p, text) for p in text.split(",") if p.strip()]
     if not kappas:

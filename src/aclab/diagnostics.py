@@ -2,7 +2,9 @@
 
 Fit windows exclude t < 1 by default and refuse signals within a factor 100
 of the absolute floor 1e-13, where exponentially decaying quantities sit on
-the round-off plateau and any fitted rate would be meaningless.
+the round-off plateau and any fitted rate would be meaningless.  The theta
+ODE oracle, the reduced modulation equation at kappa = 1, is integrated
+here by fixed-step RK4 in log time.
 """
 
 import math
@@ -16,6 +18,7 @@ from .spectral import SineSpectrum, sine_coeffs, sine_values
 SIGNAL_FLOOR = 1e-13
 MIN_FIT_POINTS = 20
 PROFILE_WINDOWS = 4  # late sub-windows whose estimates extract_profile compares
+THETA_STEPS_PER_UNIT = 400  # RK4 steps of theta_ode_oracle per unit of ln t
 
 
 @dataclass(frozen=True)
@@ -264,56 +267,79 @@ class ThetaFit:
 def theta_ode_oracle(theta0, t0, forcing, t_end) -> ThetaFit:
     """Integrate theta' = -(3/2) theta^2 + F(t) and extract the 1/t level.
 
-    ``theta_star`` is the limit of t*theta(t), estimated by a linear fit in
-    1/t over the last decade (the remainder of t*theta is O(1/t)); the
-    remainder bound reports sup |theta - theta_star/t| * t^2 / ln t there.
-    The map must keep theta in [0, inf); leaving it raises SignError.
+    The march runs on phi = t theta in s = ln t, where the equation reads
+    phi' = phi - (3/2) phi^2 + t^2 F(t) and the 1/t level is a fixed point:
+    classical RK4 with ``THETA_STEPS_PER_UNIT`` equal steps per unit of ln t,
+    and cubic Hermite dense output between the steps (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.6) behind ``evaluate``.  ``theta_star`` is
+    the limit of t*theta(t), estimated by a linear fit in 1/t over the last
+    decade (the remainder of t*theta is O(1/t)); the remainder bound reports
+    sup |theta - theta_star/t| * t^2 / ln t there.  The map must keep theta
+    in [0, inf): a step that ends with phi < 0 raises SignError.  Non-finite
+    data, t0 < 3, theta0 < 0, t_end <= 2 t0, or a phi beyond the step's
+    stable range (phi > ``THETA_STEPS_PER_UNIT`` / 3) raise DomainError.
     """
-    from scipy.integrate import solve_ivp  # loaded on first call: the import takes about 0.3 s
-
+    if not all(map(math.isfinite, (theta0, t0, t_end))):
+        raise DomainError(f"domain error: theta_ode_oracle needs finite data, got "
+                          f"theta0={theta0!r}, t0={t0!r}, t_end={t_end!r}")
     if t0 < 3.0:
         raise DomainError(f"domain error: need t0 >= 3, got {t0}")
     if theta0 < 0.0:
         raise DomainError(f"domain error: need theta0 >= 0, got {theta0}")
     if t_end <= t0 * 2.0:
         raise DomainError("domain error: t_end must exceed 2*t0")
-    F = forcing if forcing is not None else (lambda t: 0.0)
+    phi_max = THETA_STEPS_PER_UNIT / 3.0  # keeps ds * 3 phi, the stiffness, at most 1
+    if t0 * theta0 > phi_max:
+        raise DomainError(f"domain error: t0*theta0 = {t0 * theta0!r} is beyond {phi_max:.4g}, "
+                          "where the fixed log-time step is stiff")
+    s0 = math.log(t0)
+    n = math.ceil(THETA_STEPS_PER_UNIT * (math.log(t_end) - s0))
+    ds = (math.log(t_end) - s0) / n
+    # t^2 F(t) at the nodes and midpoints s0 + j ds / 2
+    ts = np.exp(s0 + 0.5 * ds * np.arange(2 * n + 1)).tolist()
+    g = [0.0] * len(ts) if forcing is None else [t * (t * forcing(t)) for t in ts]
+    phi = np.empty(n + 1)
+    dphi = np.empty(n + 1)
+    p = phi[0] = t0 * theta0
+    half = 0.5 * ds
+    for i in range(n):
+        g0, g1, g2 = g[2 * i], g[2 * i + 1], g[2 * i + 2]
+        k1 = p - 1.5 * p * p + g0
+        q = p + half * k1
+        k2 = q - 1.5 * q * q + g1
+        q = p + half * k2
+        k3 = q - 1.5 * q * q + g1
+        q = p + ds * k3
+        k4 = q - 1.5 * q * q + g2
+        dphi[i] = k1
+        p = p + ds / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        if not 0.0 <= p <= phi_max:
+            t = ts[2 * i + 2]
+            if p < 0.0:
+                raise SignError(f"sign error: theta left [0, inf) at t = {t:.6g}")
+            raise DomainError(f"domain error: t*theta = {p!r} at t = {t:.6g} is beyond "
+                              f"{phi_max:.4g}, where the fixed log-time step is stiff")
+        phi[i + 1] = p
+    dphi[n] = p - 1.5 * p * p + g[2 * n]
 
-    def rhs(t, y):
-        return [-1.5 * y[0] * y[0] + F(t)]
+    def phi_at(t):
+        # cubic Hermite on the step that holds s = ln t
+        x = (np.log(t) - s0) / ds
+        i = np.clip(np.floor(x).astype(int), 0, n - 1)
+        u = x - i
+        return (phi[i] * (1.0 + u * u * (2.0 * u - 3.0))
+                + phi[i + 1] * (u * u * (3.0 - 2.0 * u))
+                + ds * u * (1.0 - u) * (dphi[i] * (1.0 - u) - dphi[i + 1] * u))
 
-    def left_range(t, y):  # terminal guard: theta must stay in [0, inf)
-        return y[0] + 1e-8 * max(1.0, theta0)
-
-    left_range.terminal = True
-    left_range.direction = -1.0
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t_end),
-        [float(theta0)],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-16,
-        dense_output=True,
-        events=left_range,
-    )
-    if sol.t_events[0].size:
-        raise SignError(f"sign error: theta left [0, inf) at t = {sol.t_events[0][0]:.6g}")
-    if not sol.success:
-        raise RuntimeError(f"theta integration failed: {sol.message}")
-
-    ts = np.geomspace(t_end / 10.0, t_end, 200)
-    th = sol.sol(ts)[0]
-    if float(np.min(th)) < -1e-10 * max(1.0, theta0):
-        raise SignError(f"sign error: theta reached {np.min(th):.3e}")
-    slope, intercept = np.polyfit(1.0 / ts, ts * th, 1)
+    tf = np.geomspace(t_end / 10.0, t_end, 200)
+    phi_f = phi_at(tf)
+    slope, intercept = np.polyfit(t_end / tf, phi_f, 1)  # linear in 1/t, scaled to [1, 10]
     theta_star = float(intercept)
-    remainder = float(np.max(np.abs(th - theta_star / ts) * ts**2 / np.log(ts)))
+    remainder = float(np.max(np.abs(phi_f - theta_star) * tf / np.log(tf)))
     return ThetaFit(
         theta_star=theta_star,
         remainder_bound=remainder,
         t_end=float(t_end),
-        theta_end=float(sol.sol(t_end)[0]),
-        evaluate=lambda t: float(sol.sol(t)[0]),
+        theta_end=float(phi[n] / t_end),
+        evaluate=lambda t: float(phi_at(t) / t),
     )

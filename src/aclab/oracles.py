@@ -12,7 +12,10 @@ initial-condition round-off grows by ~1/(1-N), 1e9 already at kappa=0.1.
 The march's series recurrence is the automatic-differentiation Taylor method
 (Jorba & Zou, Experimental Mathematics 14 (2005) 99-117); it needs only
 integer products and shifts, which cost far less than mpmath's numbers on
-its pure-Python backend.
+its pure-Python backend.  The first-return period oracle marches the same
+ODE with the same recurrence, in 80-bit fixed point from double data, and
+times the orbit's upward zeros; it shares no code with the period formula
+(the AGM behind ``catalog.minimal_period``) it checks.
 """
 
 import math
@@ -27,6 +30,9 @@ from .errors import DomainError, ResolutionError, WindowError
 SHOOT_DPS = 40  # working digits of the march
 TAYLOR_ORDER = 50  # series terms per step
 GUARD_BITS = 32  # fixed-point bits kept beyond the SHOOT_DPS digits
+RETURN_BITS = 80  # fixed-point fraction bits of the period march
+RETURN_ORDER = 20  # series terms per step of the period march
+RETURN_MAX_STEPS = 50_000  # about 4 s of marching; t_max beyond it is refused
 
 
 def peak_complement_mp(kappa, dps=40):
@@ -148,38 +154,73 @@ def shoot_profile(kappa, xs):
         }
 
 
+def _upward_root(a):
+    # the zero of sum a_k t^k on [0, 1] where the step's u rises through 0:
+    # bisection to a bracket of 2^-12, then Newton on the double coefficients
+    c = np.array(a[::-1], dtype=float)
+    dc = np.polyder(c)
+    lo, hi = 0.0, 1.0
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        if np.polyval(c, mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    for _ in range(8):
+        dt = np.polyval(c, t) / np.polyval(dc, t)
+        t -= dt
+        if abs(dt) <= 1e-17:
+            break
+    return t
+
+
 def first_return_period(u0, v0, kappa, t_max):
-    """Minimal period of a closed steady-ODE orbit by event detection.
+    """Minimal period of a closed steady-ODE orbit by Taylor marching.
 
-    Integrates kappa^2 u'' = u^3 - u from (u0, v0) and measures the gap
-    between consecutive upward zero crossings of u, which closed orbits hit
-    exactly once per period; the integration stops at the second one.
-    Fewer than two crossings in ``t <= t_max`` raise :class:`WindowError`.
+    Marches kappa^2 u'' = u^3 - u from (u0, v0) with the shooting oracle's
+    series recurrence in integer fixed point (``RETURN_BITS`` fraction bits,
+    order ``RETURN_ORDER``, fixed step h = min(0.22 kappa, 0.15)), and
+    measures the gap between consecutive upward zero crossings of u, which
+    closed orbits hit exactly once per period; each crossing is located on
+    its step's polynomial by bisection and Newton, and the march stops at the
+    second one.  A march that reaches |u| >= 2 stops there: such an orbit is
+    no closed one and crosses upward at most once.  Fewer than two crossings
+    in t <= t_max raise :class:`WindowError`.  Non-finite data, a kappa or
+    t_max that is not a positive finite number, or a t_max beyond
+    ``RETURN_MAX_STEPS`` steps raise :class:`DomainError`.
     """
-    from scipy.integrate import solve_ivp  # loaded on first call: the import takes about 0.3 s
-
-    def rhs(t, y):
-        return [y[1], (y[0] ** 3 - y[0]) / kappa**2]
-
-    def upward_zero(t, y):
-        return y[0]
-
-    upward_zero.direction = 1.0
-    upward_zero.terminal = 2
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        [u0, v0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-        events=upward_zero,
-        dense_output=False,
-        max_step=t_max / 50.0,
-    )
-    crossings = sol.t_events[0]
-    if crossings.size < 2:
+    if not all(map(math.isfinite, (u0, v0, kappa, t_max))):
+        raise DomainError(f"domain error: first_return_period needs finite data, got "
+                          f"u0={u0!r}, v0={v0!r}, kappa={kappa!r}, t_max={t_max!r}")
+    if not (kappa > 0.0 and t_max > 0.0):
+        raise DomainError(f"domain error: kappa={kappa!r} and t_max={t_max!r} must be positive")
+    h = min(0.22 * kappa, 0.15)
+    if t_max > RETURN_MAX_STEPS * h:
+        raise DomainError(f"domain error: t_max={t_max!r} asks for more than "
+                          f"{RETURN_MAX_STEPS} steps of {h:.3g}")
+    one = 1 << RETURN_BITS
+    r = Fraction(h) ** 2 / Fraction(kappa) ** 2
+    r_fixed = (r.numerator << RETURN_BITS) // r.denominator
+    u = round(Fraction(u0) * one)
+    v = round(Fraction(h) * Fraction(v0) * one)  # h u'
+    crossings = []
+    n = 0
+    while abs(u) < 2 * one and n * h < t_max:
+        a = _scaled_taylor_coeffs(u, v, r_fixed, RETURN_ORDER, RETURN_BITS)
+        u_next, v = _horner_fixed(a, 1, 1)
+        if u <= 0 < u_next < 2 * one:  # a step that escapes holds no closed orbit
+            tau = _upward_root([ak / one for ak in a])
+            if (n + tau) * h > t_max:
+                break
+            crossings.append((n, tau))
+            if len(crossings) == 2:
+                break
+        u = u_next
+        n += 1
+    if len(crossings) < 2:
         raise WindowError(
-            f"window error: first-return oracle saw {crossings.size} upward crossings in t <= {t_max}"
+            f"window error: first-return oracle saw {len(crossings)} upward crossings in t <= {t_max}"
         )
-    return float(crossings[1] - crossings[0])
+    (n1, tau1), (n2, tau2) = crossings
+    return ((n2 - n1) + (tau2 - tau1)) * h

@@ -20,7 +20,13 @@ from aclab.catalog import (
 from aclab.errors import DomainError, SymmetryError
 from aclab.ground_state import build_ground_state, energy, eval_g
 from aclab.oracles import first_return_period
-from aclab.spectral import TorusField, TorusGrid, sine_transform, spectral_derivative
+from aclab.spectral import (
+    TorusField,
+    TorusGrid,
+    sine_coeffs,
+    sine_transform,
+    spectral_derivative,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -203,6 +209,18 @@ def _dense_linearization_gap(field, kappa, M):
     return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0] / np.pi)
 
 
+def _subset_eigh_gap(field, kappa, M):
+    # linearization_gap as it ran on scipy: the same FFT assembly, the lowest
+    # eigenvalue alone from the subset solver
+    n = field.grid.n_points
+    a = sine_coeffs(3.0 * field.values**2 - 1.0, n // 2, cosine=True)
+    a = np.concatenate((a, a[-2:0:-1]))
+    m = np.arange(1, M + 1)
+    A = 0.5 * np.pi * (a[np.abs(m[:, None] - m)] - a[m[:, None] + m])
+    A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
+    return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0] / np.pi)
+
+
 class TestSpectralGap:
     def test_diagonal_limit_zero_field(self, grid2048):
         zero = TorusField(grid2048, np.zeros(2048))
@@ -234,6 +252,17 @@ class TestSpectralGap:
             fast = linearization_gap(field, kappa, M=M)
             assert fast == pytest.approx(_dense_linearization_gap(field, kappa, M), abs=1e-10)
 
+    @pytest.mark.parametrize("M", [256, 512])
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.7, 0.9])
+    def test_full_eigvalsh_against_subset_eigh(self, gs_cache, kappa, M):
+        # numpy's full symmetric solve against scipy's subset solve it replaced, and
+        # both against the Lame value (3/2) N^2: numpy lands within 1e-15 of it,
+        # the subset solve within 2e-11
+        gs = gs_cache(kappa)
+        gap = spectral_gap(gs, M=M)
+        assert gap == pytest.approx(_subset_eigh_gap(gs.field, kappa, M), abs=1e-10)
+        assert gap == pytest.approx(1.5 * gs.peak.N**2, abs=1e-13)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rough_field_against_dense_assembly(self, seed):
         # odd white noise: the weight's coefficients near Nyquist are O(1), so the
@@ -246,6 +275,7 @@ class TestSpectralGap:
         for M in (64, 127):
             fast = linearization_gap(field, 0.3, M=M)
             assert fast == pytest.approx(_dense_linearization_gap(field, 0.3, M), abs=1e-10)
+            assert fast == pytest.approx(_subset_eigh_gap(field, 0.3, M), abs=1e-10)
 
     @pytest.mark.parametrize("kappa", [0.15, 0.26, 0.3])
     def test_replicas_against_dense_assembly(self, kappa):

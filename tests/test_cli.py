@@ -10,9 +10,11 @@ from aclab.cli import (
     EXIT_DOMAIN_ERROR,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID_POINTS,
     _parse_kappa_grid,
     main,
 )
+from helpers import time_limit
 
 
 def run_cli(args):
@@ -153,6 +155,23 @@ def test_kappa_grid_points_are_the_decimal_values():
     # the count stops at the last point not past stop, never rounds up past it
     assert _parse_kappa_grid("0.1:0.36:0.1") == [0.1, 0.2, 0.3]
     assert _parse_kappa_grid("0.05:0.99:0.05") == [float(d) for d in decimals]
+
+
+@pytest.mark.parametrize("spec", ["0:1:1e-30", "0:1:1e-9", "0.5:100000.5:1"])
+def test_oversized_kappa_grid_is_domain_error(spec, tmp_path, capsys):
+    # 1e-30 once overflowed the decimal quotient; 1e-9 asked for 1e9 ground states
+    with time_limit(5.0):
+        code = run_cli(["energy-table", "--kappa-grid", spec, "--out", str(tmp_path)])
+    assert code == EXIT_DOMAIN_ERROR
+    assert f"more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
+    assert not (tmp_path / "energy_table.csv").exists()
+
+
+def test_largest_kappa_grid_is_accepted():
+    with time_limit(5.0):
+        kappas = _parse_kappa_grid("0.5:100000.49:1")
+    assert len(kappas) == MAX_GRID_POINTS
+    assert kappas[0] == 0.5 and kappas[-1] == 99999.5
 
 
 def test_energy_table_grid_row_matches_single_kappa(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import solve_ivp
 
 from aclab import verify
 from aclab.diagnostics import (
@@ -19,6 +20,7 @@ from aclab.diagnostics import (
 from aclab.errors import DomainError, SignError, WindowError
 from aclab.evolution import EvolveParams, evolve, initial_spectrum
 from aclab.spectral import SineSpectrum, sine_transform
+from helpers import time_limit
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +290,72 @@ class TestThetaOracle:
             theta_ode_oracle(1.0, 2.0, None, 100.0)
         with pytest.raises(DomainError):
             theta_ode_oracle(-1.0, 3.0, None, 100.0)
+
+    @pytest.mark.parametrize(
+        "theta0, t0, t_end",
+        [
+            (math.nan, 3.0, 100.0),
+            (math.inf, 3.0, 100.0),
+            (1.0, math.nan, 100.0),
+            (1.0, math.inf, 100.0),
+            (1.0, 3.0, math.nan),
+            (1.0, 3.0, math.inf),
+            (100.0, 3.0, 100.0),  # t0 theta0 = 300: the fixed log-time step is stiff there
+        ],
+    )
+    def test_refuses_bad_data(self, theta0, t0, t_end):
+        with time_limit(5.0), pytest.raises(DomainError):
+            theta_ode_oracle(theta0, t0, None, t_end)
+
+    def test_refuses_a_forcing_that_drives_theta_out_of_range(self):
+        with time_limit(5.0), pytest.raises(DomainError, match="stiff"):
+            theta_ode_oracle(1.0, 3.0, lambda t: 1e3, 100.0)
+
+    def test_huge_finite_end_time(self):
+        # the log-time march takes 400 steps per unit of ln t: 1e300 costs 0.3 s
+        with time_limit(10.0):
+            fit = theta_ode_oracle(1.0, 3.0, None, 1e300)
+        assert fit.theta_star == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert fit.theta_end * fit.t_end == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def _theta_dop853(theta0, t0, forcing, t_end):
+    # the oracle as it ran on scipy: DOP853 in t with dense output, fit in 1/t
+    F = forcing if forcing is not None else (lambda t: 0.0)
+    sol = solve_ivp(
+        lambda t, y: [-1.5 * y[0] * y[0] + F(t)], (t0, t_end), [float(theta0)],
+        method="DOP853", rtol=1e-12, atol=1e-16, dense_output=True,
+    )
+    ts = np.geomspace(t_end / 10.0, t_end, 200)
+    slope, intercept = np.polyfit(1.0 / ts, ts * sol.sol(ts)[0], 1)
+    return float(intercept), lambda t: float(sol.sol(t)[0])
+
+
+def test_theta_oracle_matches_dop853_on_the_gate_runs():
+    # the four calls of the gate's theta_ode_oracle check
+    forced = theta_ode_oracle(0.5, 3.0, lambda t: t**-3, 2e4)
+    runs = [
+        (1.0, 3.0, None, 3e4),
+        (0.5, 3.0, lambda t: t**-3, 2e4),
+        (forced.evaluate(6.0), 6.0, lambda t: t**-3, 2e4),
+        (1.0 / 9.0, 3.0, lambda t: -2.0 * t**-3 + 1.5 * t**-4, 3e3),
+    ]
+    ts = np.geomspace(3.0, 3e3, 400)
+    for theta0, t0, forcing, t_end in runs:
+        fit = theta_ode_oracle(theta0, t0, forcing, t_end)
+        star, evaluate = _theta_dop853(theta0, t0, forcing, t_end)
+        assert fit.theta_star == pytest.approx(star, abs=1e-9)
+        gap = max(t * abs(fit.evaluate(t) - evaluate(t)) for t in ts if t >= t0)
+        assert gap <= 1e-8
+
+
+def test_theta_oracle_dense_output_against_closed_form():
+    # unforced, theta = 1 / (1/theta0 + (3/2)(t - t0)); sampled densely near t0,
+    # where phi = t theta moves fastest and the cubic Hermite interpolant is worst
+    fit = theta_ode_oracle(1.0, 3.0, None, 3e4)
+    ts = np.geomspace(3.0, 3e3, 5000)
+    gap = max(t * abs(fit.evaluate(t) - 1.0 / (1.0 + 1.5 * (t - 3.0))) for t in ts)
+    assert gap <= 1e-8
 
 
 class TestSeriesValidation:

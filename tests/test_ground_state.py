@@ -135,44 +135,61 @@ def _library_sources():
     return [(p.name, ast.parse(p.read_text())) for p in sorted(Path(aclab.__file__).parent.glob("*.py"))]
 
 
-def test_no_module_imports_scipy_special():
-    # the construction runs its own AGM; scipy.special stays off the library
+def _fresh_python(code, timeout):
+    env = dict(os.environ)
+    src = str(Path(aclab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_no_module_imports_scipy():
+    # the library runs its own AGM, Taylor march, RK4 and numpy eigensolver;
+    # scipy is a test dependency, imported nowhere in it, at module level or in a function
     hits = []
     for name, tree in _library_sources():
         for node in ast.walk(tree):
-            hits += [(name, n) for n in _imported_names(node) if n.split(".")[:2] == ["scipy", "special"]]
+            hits += [(name, n) for n in _imported_names(node) if n.split(".")[0] == "scipy"]
+            # __import__("scipy.x") and importlib.import_module("scipy.x") name it in a string
+            if isinstance(node, ast.Constant) and str(node.value).split(".")[0] == "scipy":
+                hits.append((name, node.value))
     assert hits == []
 
 
+def test_no_scipy_module_loads_in_a_full_gate_run():
+    code = (
+        "import sys, aclab.verify; "
+        "assert all(r.passed for r in aclab.verify.run_suite('all')); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = _fresh_python(code, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_heavy_imports_wait_for_the_functions_that_need_them():
-    # scipy (0.3 s per subpackage) and the mpmath oracles load on first call;
-    # only oracles.py, the mpmath module itself, imports mpmath on import
+    # the mpmath oracles load on first call; only oracles.py, the mpmath
+    # module itself, imports mpmath on import
     hits = []
     for name, tree in _library_sources():
         for node in _module_level_nodes(tree):
             for n in _imported_names(node):
                 parts = n.split(".")  # ".oracles.x" -> ["", "oracles", "x"]
-                if parts[0] == "scipy" or parts[:2] == ["", "oracles"]:
-                    hits.append((name, n))
-                elif parts[0] == "mpmath" and name != "oracles.py":
+                if parts[:2] == ["", "oracles"] or (parts[0] == "mpmath" and name != "oracles.py"):
                     hits.append((name, n))
     assert hits == []
 
 
 def test_steady_state_modules_import_without_scipy_or_mpmath():
     # a fresh process: the steady-state modules, and every CLI command, start
-    # without the heavy modules; the oracles and eigh load on first call
+    # without the heavy modules; the mpmath oracles load on first call
     code = (
         "import sys, aclab.ground_state, aclab.spectral, aclab.catalog, aclab.diagnostics, "
         "aclab.evolution, aclab.serialize, aclab.verify, aclab.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
     )
-    env = dict(os.environ)
-    src = str(Path(aclab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    out = _fresh_python(code, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -23,6 +23,7 @@ from aclab.oracles import (
     peak_complement_mp,
     shoot_profile,
 )
+from helpers import time_limit
 
 PREC = mp.libmp.dps_to_prec(SHOOT_DPS) + GUARD_BITS  # the march's fixed-point bits
 
@@ -282,8 +283,8 @@ def test_oracles_import_nothing_of_the_construction():
     assert hits == []
 
 
-def _first_return_period_to_t_max(u0, v0, kappa, t_max):
-    # the oracle as first written: integrate over all of [0, t_max], stop at no event
+def _dop853_period(u0, v0, kappa, t_max):
+    # the oracle as it ran on scipy: DOP853 with event location, stopped at the second crossing
     def rhs(t, y):
         return [y[1], (y[0] ** 3 - y[0]) / kappa**2]
 
@@ -291,6 +292,7 @@ def _first_return_period_to_t_max(u0, v0, kappa, t_max):
         return y[0]
 
     upward_zero.direction = 1.0
+    upward_zero.terminal = 2
     sol = solve_ivp(
         rhs, (0.0, t_max), [u0, v0], method="DOP853", rtol=1e-12, atol=1e-12,
         events=upward_zero, dense_output=False, max_step=t_max / 50.0,
@@ -299,17 +301,63 @@ def _first_return_period_to_t_max(u0, v0, kappa, t_max):
     return float(crossings[1] - crossings[0])
 
 
-def test_first_return_stops_at_the_second_crossing_with_the_same_period():
-    # stopping changes no step before the second crossing, so the period is bit-identical
-    rng = np.random.default_rng(7)
-    checked = 0
-    while checked < 12:
-        kappa = float(rng.uniform(0.25, 2.0))
-        u0, v0 = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))
-        oc = classify_orbit(u0, v0, kappa)
-        if oc.kind != "periodic" or oc.near_boundary or oc.amplitude <= 1e-3:
-            continue
-        t_max = 3.0 * oc.period + 5.0
-        period = first_return_period(u0, v0, kappa, t_max)
-        assert period == _first_return_period_to_t_max(u0, v0, kappa, t_max)
-        checked += 1
+def _period_mp(u0, v0, kappa):
+    # kappa^2 u'^2 = (u^2 - a^2)(u^2 - b^2) / 2 with a^2, b^2 = 1 -+ sqrt(1 - 2C):
+    # a quarter period is sqrt(2) kappa K(a/b) / b, at the exact double inputs
+    with mp.workdps(30):
+        u0, v0, kappa = mp.mpf(u0), mp.mpf(v0), mp.mpf(kappa)
+        s = mp.sqrt(1 - 2 * (kappa**2 * v0**2 + u0**2 - u0**4 / 2))
+        return float(4 * mp.sqrt(2) * kappa * mp.ellipk((1 - s) / (1 + s)) / mp.sqrt(1 + s))
+
+
+@given(u0=st.floats(-1.3, 1.3), v0=st.floats(-1.2, 1.2), kappa=st.floats(0.25, 2.0))
+def test_first_return_period_matches_dop853_and_the_period_formula(u0, v0, kappa):
+    # the gate's ranges and orbit filter; toward the separatrix DOP853's own
+    # error grows past 1e-9 (2e-9 at 1/2 - C = 1e-3), which the next test covers
+    oc = classify_orbit(u0, v0, kappa)
+    assume(oc.kind == "periodic" and not oc.near_boundary and oc.amplitude > 1e-3)
+    assume(0.5 - oc.C >= 1e-2)
+    t_max = 3.0 * oc.period + 5.0
+    period = first_return_period(u0, v0, kappa, t_max)
+    assert period == pytest.approx(_dop853_period(u0, v0, kappa, t_max), abs=1e-9)
+    assert period == pytest.approx(oc.period, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("kappa", [0.3, 1.7])
+def test_first_return_period_near_the_separatrix(delta, kappa):
+    # 1/2 - C = delta down to just above the gate's near-boundary band (1e-8),
+    # where the period grows like ln(1/delta) and the orbit lingers at the saddles
+    u0 = math.sqrt(1.0 - math.sqrt(2.0 * delta))
+    exact = _period_mp(u0, 0.0, kappa)
+    period = first_return_period(u0, 0.0, kappa, 3.0 * exact + 5.0)
+    assert period == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "u0, v0, kappa, t_max",
+    [
+        (0.3, 0.0, math.nan, 20.0),
+        (0.3, 0.0, -0.5, 20.0),
+        (0.3, 0.0, 0.0, 20.0),
+        (0.3, 0.0, math.inf, 20.0),
+        (0.3, 0.0, 0.5, math.inf),
+        (0.3, 0.0, 0.5, math.nan),
+        (0.3, 0.0, 0.5, 0.0),
+        (0.3, 0.0, 0.5, -1.0),
+        (math.nan, 0.0, 0.5, 20.0),
+        (math.inf, 0.0, 0.5, 20.0),
+        (0.3, math.nan, 0.5, 20.0),
+        (0.3, -math.inf, 0.5, 20.0),
+        (0.0, 0.0, 0.5, 1e9),  # the zero orbit never crosses: the march would run to t_max
+    ],
+)
+def test_first_return_refuses_bad_data(u0, v0, kappa, t_max):
+    with time_limit(5.0), pytest.raises(DomainError):
+        first_return_period(u0, v0, kappa, t_max)
+
+
+def test_first_return_leaves_an_escaping_orbit():
+    # C > 1/2 from u0 = -1.3: one upward crossing, then escape; the march stops at |u| = 2
+    with time_limit(5.0), pytest.raises(WindowError, match="saw 1 upward"):
+        first_return_period(-1.3, 1.0, 0.5, 100.0)
