@@ -59,7 +59,7 @@ def main():
         "l2_rate": fit.rate_or_exponent,
         "expected_rate": 3.0,
         "tail_rate": tail.rate_or_exponent,
-        "tail_rate_lower_bound": 9.0,
+        "expected_tail_rate": 9.0,  # 3 (kappa^2 - 1), the rate of c_1^3; the gate asks >= 8.8
     }
     print(f"kappa=2: L2 rate {fit.rate_or_exponent:.5f} (expect 3), "
           f"tail rate {tail.rate_or_exponent:.4f} (expect 9)")

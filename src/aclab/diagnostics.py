@@ -27,6 +27,10 @@ class DiagnosticSeries:
 
     ``mass`` is the squared L2 norm |u|_2^2; ``hi_mass`` is the (plain) L2
     norm of the tail sum_{m>=2} c_m sin(mx); ``linf`` is the grid max norm.
+    ``energy`` is the functional the flow of order gamma dissipates,
+    kappa^2/2 pi sum m^gamma c_m^2 + 1/4 int (1 - u^2)^2 dx.  Times must be
+    strictly increasing, every sample finite and the mass nonnegative, or
+    :class:`DomainError` is raised.
     """
 
     times: np.ndarray
@@ -40,20 +44,22 @@ class DiagnosticSeries:
         t = np.asarray(self.times, dtype=float)
         if np.any(np.diff(t) <= 0.0):
             raise DomainError("domain error: snapshot times must be strictly increasing")
-        for name in ("mass", "energy", "c1", "hi_mass", "linf"):
+        for name in ("times", "mass", "energy", "c1", "hi_mass", "linf"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != t.shape:
                 raise DomainError(f"domain error: series {name} length mismatch")
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"domain error: series {name} has non-finite samples")
         if np.any(np.asarray(self.mass) < 0.0):
             raise DomainError("domain error: mass must be nonnegative")
 
     @classmethod
-    def from_spectra(cls, times, spectra, kappa, n_pad):
+    def from_spectra(cls, times, spectra, kappa, gamma, n_pad):
         """Series of the (records, M) sine spectra ``spectra`` recorded at ``times``.
 
-        The energy kappa^2/2 pi sum (m c_m)^2 + 1/4 int (1 - u^2)^2 dx and
-        the max norm are evaluated on the ``n_pad``-point grid, where the
-        quartic integral is exact for n_pad > 4M.
+        The energy of order ``gamma`` and the max norm are evaluated on the
+        ``n_pad``-point grid, where the quartic integral is exact for
+        n_pad > 4M.
         """
         m = np.arange(1, spectra.shape[-1] + 1, dtype=float)
         sum_sq = np.sum(spectra * spectra, axis=-1)
@@ -62,7 +68,7 @@ class DiagnosticSeries:
         u *= u  # u^4 in place: the padded grid is the largest array here
         u *= u
         int_u4 = (2.0 * np.pi / n_pad) * np.sum(u, axis=-1)
-        grad = 0.5 * kappa**2 * np.pi * np.sum((m * spectra) ** 2, axis=-1)
+        grad = 0.5 * kappa**2 * np.pi * np.sum((m ** (0.5 * gamma) * spectra) ** 2, axis=-1)
         return cls(
             times=times,
             mass=np.pi * sum_sq,
@@ -83,22 +89,28 @@ class RateFit:
     rejected: bool
 
 
+def _select(t, window):
+    # the window, by default [max(1, t_0), t_last], and the mask of its samples
+    lo, hi = window if window is not None else (max(1.0, float(t[0])), float(t[-1]))
+    return lo, hi, (t >= lo) & (t <= hi)
+
+
 def fit_rate(times, values, model, window=None) -> RateFit:
     """Least-squares decay fit on a window.
 
     ``exponential`` regresses ln y on t (rate = -slope); ``algebraic``
     regresses ln y on ln t (exponent = -slope).  ``residual`` is the max
     relative deviation of the fit on the window; fits with residual > 0.1
-    are flagged rejected rather than silently returned.
+    are flagged rejected rather than silently returned.  A non-finite time
+    or value raises :class:`DomainError`.
     """
     if model not in ("exponential", "algebraic"):
         raise DomainError(f"domain error: unknown model {model!r}")
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
-    if window is None:
-        window = (max(1.0, float(t[0])), float(t[-1]))
-    lo, hi = window
-    sel = (t >= lo) & (t <= hi)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise DomainError("domain error: fit_rate needs finite times and values")
+    lo, hi, sel = _select(t, window)
     if model == "algebraic":
         sel &= t > 0.0
     t_w, y_w = t[sel], y[sel]
@@ -147,10 +159,7 @@ def extract_profile(series: DiagnosticSeries, kappa, window=None) -> ProfileEsti
     if kappa < 1.0:
         raise DomainError(f"domain error: profile extraction needs kappa >= 1, got {kappa}")
     t = series.times
-    if window is None:
-        window = (max(1.0, float(t[0])), float(t[-1]))
-    lo, hi = window
-    sel = (t >= lo) & (t <= hi)
+    lo, hi, sel = _select(t, window)
     t_w = t[sel]
     c1_w = series.c1[sel]
     if t_w.size < PROFILE_WINDOWS * 5:
@@ -228,18 +237,13 @@ class Eta0Report:
     lhs: float
     rhs: float
     ratio: float
-    eta0: float | None
 
 
-def check_eta0_inequality(spec: SineSpectrum, gamma) -> Eta0Report:
-    """Evaluate int u^3 L^gamma u dx against eta0 |u|_4^4.
+def check_eta0_inequality(spec: SineSpectrum) -> Eta0Report:
+    """Evaluate int u^3 L u dx, L = -d_xx, against eta0 |u|_4^4 with eta0 = 3/4.
 
-    For gamma = 2 the constant eta0 = 3/4 is known and ``rhs`` is the full
-    right-hand side.  For gamma < 2 no quotable constant exists, so ``rhs``
-    carries the empirical ratio lhs / |u|_4^4 instead of an asserted bound.
+    ``ratio`` is lhs / |u|_4^4; the inequality holds when it is at least 3/4.
     """
-    if not 0.0 < gamma <= 2.0:
-        raise DomainError(f"domain error: gamma={gamma!r} outside (0, 2]")
     c = spec.coeffs
     M = c.size
     n_pad = 16
@@ -247,12 +251,9 @@ def check_eta0_inequality(spec: SineSpectrum, gamma) -> Eta0Report:
         n_pad *= 2
     u = sine_values(c, n_pad)
     d = sine_coeffs(u**3, M)  # alias-free: 3M < n_pad/2
-    lhs = float(np.pi * np.sum(d * np.arange(1.0, M + 1) ** gamma * c))
+    lhs = float(np.pi * np.sum(d * np.arange(1.0, M + 1) ** 2 * c))
     l4 = float((2.0 * np.pi / n_pad) * np.sum(u**4))
-    ratio = lhs / l4 if l4 > 0.0 else math.inf
-    if gamma == 2.0:
-        return Eta0Report(lhs=lhs, rhs=0.75 * l4, ratio=ratio, eta0=0.75)
-    return Eta0Report(lhs=lhs, rhs=ratio, ratio=ratio, eta0=None)
+    return Eta0Report(lhs=lhs, rhs=0.75 * l4, ratio=lhs / l4 if l4 > 0.0 else math.inf)
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,9 @@ class EvolveParams:
         TorusGrid(self.n_points)  # validates the grid size
         if self.filter not in FILTERS:
             raise DomainError(f"domain error: filter={self.filter!r} not in {FILTERS}")
-        if self.record_every < 1:
-            raise DomainError("domain error: record_every must be >= 1")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise DomainError(f"domain error: record_every={every!r} must be an integer >= 1")
 
     @property
     def max_mode(self):
@@ -119,7 +120,7 @@ class Trajectory:
     """One evolution run.
 
     ``snapshots`` is the read-only (records, max_mode) array of the recorded
-    sine spectra; row i was taken at ``times[i]``.
+    sine spectra; row i was taken at the read-only ``times[i]``.
     """
 
     params: EvolveParams
@@ -161,7 +162,8 @@ def initial_spectrum(preset, max_mode):
     c = np.zeros(max_mode)
     if isinstance(preset, dict):
         for m, val in preset.items():
-            m = int(m)
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise DomainError(f"domain error: mode {m!r} is not an integer")
             if not 1 <= m <= max_mode:
                 raise DomainError(f"domain error: mode {m} outside 1..{max_mode}")
             c[m - 1] = float(val)
@@ -226,12 +228,14 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
 
     times = np.array(times)
     snapshots = np.array(spectra)
-    snapshots.flags.writeable = False
+    times.flags.writeable = snapshots.flags.writeable = False
     return Trajectory(
         params=params,
         times=times,
         snapshots=snapshots,
-        diagnostics=DiagnosticSeries.from_spectra(times, snapshots, params.kappa, stepper.n_pad),
+        diagnostics=DiagnosticSeries.from_spectra(
+            times, snapshots, params.kappa, params.gamma, stepper.n_pad
+        ),
         terminal=terminal,
     )
 

@@ -201,7 +201,8 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
 
     n = grid.n_points
     i0, n4 = n // 2, n // 4
-    x_quarter = grid.x[i0 : i0 + n4 + 1]
+    x_quarter = grid.x[i0 : i0 + n4 + 1].copy()
+    x_quarter.flags.writeable = False
     z = x_quarter * math.sqrt(0.5 * (1.0 + q)) / kappa
     u_quarter = peak.N * np.sin(_jacobi_amplitude(z, math.sqrt(2.0 * q / (1.0 + q))))
 
@@ -226,8 +227,8 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
         peak=peak,
         field=field,
         energy=_energy_from_spectrum(field, spec, kappa),
-        quarter_x=x_quarter.copy(),
-        quarter_u=u_quarter,
+        quarter_x=x_quarter,
+        quarter_u=field.values[i0 : i0 + n4 + 1],
         residual=residual,
     )
 

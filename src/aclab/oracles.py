@@ -65,7 +65,8 @@ def _scaled_taylor_coeffs(u, v, r, order, prec):
 
 
 def _horner_fixed(a, p, q):
-    # (sum a_k t^k, sum k a_k t^(k-1)) at t = p / q: u and h u' at x + t h
+    # (sum a_k t^k, sum k a_k t^(k-1)) at t = p / q: u and h u' at x + t h;
+    # at t = 1 these are the plain sums the marches end their full steps with
     u = 0
     v = 0
     for k in range(len(a) - 1, 0, -1):
@@ -86,14 +87,14 @@ def shoot_profile(kappa, xs):
     plus 32 guard bits, and the next step starts from (u, h u') = (sum a_k h^k,
     sum k a_k h^k).  The scaled terms are O(1) inside the convergence disk,
     so a fixed absolute precision holds at small kappa.  The requested points
-    are summed in double from each step's scaled series.  Also returns the
-    drift of the orbit invariant as an internal error estimate.
+    are summed in double from each step's scaled series.  Returns the values
+    and the peak gap |u(pi/2) - (1 - N)| of the march.
 
-    Raises :class:`ResolutionError` when the march misses the peak value
-    1 - N by more than 1e-17 or an output is not finite: below kappa ~ 0.045
-    the launch round-off, amplified by ~1/(1-N), outgrows ``SHOOT_DPS`` digits.
-    A march that leaves the bounded orbits (|u| >= 2) stops there and misses
-    by inf.  Points outside [0, pi/2] raise :class:`DomainError`.
+    Raises :class:`ResolutionError` when that gap exceeds 1e-17 or an output
+    is not finite: below kappa ~ 0.045 the launch round-off, amplified by
+    ~1/(1-N), outgrows ``SHOOT_DPS`` digits.  A march that leaves the bounded
+    orbits (|u| >= 2) stops there and misses by inf.  Points outside
+    [0, pi/2] raise :class:`DomainError`.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < -1e-15 or xs.max() > 0.5 * math.pi + 1e-15):
@@ -103,7 +104,6 @@ def shoot_profile(kappa, xs):
         w = peak_complement_mp(kappa, dps=SHOOT_DPS)
         q = w * (2 - w)
         v0 = mp.sqrt(1 - q * q) / (mp.sqrt(2) * kap)
-        c_init = kap**2 * v0**2  # invariant at u=0: kappa^2 v^2 + u^2 - u^4/2
         prec = mp.mp.prec + GUARD_BITS
         one = 1 << prec
         kappa2 = Fraction(float(kap)) ** 2
@@ -115,7 +115,6 @@ def shoot_profile(kappa, xs):
         xs_sorted = xs[idx]
         pos = 0
         x_end = 0.5 * math.pi
-        drift = mp.mpf(0)
         while abs(u) < 2 * one:  # past the separatrix the integers grow without bound
             x_hi = float(x)
             x_lo = float(x - Fraction(x_hi))  # Fraction - float would round to float first
@@ -135,23 +134,17 @@ def shoot_profile(kappa, xs):
                 pos = stop
             if x_hi + h >= x_end - 1e-15:
                 t_end = (Fraction(x_end) - x) / Fraction(h)
-                u, v = _horner_fixed(a, t_end.numerator, t_end.denominator)
+                u, _ = _horner_fixed(a, t_end.numerator, t_end.denominator)
                 break
-            u, v = _horner_fixed(a, 1, 1)
+            u, v = sum(a), sum(k * ak for k, ak in enumerate(a))
             x += Fraction(h)
-            u_mp, v_mp = mp.ldexp(u, -prec), mp.ldexp(v, -prec) / h
-            drift = max(drift, abs(kap**2 * v_mp**2 + u_mp**2 - u_mp**4 / 2 - c_init))
         gap = float(abs(mp.ldexp(u, -prec) - (1 - w))) if abs(u) < 2 * one else math.inf
         if not (gap <= 1e-17 and np.all(np.isfinite(out))):
             raise ResolutionError(
                 f"shooting at kappa={kappa} misses the peak value by {gap:.3e} "
                 f"(limit 1e-17) in {SHOOT_DPS} digits"
             )
-        return out, {
-            "invariant_drift": float(drift),
-            "peak_value_gap": gap,
-            "peak_slope": float(mp.ldexp(v, -prec) / h),
-        }
+        return out, gap
 
 
 def _upward_root(a):
@@ -208,7 +201,7 @@ def first_return_period(u0, v0, kappa, t_max):
     n = 0
     while abs(u) < 2 * one and n * h < t_max:
         a = _scaled_taylor_coeffs(u, v, r_fixed, RETURN_ORDER, RETURN_BITS)
-        u_next, v = _horner_fixed(a, 1, 1)
+        u_next, v = sum(a), sum(k * ak for k, ak in enumerate(a))
         if u <= 0 < u_next < 2 * one:  # a step that escapes holds no closed orbit
             tau = _upward_root([ak / one for ak in a])
             if (n + tau) * h > t_max:

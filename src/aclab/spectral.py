@@ -86,19 +86,12 @@ class SineSpectrum:
         return self.coeffs.size
 
 
-def odd_defect(values):
-    """Max deviation of grid samples from odd symmetry about x = 0."""
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    defect = max(abs(v[0]), abs(v[n // 2]))
-    if n > 2:
-        defect = max(defect, float(np.max(np.abs(v[1:] + v[:0:-1]))))
-    return defect
-
-
 def require_odd(values):
-    """Raise :class:`SymmetryError` unless the samples are odd to ``ODD_TOL``."""
-    defect = odd_defect(values)
+    """Raise :class:`SymmetryError` unless the samples are odd about x = 0 to ``ODD_TOL``."""
+    v = np.asarray(values, dtype=float)
+    defect = max(abs(v[0]), abs(v[v.size // 2]))
+    if v.size > 2:
+        defect = max(defect, float(np.max(np.abs(v[1:] + v[:0:-1]))))
     if defect > ODD_TOL:
         raise SymmetryError(f"symmetry violation: odd defect {defect:.3e} exceeds {ODD_TOL}")
 

@@ -380,7 +380,7 @@ def check_eta0_random(ctx):
     worst = math.inf
     for _ in range(100):
         coeffs = rng.normal(size=8)
-        rep = check_eta0_inequality(SineSpectrum(coeffs), 2.0)
+        rep = check_eta0_inequality(SineSpectrum(coeffs))
         worst = min(worst, rep.ratio)
     return CheckResult(
         passed=worst >= 0.75 * (1.0 - 1e-12),

@@ -96,6 +96,13 @@ class TestParams:
             EvolveParams(kappa=0.9, dt=0.01, t_end=0.015)
         EvolveParams(kappa=0.9, dt=0.01, t_end=0.1)  # 0.1/0.01 rounds to 10.000000000000002
 
+    @pytest.mark.parametrize("every", [1.5, 2.0, True, "2"])
+    def test_record_every_must_be_an_integer(self, every):
+        # 1.5 recorded every third step at dt = 0.1 and True counted as 1
+        with pytest.raises(DomainError, match="record_every=.* must be an integer"):
+            EvolveParams(kappa=0.9, dt=0.1, t_end=1.0, record_every=every)
+        assert EvolveParams(kappa=0.9, record_every=np.int64(3)).record_every == 3
+
     def test_steady_detection_auto(self):
         assert EvolveParams(kappa=0.9).steady_detection_enabled
         assert not EvolveParams(kappa=1.0).steady_detection_enabled
@@ -214,6 +221,15 @@ class TestEvolve:
         traj = evolve(initial_spectrum("half_sin_x", params.max_mode), params)
         assert np.all(np.diff(traj.diagnostics.energy) <= 1e-10)
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("kappa, preset", [(0.3, "sin_x"), (0.6, "mixed")])
+    def test_recorded_energy_is_the_one_the_flow_dissipates(self, gamma, kappa, preset):
+        # kappa^2/2 pi sum m^gamma c_m^2 + 1/4 int (1 - u^2)^2; the gamma = 2
+        # functional recorded at gamma < 2 rose by up to 8.6e-3 on these runs
+        params = EvolveParams(kappa=kappa, gamma=gamma, dt=0.01, t_end=5.0, record_every=1)
+        traj = evolve(initial_spectrum(preset, params.max_mode), params)
+        assert np.max(np.diff(traj.diagnostics.energy)) <= 1e-12
+
     def test_max_norm_bounded(self):
         params = EvolveParams(kappa=0.9, dt=0.01, t_end=5.0, record_every=5)
         traj = evolve(initial_spectrum("sin_x", params.max_mode), params)
@@ -262,6 +278,13 @@ class TestEvolve:
             for name, value in _record_by_loop(c, 0.9, 2 * params.n_points).items():
                 assert getattr(traj.diagnostics, name)[i] == value
 
+    def test_times_are_read_only(self):
+        params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=7)
+        traj = evolve(initial_spectrum("mixed", params.max_mode), params)
+        assert not traj.times.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            traj.diagnostics.times[0] = 1.0
+
     def test_deterministic(self):
         params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=10)
         t1 = evolve(initial_spectrum("mixed", params.max_mode), params)
@@ -294,6 +317,13 @@ class TestInitialSpectrum:
     def test_coefficient_dict(self):
         spec = initial_spectrum({3: 2.5}, 8)
         assert spec.coeffs[2] == 2.5
+
+    @pytest.mark.parametrize("mode", [1.7, 1.0, True, "1"])
+    def test_mode_must_be_an_integer(self, mode):
+        # 1.7 put its coefficient on mode 1
+        with pytest.raises(DomainError, match="is not an integer"):
+            initial_spectrum({mode: 1.0}, 8)
+        assert initial_spectrum({np.int64(2): 1.0}, 8).coeffs[1] == 1.0
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):

@@ -259,6 +259,18 @@ class TestProfile:
         assert gs.quarter_u[0] == 0.0
         assert gs.quarter_u[-1] == pytest.approx(gs.peak.N, abs=1e-10)
 
+    def test_tabulation_is_read_only(self, gs_cache):
+        # the session's gs_cache hands one GroundState to many tests
+        gs = gs_cache(0.5)
+        n = gs.field.grid.n_points
+        quarter = slice(n // 2, n // 2 + n // 4 + 1)
+        for arr in (gs.quarter_x, gs.quarter_u):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = 0.0
+        assert np.array_equal(gs.quarter_x, gs.field.grid.x[quarter])
+        assert np.array_equal(gs.quarter_u, gs.field.values[quarter])
+
     def test_monotone_and_bounded(self, gs_cache):
         gs = gs_cache(0.5)
         assert np.all(np.diff(gs.quarter_u) > 0.0)

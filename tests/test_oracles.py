@@ -18,6 +18,7 @@ from aclab.ground_state import build_ground_state
 from aclab.oracles import (
     GUARD_BITS,
     SHOOT_DPS,
+    _horner_fixed,
     _scaled_taylor_coeffs,
     first_return_period,
     peak_complement_mp,
@@ -134,10 +135,10 @@ def test_outputs_equal_the_mp_march_bit_for_bit(kappa):
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.9])
 def test_double_sums_match_mp_sums_at_profile_nodes(kappa):
     xs = build_ground_state(kappa).quarter_x
-    vals, info = shoot_profile(kappa, xs)
+    vals, gap = shoot_profile(kappa, xs)
     ref = _shoot_mp(kappa, xs)
     assert np.max(np.abs(vals - ref)) <= 4.5e-16
-    assert info["peak_value_gap"] <= 1e-17
+    assert gap <= 1e-17
 
 
 @pytest.mark.parametrize("kappa2", ["0.01", "0.81"])
@@ -247,8 +248,8 @@ def test_refuses_kappa_beyond_its_digits():
     with pytest.raises(ResolutionError, match=r"kappa=0\.04 .* by 1\.\d+e-13") as exc:
         shoot_profile(0.04, xs)
     assert isinstance(exc.value, AclabError) and isinstance(exc.value, ValueError)
-    vals, info = shoot_profile(0.05, xs)
-    assert info["peak_value_gap"] <= 1e-17
+    vals, gap = shoot_profile(0.05, xs)
+    assert gap <= 1e-17
     assert np.all(np.isfinite(vals)) and vals.max() <= 1.0
 
 
@@ -280,6 +281,36 @@ def test_oracles_import_nothing_of_the_construction():
         n for n in names
         if construction & set(n.split(".")) or n == "scipy.special" or n.startswith("scipy.special.")
     )
+    assert hits == []
+
+
+@given(
+    st.sampled_from([21, 22, 51, 52]).flatmap(
+        lambda n: st.lists(st.integers(-(2**200), 2**200), min_size=n, max_size=n)
+    )
+)
+def test_plain_sums_equal_the_horner_step_at_t_one(a):
+    # the marches end a full step with (u, h u') = (sum a_k, sum k a_k); the
+    # series carry RETURN_ORDER + 2 = 22 and TAYLOR_ORDER + 2 = 52 terms
+    assert (sum(a), sum(k * ak for k, ak in enumerate(a))) == _horner_fixed(a, 1, 1)
+
+
+def test_no_mpmath_inside_the_marches():
+    # mpmath serves the launch and the peak gap only: no loop of either
+    # oracle, nor a module function such a loop calls, names mp
+    tree = ast.parse(Path(aclab.oracles.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    hits = []
+    for name in ("shoot_profile", "first_return_period"):
+        loops = [node for node in ast.walk(functions[name]) if isinstance(node, ast.While)]
+        assert loops, name
+        for loop in loops:
+            names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+            bodies = [loop] + [functions[n] for n in sorted(names & functions.keys())]
+            hits += [
+                (name, node.lineno) for body in bodies for node in ast.walk(body)
+                if isinstance(node, ast.Name) and node.id == "mp"
+            ]
     assert hits == []
 
 
