@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SignError, WindowError
-from .spectral import SineSpectrum, sine_coeffs, sine_values
+from .spectral import SineSpectrum, _freeze, sine_coeffs, sine_values
 
 SIGNAL_FLOOR = 1e-13
 MIN_FIT_POINTS = 20
@@ -30,7 +30,7 @@ class DiagnosticSeries:
     ``energy`` is the functional the flow of order gamma dissipates,
     kappa^2/2 pi sum m^gamma c_m^2 + 1/4 int (1 - u^2)^2 dx.  Times must be
     strictly increasing, every sample finite and the mass nonnegative, or
-    :class:`DomainError` is raised.
+    :class:`DomainError` is raised.  Each series is kept as a read-only copy.
     """
 
     times: np.ndarray
@@ -41,16 +41,19 @@ class DiagnosticSeries:
     linf: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        names = ("times", "mass", "energy", "c1", "hi_mass", "linf")
+        for name in names:
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        t = self.times
         if np.any(np.diff(t) <= 0.0):
             raise DomainError("domain error: snapshot times must be strictly increasing")
-        for name in ("times", "mass", "energy", "c1", "hi_mass", "linf"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name in names:
+            arr = getattr(self, name)
             if arr.shape != t.shape:
                 raise DomainError(f"domain error: series {name} length mismatch")
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"domain error: series {name} has non-finite samples")
-        if np.any(np.asarray(self.mass) < 0.0):
+        if np.any(self.mass < 0.0):
             raise DomainError("domain error: mass must be nonnegative")
 
     @classmethod
@@ -102,12 +105,17 @@ def fit_rate(times, values, model, window=None) -> RateFit:
     regresses ln y on ln t (exponent = -slope).  ``residual`` is the max
     relative deviation of the fit on the window; fits with residual > 0.1
     are flagged rejected rather than silently returned.  A non-finite time
-    or value raises :class:`DomainError`.
+    or value, or a different number of values than times, raises
+    :class:`DomainError`.
     """
     if model not in ("exponential", "algebraic"):
         raise DomainError(f"domain error: unknown model {model!r}")
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    if t.shape != y.shape:
+        raise DomainError(
+            f"domain error: fit_rate length mismatch, {y.shape} values for {t.shape} times"
+        )
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise DomainError("domain error: fit_rate needs finite times and values")
     lo, hi, sel = _select(t, window)

@@ -3,8 +3,9 @@
 The grid is x_j = -pi + 2*pi*j/n.  An odd 2*pi-periodic field is carried by
 its sine coefficients c_m, f(x) = sum_{m>=1} c_m sin(m x); on this grid
 sin(m x_j) = (-1)^m sin(2*pi*m*j/n), which is what the FFT index mapping
-in :func:`sine_values` and :func:`sine_coeffs` accounts for.  This module is
-the only one that knows that mapping.
+in :func:`sine_values` and :func:`sine_coeffs` (and :class:`SineWorkspace`,
+their allocation-free form) accounts for.  This module is the only one that
+knows that mapping.
 """
 
 from dataclasses import dataclass
@@ -99,10 +100,26 @@ def require_odd(values):
 @lru_cache(maxsize=None)
 def _grid_factor(M, scale):
     # scale * (-1)^m for m = 0..M: the grid starts at -pi, so mode m picks up
-    # e^{-i m pi}; cached because the stepper asks for the same few per step
+    # e^{-i m pi}; cached because callers ask for the same few again and again
     factor = scale * np.where(np.arange(M + 1) % 2 == 0, 1.0, -1.0)
     factor.flags.writeable = False
     return factor
+
+
+def _synthesis(spectrum, factor, coeffs, n, out=None):
+    # irfft of the half spectrum holding factor * coeffs at 1..M; every other
+    # entry of ``spectrum`` must be zero
+    M = coeffs.shape[-1]
+    if M > n // 2 - 1:
+        raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
+    np.multiply(factor, coeffs, out=spectrum[..., 1 : M + 1])
+    return np.fft.irfft(spectrum, n, out=out)
+
+
+def _analysis(values, spectrum, part, factor, out=None):
+    # factor * part, where ``part`` is a view of ``spectrum``, which rfft(values) fills
+    np.fft.rfft(values, out=spectrum)
+    return np.multiply(factor, part, out=out)
 
 
 def sine_values(coeffs, n, cosine=False):
@@ -115,11 +132,8 @@ def sine_values(coeffs, n, cosine=False):
     the inverse.
     """
     M = coeffs.shape[-1]
-    if M > n // 2 - 1:
-        raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
-    R = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    R[..., 1 : M + 1] = _grid_factor(M, (0.5 if cosine else -0.5j) * n)[1:] * coeffs
-    return np.fft.irfft(R, n)
+    spectrum = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    return _synthesis(spectrum, _grid_factor(M, (0.5 if cosine else -0.5j) * n)[1:], coeffs, n)
 
 
 def sine_coeffs(values, M, cosine=False):
@@ -130,11 +144,38 @@ def sine_coeffs(values, M, cosine=False):
     instead, shape (..., M + 1), with M up to n/2.  Exact for fields
     band-limited below the grid's Nyquist mode.
     """
-    spectrum = np.fft.rfft(values)
-    scale = 2.0 / values.shape[-1]
+    n = values.shape[-1]
+    spectrum = np.empty(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    scale = 2.0 / n
     if cosine:
-        return _grid_factor(M, scale) * spectrum[..., : M + 1].real
-    return _grid_factor(M, -scale)[1:] * spectrum[..., 1 : M + 1].imag
+        return _analysis(values, spectrum, spectrum[..., : M + 1].real, _grid_factor(M, scale))
+    return _analysis(values, spectrum, spectrum[..., 1 : M + 1].imag, _grid_factor(M, -scale)[1:])
+
+
+class SineWorkspace:
+    """:func:`sine_values` and :func:`sine_coeffs` of one M-mode spectrum on
+    the n-point grid, bit for bit, in buffers built once: no call allocates.
+
+    ``values`` returns the workspace's grid buffer, which the next call overwrites.
+    """
+
+    def __init__(self, M, n):
+        self.n = n
+        self._spectrum = np.zeros(n // 2 + 1, dtype=complex)  # entries 0 and M+1.. stay zero
+        self._grid = np.empty(n)
+        self._rfft = np.empty(n // 2 + 1, dtype=complex)
+        self._imag = self._rfft[1 : M + 1].imag
+        self._to_grid = _grid_factor(M, -0.5j * n)[1:]
+        # (-f) x == -(f x) in IEEE, signed zeros included
+        self._minus_from_grid = _grid_factor(M, 2.0 / n)[1:]
+
+    def values(self, coeffs):
+        """``sine_values(coeffs, n)`` in the workspace's grid buffer."""
+        return _synthesis(self._spectrum, self._to_grid, coeffs, self.n, out=self._grid)
+
+    def minus_coeffs(self, values, out):
+        """``-sine_coeffs(values, M)``, written into ``out``."""
+        return _analysis(values, self._rfft, self._imag, self._minus_from_grid, out=out)
 
 
 def sine_transform(field: TorusField) -> SineSpectrum:

@@ -131,6 +131,14 @@ class TestFitRate:
             fit_rate(t, y, model)
 
 
+    @pytest.mark.parametrize("model", ["exponential", "algebraic"])
+    def test_length_mismatch_refused(self, model):
+        # one value short raised a bare IndexError from the window mask
+        t = np.linspace(1.0, 3.0, 30)
+        with pytest.raises(DomainError, match="length mismatch"):
+            fit_rate(t, np.exp(-t[:-1]), model)
+
+
 class TestExtractProfile:
     def test_synthetic_exponential(self):
         t = np.linspace(1.0, 5.0, 100)
@@ -381,6 +389,17 @@ class TestSeriesValidation:
         series[name][-1] = bad
         with pytest.raises(DomainError, match=f"series {name} has non-finite samples"):
             DiagnosticSeries(**series)
+
+    def test_series_are_read_only_copies(self):
+        # every series, not only those handed in read-only; the caller's arrays stay theirs
+        series = {key: np.linspace(1.0, 2.0, 5) for key in
+                  ("times", "mass", "energy", "c1", "hi_mass", "linf")}
+        frozen = DiagnosticSeries(**series)
+        for name, arr in series.items():
+            assert not getattr(frozen, name).flags.writeable
+            assert arr.flags.writeable
+            arr[0] = 9.0
+            assert getattr(frozen, name)[0] == 1.0
 
     def test_length_mismatch(self):
         t = np.array([0.0, 1.0])

@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from aclab.diagnostics import DiagnosticSeries
 from aclab.errors import BlowUpError, DomainError, SymmetryError
 from aclab.evolution import (
+    STEADY_CHECKS_REQUIRED,
+    STEADY_TOL,
     EvolveParams,
     _phi_functions,
     _Stepper,
@@ -15,6 +21,8 @@ from aclab.evolution import (
     terminal_comparison,
 )
 from aclab.spectral import TorusField, TorusGrid, sine_values
+
+SERIES = ("times", "mass", "energy", "c1", "hi_mass", "linf")
 
 
 def _record_by_loop(c, kappa, n_pad):
@@ -32,6 +40,65 @@ def _record_by_loop(c, kappa, n_pad):
         "hi_mass": float(np.sqrt(np.pi * np.sum(c[1:] ** 2))),
         "linf": float(np.max(np.abs(u))),
     }
+
+
+def _reference_cubic(c, n_pad):
+    # -sine_coeffs(u^3) with sine_values and sine_coeffs as first written:
+    # a fresh array for every intermediate
+    M = c.size
+    sign = np.where(np.arange(M + 1) % 2 == 0, 1.0, -1.0)
+    R = np.zeros(n_pad // 2 + 1, dtype=complex)
+    R[1 : M + 1] = ((-0.5j * n_pad) * sign)[1:] * c
+    u = np.fft.irfft(R, n_pad)
+    spectrum = np.fft.rfft(u * u * u)
+    return -(((-2.0 / n_pad) * sign)[1:] * spectrum[1 : M + 1].imag)
+
+
+def _reference_step(stepper, c):
+    # _Stepper.step before its buffers
+    with np.errstate(over="ignore", invalid="ignore"):
+        n0 = _reference_cubic(c, stepper.n_pad)
+        a = stepper.e_full * c + stepper.dt_phi1 * n0
+        out = a + stepper.dt_phi2 * (_reference_cubic(a, stepper.n_pad) - n0)
+    if stepper.params.filter == "odd_band_gap":
+        out[1::2] = 0.0
+    return out
+
+
+def _reference_evolve(c, params):
+    # evolve before its buffers: (times, spectra, terminal, diagnostics)
+    stepper = _Stepper(params)
+    n_steps = round(params.t_end / params.dt)
+    times, spectra, consecutive, terminal = [0.0], [c], 0, "reached_t_end"
+    for kstep in range(1, n_steps + 1):
+        c = _reference_step(stepper, c)
+        if not np.all(np.isfinite(c)):
+            raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
+        if kstep % params.record_every == 0 or kstep == n_steps:
+            t = kstep * params.dt
+            if params.steady_detection_enabled:
+                with np.errstate(over="ignore"):
+                    rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])
+                consecutive = consecutive + 1 if rate < STEADY_TOL else 0
+            times.append(t)
+            spectra.append(c)
+            if consecutive >= STEADY_CHECKS_REQUIRED:
+                terminal = "steady_detected"
+                break
+    times, spectra = np.array(times), np.array(spectra)
+    diagnostics = DiagnosticSeries.from_spectra(
+        times, spectra, params.kappa, params.gamma, stepper.n_pad
+    )
+    return times, spectra, terminal, diagnostics
+
+
+def _outcome(run):
+    # the run's result, or the error it ends in (a record too large for the
+    # diagnostics overflows there) as (type, message, step_index)
+    try:
+        return run()
+    except (BlowUpError, DomainError, RuntimeWarning) as err:
+        return type(err), str(err), getattr(err, "step_index", None)
 
 
 class TestFractionalMultiplier:
@@ -112,21 +179,38 @@ class TestParams:
 class TestStep:
     def test_zero_fixed_point(self):
         params = EvolveParams(kappa=0.9)
-        out = _Stepper(params).step(np.zeros(params.max_mode))
+        c = np.zeros(params.max_mode)
+        out = _Stepper(params).step(c, np.empty_like(c))
         assert np.all(out == 0.0)
 
     def test_exact_linear_propagator(self, monkeypatch):
         # without the cubic the phi terms vanish and the step is e^z exactly
-        monkeypatch.setattr(_Stepper, "cubic_term", lambda self, c: np.zeros_like(c))
+        monkeypatch.setattr(_Stepper, "cubic_term", lambda self, c, out: out.fill(0.0))
         params = EvolveParams(kappa=2.0, dt=0.01)
         stepper = _Stepper(params)
-        c = initial_spectrum("sin_x", params.max_mode).coeffs
+        c = initial_spectrum("sin_x", params.max_mode).coeffs.copy()
         expected = 1.0
         for _ in range(5):
-            c = stepper.step(c)
+            stepper.step(c, c)
             expected *= math.exp(-(4.0 - 1.0) * params.dt)
             assert c[0] == pytest.approx(expected, rel=1e-15)
             assert np.max(np.abs(c[1:])) == 0.0
+
+    def test_step_allocates_nothing(self):
+        # the padded grid alone is 64 KB at n_points = 4096; a step that built
+        # its spectra, cube and predictor afresh peaked at about 231 KB
+        params = EvolveParams(kappa=0.9, dt=0.01, n_points=4096)
+        stepper = _Stepper(params)
+        c = initial_spectrum("mixed", params.max_mode).coeffs.copy()
+        stepper.step(c, c)
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                stepper.step(c, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 * params.n_points
 
     def test_algebraic_mass_bound(self):
         # |u(t)|_2 <= sqrt(pi) |u0|_2 / sqrt(t |u0|_2^2 + pi) for kappa=1
@@ -142,15 +226,15 @@ class TestFilter:
     def test_band_gap_zeroes_even_modes(self):
         params = EvolveParams(kappa=2.0, filter="odd_band_gap")
         c = initial_spectrum({1: 1.0, 2: 0.1, 4: 0.05}, params.max_mode).coeffs
-        out = _Stepper(params).step(c)
+        out = _Stepper(params).step(c, np.empty_like(c))
         assert np.all(out[1::2] == 0.0)
         assert out[0] != 0.0
 
     def test_odd_modes_preserved(self):
         params = EvolveParams(kappa=0.9)
         c = initial_spectrum({1: 0.5, 2: 0.1, 3: 0.3, 4: 0.05}, params.max_mode).coeffs
-        filtered = _Stepper(EvolveParams(kappa=0.9, filter="odd_band_gap")).step(c)
-        assert np.array_equal(filtered[0::2], _Stepper(params).step(c)[0::2])
+        filtered = _Stepper(EvolveParams(kappa=0.9, filter="odd_band_gap")).step(c, c.copy())
+        assert np.array_equal(filtered[0::2], _Stepper(params).step(c, c.copy())[0::2])
 
     def test_unknown_kind(self):
         for kind in ("odd_projection", "other"):
@@ -285,6 +369,30 @@ class TestEvolve:
         with pytest.raises(ValueError, match="read-only"):
             traj.diagnostics.times[0] = 1.0
 
+    def test_records_are_read_only_copies(self, monkeypatch):
+        steppers = []
+        init = _Stepper.__init__
+
+        def keep(self, params):
+            init(self, params)
+            steppers.append(self)
+
+        monkeypatch.setattr(_Stepper, "__init__", keep)
+        params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=7)
+        traj = evolve(initial_spectrum("mixed", params.max_mode), params)
+        records = [traj.snapshots] + [getattr(traj.diagnostics, name) for name in SERIES]
+        kept = [r.copy() for r in records]
+        for r in records:
+            assert not r.flags.writeable
+        # the steps reuse these buffers; no record may share them
+        (stepper,) = steppers
+        for owner in (stepper, stepper.sine):
+            for buf in vars(owner).values():
+                if isinstance(buf, np.ndarray) and buf.flags.writeable:
+                    buf.fill(np.nan)
+        for r, k in zip(records, kept):
+            assert r.tobytes() == k.tobytes()
+
     def test_deterministic(self):
         params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=10)
         t1 = evolve(initial_spectrum("mixed", params.max_mode), params)
@@ -330,3 +438,44 @@ class TestInitialSpectrum:
             initial_spectrum("unknown", 8)
         with pytest.raises(DomainError):
             initial_spectrum({99: 1.0}, 8)
+
+
+@given(
+    kappa=st.one_of(st.just(1.0), st.floats(0.0, 2.0, exclude_min=True)),
+    gamma=st.floats(0.0, 2.0, exclude_min=True),
+    dt=st.floats(1e-3, 0.1),
+    n_points=st.sampled_from([16, 32, 64, 128, 256, 512, 1024]),
+    band_gap=st.booleans(),
+    steps=st.integers(1, 40),
+    record_every=st.integers(1, 8),
+    amplitude=st.sampled_from([0.0, 0.3, 1.0, 10.0, 100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(1.0, 2.0, 0.05, 256, False, 40, 4, 1.0, 0)  # z = 0 on mode 1: the phi series
+@example(0.5, 2.0, 0.1, 256, False, 40, 10, 100.0, 0)  # blow-up at step 3
+@example(0.9, 2.0, 0.05, 64, True, 40, 2, 0.0, 0)  # steady at once
+def test_evolve_equals_the_reference_loop_bit_for_bit(
+    kappa, gamma, dt, n_points, band_gap, steps, record_every, amplitude, seed
+):
+    params = EvolveParams(
+        kappa=kappa, gamma=gamma, dt=dt, t_end=steps * dt, n_points=n_points,
+        filter="odd_band_gap" if band_gap else "none", record_every=record_every,
+    )
+    modes = np.arange(1, min(params.max_mode, 6) + 1)
+    if band_gap:
+        modes = modes[modes % 2 == 1]
+    rng = np.random.default_rng(seed)
+    u0 = initial_spectrum(
+        {int(m): amplitude * rng.uniform(-1.0, 1.0) / m for m in modes}, params.max_mode
+    )
+    want = _outcome(lambda: _reference_evolve(u0.coeffs.copy(), params))
+    got = _outcome(lambda: evolve(u0, params))
+    if not isinstance(want[0], np.ndarray):  # the reference ended in an error
+        assert got == want
+        return
+    times, spectra, terminal, diagnostics = want
+    assert got.terminal == terminal
+    assert got.times.tobytes() == times.tobytes()
+    assert got.snapshots.tobytes() == spectra.tobytes()
+    for name in SERIES:
+        assert getattr(got.diagnostics, name).tobytes() == getattr(diagnostics, name).tobytes()
