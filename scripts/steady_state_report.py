@@ -9,7 +9,7 @@ Writes plot-ready files into the output directory:
 
 The table and the catalogs are written by ``aclab energy-table`` and
 ``aclab catalog``, so they are byte-identical to the CLI's files; only the
-spectral gaps are computed here.
+spectral gaps are computed here, at the table's kappas from 0.3 up.
 
 Usage: python scripts/steady_state_report.py [--out OUT] [--n-points N]
 """
@@ -42,7 +42,9 @@ def main():
             return status
 
     grid = TorusGrid(args.n_points)
-    kappas = [k for k in cli._parse_kappa_grid(KAPPA_GRID) if k >= 0.3]
+    # the table's kappas, written with 17 digits, parse back to the same doubles
+    rows = (args.out / "energy_table.csv").read_text().splitlines()[1:]
+    kappas = [k for k in (float(row.split(",")[0]) for row in rows) if k >= 0.3]
     gaps = [(k, spectral_gap(build_ground_state(k, grid), M=256)) for k in kappas]
     serialize.write_csv(args.out / "spectral_gaps.csv", ("kappa", "gap"), gaps)
     print(f"wrote {args.out}/spectral_gaps.csv "

@@ -49,9 +49,6 @@ class SteadyCatalog:
     m: int
     replicas: tuple
 
-    def __iter__(self):
-        return iter(self.replicas)
-
 
 def build_catalog(kappa, grid: TorusGrid | None = None) -> SteadyCatalog:
     """All odd zero-up steady states at ``kappa`` on ``grid``.

@@ -203,6 +203,9 @@ def cmd_verify(args):
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"verify_{suite}.json"
     serialize.write_json(path, [serialize.check_record(r) for r in results])
+    for r in results:
+        for table, (header, rows) in r.tables.items():
+            serialize.write_csv(args.out / f"verify_{r.name}_{table}.csv", header, rows)
     width = max(len(r.name) for r in results)
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"

@@ -56,15 +56,17 @@ class DiagnosticSeries:
         if np.any(self.mass < 0.0):
             raise DomainError("domain error: mass must be nonnegative")
 
-    @classmethod
-    def from_spectra(cls, times, spectra, kappa, gamma, n_pad):
-        """Series of the (records, M) sine spectra ``spectra`` recorded at ``times``.
 
-        The energy of order ``gamma`` and the max norm are evaluated on the
-        ``n_pad``-point grid, where the quartic integral is exact for
-        n_pad > 4M.
-        """
-        m = np.arange(1, spectra.shape[-1] + 1, dtype=float)
+def spectra_series(spectra, kappa, gamma, n_pad):
+    """The :class:`DiagnosticSeries` fields but ``times`` of the (records, M) spectra.
+
+    The energy of order ``gamma`` and the max norm are evaluated on the
+    ``n_pad``-point grid, where the quartic integral is exact for
+    n_pad > 4M.  A finite record too large for its series (u^4 overflows
+    first) leaves non-finite samples, without a warning.
+    """
+    m = np.arange(1, spectra.shape[-1] + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
         sum_sq = np.sum(spectra * spectra, axis=-1)
         u = sine_values(spectra, n_pad)
         linf = np.maximum(np.max(u, axis=-1), -np.min(u, axis=-1))
@@ -72,14 +74,13 @@ class DiagnosticSeries:
         u *= u
         int_u4 = (2.0 * np.pi / n_pad) * np.sum(u, axis=-1)
         grad = 0.5 * kappa**2 * np.pi * np.sum((m ** (0.5 * gamma) * spectra) ** 2, axis=-1)
-        return cls(
-            times=times,
-            mass=np.pi * sum_sq,
-            energy=grad + 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4),
-            c1=spectra[:, 0],
-            hi_mass=np.sqrt(np.pi * np.sum(spectra[:, 1:] ** 2, axis=-1)),
-            linf=linf,
-        )
+        return {
+            "mass": np.pi * sum_sq,
+            "energy": grad + 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4),
+            "c1": spectra[:, 0],
+            "hi_mass": np.sqrt(np.pi * np.sum(spectra[:, 1:] ** 2, axis=-1)),
+            "linf": linf,
+        }
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticSeries
+from .diagnostics import DiagnosticSeries, spectra_series
 from .errors import BlowUpError, DomainError
 from .spectral import (
     SineSpectrum,
@@ -203,6 +203,8 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     Steady detection requires |u(t) - u(t - D)|_2 / D below
     ``STEADY_TOL`` for ten consecutive record points.  The band-gap filter
     would zero any even mode of ``u0``, so such data raise :class:`DomainError`.
+    A state that overflows, or a record too large for its diagnostics, raises
+    :class:`BlowUpError` at its step.
     """
     if isinstance(u0, TorusField):
         spec0 = sine_transform(u0)  # raises on asymmetric input
@@ -247,13 +249,16 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     times = np.array(times)
     snapshots = np.array(spectra)
     times.flags.writeable = snapshots.flags.writeable = False
+    series = spectra_series(snapshots, params.kappa, params.gamma, stepper.n_pad)
+    finite = np.logical_and.reduce([np.isfinite(s) for s in series.values()])
+    if not finite.all():  # the first record too large for its diagnostics has blown up
+        kstep = min(int(np.argmin(finite)) * params.record_every, n_steps)
+        raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
     return Trajectory(
         params=params,
         times=times,
         snapshots=snapshots,
-        diagnostics=DiagnosticSeries.from_spectra(
-            times, snapshots, params.kappa, params.gamma, stepper.n_pad
-        ),
+        diagnostics=DiagnosticSeries(times=times, **series),
         terminal=terminal,
     )
 

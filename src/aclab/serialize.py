@@ -101,15 +101,14 @@ def catalog_record(cat) -> dict:
 
 def trajectory_rows(traj):
     d = traj.diagnostics
-    for i in range(d.times.size):
-        yield (d.times[i], d.mass[i], d.energy[i], d.c1[i], d.hi_mass[i], d.linf[i])
+    return np.column_stack((d.times, d.mass, d.energy, d.c1, d.hi_mass, d.linf))
 
 
 TRAJECTORY_HEADER = ("t", "mass", "energy", "c1", "hi_mass", "linf")
 
 
 def rate_fit_rows(times, values, fit):
-    """Rows (t, y, y_fit, relative residual) for plotting a fitted decay."""
+    """Rows (t, y, y_fit, relative residual) of a fitted decay, as one array."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     lo, hi = fit.window
@@ -119,8 +118,7 @@ def rate_fit_rows(times, values, fit):
         y_hat = fit.prefactor * np.exp(-fit.rate_or_exponent * t)
     else:
         y_hat = fit.prefactor * t ** (-fit.rate_or_exponent)
-    for i in range(t.size):
-        yield (t[i], y[i], y_hat[i], y_hat[i] / y[i] - 1.0)
+    return np.column_stack((t, y, y_hat, y_hat / y - 1.0))
 
 
 RATE_FIT_HEADER = ("t", "y", "y_fit", "relative_residual")

@@ -32,6 +32,7 @@ from .ground_state import (
     peak_bounds,
     solve_peak,
 )
+from .serialize import RATE_FIT_HEADER, TRAJECTORY_HEADER, rate_fit_rows, trajectory_rows
 from .spectral import SineSpectrum, TorusGrid, sine_transform
 
 ENERGY_RATIO_LIMIT = 4.0 * math.sqrt(2.0) / 3.0
@@ -47,6 +48,7 @@ class CheckResult:
     detail: str = ""
     name: str = ""  # the check's key in the suite table, set by run_suite
     seconds: float | None = None  # wall time, set by run_suite; not serialized
+    tables: dict = field(default_factory=dict)  # name -> (header, rows): CSV, not JSON
 
 
 @dataclass
@@ -291,6 +293,9 @@ def check_fast_decay(ctx):
         expected="rate = 3 within 2%, tail rate >= 8.8, |u|_2 <= sqrt(pi) e^{-3t}",
         tolerance="2% / 8.8 / pointwise",
         window="rate on [1,3], tail on [0.5,2]",
+        tables={"trajectory_kappa2_sinx": (TRAJECTORY_HEADER, trajectory_rows(traj)),
+                "fit_l2": (RATE_FIT_HEADER, rate_fit_rows(d.times, np.sqrt(d.mass), rate_fit)),
+                "fit_tail": (RATE_FIT_HEADER, rate_fit_rows(d.times, d.hi_mass, tail_fit))},
     )
 
 
@@ -311,6 +316,8 @@ def check_algebraic_decay(ctx):
         expected="exponent 0.5 +- 0.05, beta^2 = 2/3 within 5%, algebraic mass bound",
         tolerance="0.05 / 5% / pointwise",
         window="t in [10, 100]",
+        tables={"trajectory_kappa1_sinx": (TRAJECTORY_HEADER, trajectory_rows(traj)),
+                "fit_l2": (RATE_FIT_HEADER, rate_fit_rows(d.times, np.sqrt(d.mass), exp_fit))},
     )
 
 
@@ -338,6 +345,8 @@ def check_ground_state_convergence(ctx):
         expected="converges to +profile, max error < 1e-6, clean exponential decay",
         tolerance="1e-6 / fit residual < 0.1",
         window=f"distance in [1e-5, 1e-2] ({int(np.sum(sel))} points)",
+        tables={"trajectory_kappa09_half": (TRAJECTORY_HEADER, trajectory_rows(traj)),
+                "fit_distance": (RATE_FIT_HEADER, rate_fit_rows(traj.times[sel], dist[sel], fit))},
     )
 
 
@@ -348,7 +357,8 @@ def check_sharp_log_convexity(ctx):
     decrease, so only the windows (t_i, t_{i+2}) are tested; the first worst
     one is reported.
     """
-    d = ctx.trajectory("sharp_logconv").diagnostics
+    traj = ctx.trajectory("sharp_logconv")
+    d = traj.diagnostics
     t = d.times
     worst = max(
         (check_log_convexity(d, t[i], t[i + 2]) for i in range(t.size - 2)),
@@ -361,6 +371,7 @@ def check_sharp_log_convexity(ctx):
         expected="mass log-convex with factor 1 over every recorded triple",
         tolerance="ratio <= 1 + 1e-12",
         window="t in [0, 5]",
+        tables={"trajectory_sharp_logconv": (TRAJECTORY_HEADER, trajectory_rows(traj))},
     )
 
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from aclab import serialize, verify
 from aclab.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_DOMAIN_ERROR,
@@ -14,6 +15,9 @@ from aclab.cli import (
     _parse_kappa_grid,
     main,
 )
+from aclab.diagnostics import fit_rate
+from aclab.evolution import evolve, initial_spectrum
+from aclab.spectral import sine_transform
 from helpers import time_limit
 
 
@@ -251,6 +255,68 @@ def test_verify_steady_suite(tmp_path, capsys):
     assert all(set(r) >= {"check_name", "pass", "observed", "expected", "tolerance"}
                for r in records)
     assert all(r["pass"] for r in records)
+    # no steady check runs a trajectory or fits a decay, so no table is written
+    assert [p.name for p in tmp_path.iterdir()] == ["verify_steady.json"]
+
+
+def test_verify_dynamics_writes_its_tables(tmp_path, capsys, gs_cache):
+    # each table equals the rows of an independent run of the gate's settings
+    # and of the same fit, and a second verify run writes the same bytes
+    for run in ("first", "second"):
+        args = ["verify", "--suite", "dynamics", "--out", str(tmp_path / run)]
+        assert run_cli(args) == EXIT_OK
+    want = tmp_path / "want"
+    want.mkdir()
+
+    def table(check, name, header, rows):
+        serialize.write_csv(want / f"verify_{check}_{name}.csv", header, rows)
+
+    def trajectory(check, run):
+        params, preset = verify._RUNS[run]
+        traj = evolve(initial_spectrum(preset, params.max_mode), params)
+        table(check, f"trajectory_{run}", serialize.TRAJECTORY_HEADER,
+              serialize.trajectory_rows(traj))
+        return traj
+
+    def fit(check, name, times, values, model, window):
+        rows = serialize.rate_fit_rows(times, values, fit_rate(times, values, model, window))
+        table(check, name, serialize.RATE_FIT_HEADER, rows)
+
+    d = trajectory("fast_decay_kappa2", "kappa2_sinx").diagnostics
+    fit("fast_decay_kappa2", "fit_l2", d.times, np.sqrt(d.mass), "exponential", (1.0, 3.0))
+    fit("fast_decay_kappa2", "fit_tail", d.times, d.hi_mass, "exponential", (0.5, 2.0))
+    d = trajectory("algebraic_decay_kappa1", "kappa1_sinx").diagnostics
+    fit("algebraic_decay_kappa1", "fit_l2", d.times, np.sqrt(d.mass), "algebraic", (10.0, 100.0))
+    traj = trajectory("convergence_to_ground_state", "kappa09_half")
+    cu = sine_transform(gs_cache(0.9).field).coeffs[: traj.params.max_mode]
+    dist = np.sqrt(np.pi * np.sum((traj.snapshots - cu) ** 2, axis=1))
+    sel = (dist > 1e-5) & (dist < 1e-2)
+    t = traj.times[sel]
+    fit("convergence_to_ground_state", "fit_distance", t, dist[sel], "exponential",
+        (float(t[0]), float(t[-1])))
+    trajectory("sharp_log_convexity", "sharp_logconv")
+
+    tables = sorted(p.name for p in want.iterdir())
+    assert len(tables) == 8
+    for run in ("first", "second"):
+        assert sorted(p.name for p in (tmp_path / run).iterdir()) == sorted(
+            tables + ["verify_dynamics.json"]
+        )
+        for name in tables:
+            assert (tmp_path / run / name).read_bytes() == (want / name).read_bytes(), name
+    first = (tmp_path / "first" / "verify_dynamics.json").read_bytes()
+    assert (tmp_path / "second" / "verify_dynamics.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("t_end, step", [("0.2", 2), ("0.3", 3)])
+def test_evolve_blow_up_is_a_check_failure(t_end, step, tmp_path, capsys):
+    # at 0.2 the last state is finite but too large for its diagnostics; it
+    # was once reported as a domain error
+    args = ["evolve", "--kappa", "0.5", "--dt", "0.1", "--t-end", t_end,
+            "--record-every", "1", "--coeffs", "1:100", "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_CHECK_FAILURE
+    assert f"blow-up detected at step {step}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_energy_table_bytes_repeat(tmp_path):

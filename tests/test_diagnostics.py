@@ -15,6 +15,7 @@ from aclab.diagnostics import (
     check_log_convexity,
     extract_profile,
     fit_rate,
+    spectra_series,
     theta_ode_oracle,
 )
 from aclab.errors import DomainError, SignError, WindowError
@@ -39,7 +40,8 @@ def _synthetic_series(times, mass):
 def _series_of(*spectra):
     # one record per row, as evolve() keeps them
     C = np.array(spectra, dtype=float)
-    return DiagnosticSeries.from_spectra(np.arange(C.shape[0], dtype=float), C, 1.0, 2.0, 64)
+    times = np.arange(C.shape[0], dtype=float)
+    return DiagnosticSeries(times=times, **spectra_series(C, 1.0, 2.0, 64))
 
 
 class TestProjections:
@@ -67,7 +69,7 @@ class TestProjections:
         A, kappa = 0.5, 0.9
         C = np.zeros((1, 16))
         C[0, 0] = A
-        d = DiagnosticSeries.from_spectra(np.zeros(1), C, kappa, 2.0, 64)
+        d = DiagnosticSeries(times=np.zeros(1), **spectra_series(C, kappa, 2.0, 64))
         closed = kappa**2 * A**2 * math.pi / 2.0 + 0.25 * (
             2.0 * math.pi - 2.0 * A**2 * math.pi + 0.75 * A**4 * math.pi
         )

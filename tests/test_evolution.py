@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aclab.diagnostics import DiagnosticSeries
+from aclab.diagnostics import DiagnosticSeries, spectra_series
 from aclab.errors import BlowUpError, DomainError, SymmetryError
 from aclab.evolution import (
     STEADY_CHECKS_REQUIRED,
@@ -66,10 +66,12 @@ def _reference_step(stepper, c):
 
 
 def _reference_evolve(c, params):
-    # evolve before its buffers: (times, spectra, terminal, diagnostics)
+    # evolve before its buffers: (times, spectra, terminal, diagnostics); the
+    # first record whose diagnostics overflow ends the run as a blow-up there
     stepper = _Stepper(params)
     n_steps = round(params.t_end / params.dt)
     times, spectra, consecutive, terminal = [0.0], [c], 0, "reached_t_end"
+    steps = [0]
     for kstep in range(1, n_steps + 1):
         c = _reference_step(stepper, c)
         if not np.all(np.isfinite(c)):
@@ -82,22 +84,24 @@ def _reference_evolve(c, params):
                 consecutive = consecutive + 1 if rate < STEADY_TOL else 0
             times.append(t)
             spectra.append(c)
+            steps.append(kstep)
             if consecutive >= STEADY_CHECKS_REQUIRED:
                 terminal = "steady_detected"
                 break
     times, spectra = np.array(times), np.array(spectra)
-    diagnostics = DiagnosticSeries.from_spectra(
-        times, spectra, params.kappa, params.gamma, stepper.n_pad
-    )
-    return times, spectra, terminal, diagnostics
+    series = spectra_series(spectra, params.kappa, params.gamma, stepper.n_pad)
+    for i, kstep in enumerate(steps):
+        if not all(np.isfinite(s[i]) for s in series.values()):
+            raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
+    return times, spectra, terminal, DiagnosticSeries(times=times, **series)
 
 
 def _outcome(run):
-    # the run's result, or the error it ends in (a record too large for the
-    # diagnostics overflows there) as (type, message, step_index)
+    # the run's result, or the blow-up or domain error it ends in as
+    # (type, message, step_index); a warning would escape as an error
     try:
         return run()
-    except (BlowUpError, DomainError, RuntimeWarning) as err:
+    except (BlowUpError, DomainError) as err:
         return type(err), str(err), getattr(err, "step_index", None)
 
 
@@ -300,6 +304,15 @@ class TestEvolve:
         with pytest.raises(BlowUpError):
             evolve(huge, params)
 
+    @pytest.mark.parametrize("t_end, step", [(0.2, 2), (0.3, 3)])
+    def test_a_record_too_large_for_its_diagnostics_is_a_blow_up(self, t_end, step):
+        # at t_end=0.2 the state after step 2 is finite but its u^4 overflows;
+        # pytest turns the overflow's RuntimeWarning into an error, so none escapes
+        params = EvolveParams(kappa=0.5, dt=0.1, t_end=t_end, record_every=1)
+        with pytest.raises(BlowUpError, match=f"at step {step}$") as err:
+            evolve(initial_spectrum({1: 100.0}, 64), params)
+        assert err.value.step_index == step
+
     def test_energy_dissipation(self):
         params = EvolveParams(kappa=0.9, dt=0.01, t_end=5.0, record_every=5)
         traj = evolve(initial_spectrum("half_sin_x", params.max_mode), params)
@@ -453,6 +466,7 @@ class TestInitialSpectrum:
 )
 @example(1.0, 2.0, 0.05, 256, False, 40, 4, 1.0, 0)  # z = 0 on mode 1: the phi series
 @example(0.5, 2.0, 0.1, 256, False, 40, 10, 100.0, 0)  # blow-up at step 3
+@example(0.5, 2.0, 0.1, 256, False, 2, 1, 100.0, 0)  # record 2 overflows its diagnostics
 @example(0.9, 2.0, 0.05, 64, True, 40, 2, 0.0, 0)  # steady at once
 def test_evolve_equals_the_reference_loop_bit_for_bit(
     kappa, gamma, dt, n_points, band_gap, steps, record_every, amplitude, seed
