@@ -122,7 +122,8 @@ class Trajectory:
     """One evolution run.
 
     ``snapshots`` is the read-only (records, max_mode) array of the recorded
-    sine spectra; row i was taken at the read-only ``times[i]``.
+    sine spectra; row i was taken at the read-only ``times[i]``.  ``steps``
+    is the number of steps taken, the last record's.
     """
 
     params: EvolveParams
@@ -130,6 +131,7 @@ class Trajectory:
     snapshots: np.ndarray
     diagnostics: DiagnosticSeries
     terminal: str  # "reached_t_end" | "steady_detected"
+    steps: int
 
 
 class _Stepper:
@@ -260,6 +262,7 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
         snapshots=snapshots,
         diagnostics=DiagnosticSeries(times=times, **series),
         terminal=terminal,
+        steps=kstep,
     )
 
 

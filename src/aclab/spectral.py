@@ -5,13 +5,15 @@ its sine coefficients c_m, f(x) = sum_{m>=1} c_m sin(m x); on this grid
 sin(m x_j) = (-1)^m sin(2*pi*m*j/n), which is what the FFT index mapping
 in :func:`sine_values` and :func:`sine_coeffs` (and :class:`SineWorkspace`,
 their allocation-free form) accounts for.  This module is the only one that
-knows that mapping.
+knows that mapping.  It calls the pocketfft gufuncs that ``np.fft.irfft`` and
+``rfft`` end in, with their factors: their outputs to the bit, without their per-call set-up.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import DomainError, SymmetryError
 
@@ -106,19 +108,29 @@ def _grid_factor(M, scale):
     return factor
 
 
-def _synthesis(spectrum, factor, coeffs, n, out=None):
-    # irfft of the half spectrum holding factor * coeffs at 1..M; every other
-    # entry of ``spectrum`` must be zero
-    M = coeffs.shape[-1]
+def _require_room(M, n):
     if M > n // 2 - 1:
         raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
-    np.multiply(factor, coeffs, out=spectrum[..., 1 : M + 1])
-    return np.fft.irfft(spectrum, n, out=out)
+
+
+def _require_even(n):
+    # rfft_n_even, the analysis kernel, transforms even grids only
+    if n % 2:
+        raise DomainError(f"domain error: grid with {n} points is odd; the analysis needs an even grid")
+
+
+def _synthesis(spectrum, factor, coeffs, n, out=None):
+    # irfft of the half spectrum holding factor * coeffs at 1..M; every other
+    # entry of ``spectrum`` must be zero, and M <= n/2 - 1
+    np.multiply(factor, coeffs, out=spectrum[..., 1 : coeffs.shape[-1] + 1])
+    if out is None:
+        out = np.empty(spectrum.shape[:-1] + (n,))
+    return _pocketfft.irfft(spectrum, 1 / n, out=out)
 
 
 def _analysis(values, spectrum, part, factor, out=None):
     # factor * part, where ``part`` is a view of ``spectrum``, which rfft(values) fills
-    np.fft.rfft(values, out=spectrum)
+    _pocketfft.rfft_n_even(values, 1.0, out=spectrum)
     return np.multiply(factor, part, out=out)
 
 
@@ -132,6 +144,7 @@ def sine_values(coeffs, n, cosine=False):
     the inverse.
     """
     M = coeffs.shape[-1]
+    _require_room(M, n)
     spectrum = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
     return _synthesis(spectrum, _grid_factor(M, (0.5 if cosine else -0.5j) * n)[1:], coeffs, n)
 
@@ -142,9 +155,11 @@ def sine_coeffs(values, M, cosine=False):
     ``values`` has shape (..., n) and the result (..., M).  ``cosine=True``
     gives the cosine coefficients (1/pi) int f cos(m x) dx for m = 0..M
     instead, shape (..., M + 1), with M up to n/2.  Exact for fields
-    band-limited below the grid's Nyquist mode.
+    band-limited below the grid's Nyquist mode.  An odd n raises
+    :class:`DomainError`.
     """
     n = values.shape[-1]
+    _require_even(n)
     spectrum = np.empty(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
     scale = 2.0 / n
     if cosine:
@@ -157,9 +172,12 @@ class SineWorkspace:
     the n-point grid, bit for bit, in buffers built once: no call allocates.
 
     ``values`` returns the workspace's grid buffer, which the next call overwrites.
+    M > n/2 - 1 or an odd n raises :class:`DomainError`, as in the free functions.
     """
 
     def __init__(self, M, n):
+        _require_room(M, n)
+        _require_even(n)
         self.n = n
         self._spectrum = np.zeros(n // 2 + 1, dtype=complex)  # entries 0 and M+1.. stay zero
         self._grid = np.empty(n)

@@ -406,6 +406,25 @@ class TestEvolve:
         for r, k in zip(records, kept):
             assert r.tobytes() == k.tobytes()
 
+    @pytest.mark.parametrize("record_every", [1, 4, 7])
+    def test_steps_to_t_end(self, record_every):
+        # 100 steps; 7 does not divide them, and the last record is step 100
+        params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=record_every)
+        traj = evolve(initial_spectrum("sin_x", params.max_mode), params)
+        assert traj.terminal == "reached_t_end"
+        assert traj.steps == 100
+        assert traj.times[-1] == traj.steps * params.dt
+
+    @pytest.mark.parametrize("record_every, steps", [(1, 10), (3, 30), (7, 70)])
+    def test_steps_to_steady_detection(self, record_every, steps):
+        # zero is steady at once: the tenth record ends the run, before t_end
+        params = EvolveParams(kappa=0.9, dt=0.05, t_end=5.0, n_points=64, record_every=record_every)
+        traj = evolve(initial_spectrum({}, params.max_mode), params)
+        assert traj.terminal == "steady_detected"
+        assert traj.steps == steps
+        assert traj.times[-1] == steps * params.dt
+        assert len(traj.times) == STEADY_CHECKS_REQUIRED + 1
+
     def test_deterministic(self):
         params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=10)
         t1 = evolve(initial_spectrum("mixed", params.max_mode), params)

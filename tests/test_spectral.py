@@ -10,6 +10,7 @@ import aclab
 from aclab.errors import DomainError, SymmetryError
 from aclab.spectral import (
     SineSpectrum,
+    SineWorkspace,
     TorusField,
     TorusGrid,
     sine_coeffs,
@@ -112,6 +113,76 @@ def test_sine_values_refuses_modes_the_grid_cannot_hold(M, cosine):
         sine_values(np.ones(M), 64, cosine=cosine)
 
 
+def test_workspace_refuses_modes_the_grid_cannot_hold():
+    # it once built, and minus_coeffs then failed on a bare numpy broadcast
+    # error; 31 modes, the most 64 points hold, still run through both methods
+    for M in (32, 200):
+        with pytest.raises(DomainError, match=f"grid with 64 points cannot hold {M} sine modes"):
+            SineWorkspace(M, 64)
+    rng = np.random.default_rng(31)
+    coeffs, values, out = rng.standard_normal(31), rng.standard_normal(64), np.empty(31)
+    sine = SineWorkspace(31, 64)
+    assert np.array_equal(sine.values(coeffs), sine_values(coeffs, 64))
+    assert sine.minus_coeffs(values, out) is out
+    assert np.array_equal(out, -sine_coeffs(values, 31))
+
+
+def _public_fft_values(coeffs, n, cosine):
+    # sine_values written with np.fft.irfft
+    M = coeffs.shape[-1]
+    sign = np.where(np.arange(M + 1) % 2 == 0, 1.0, -1.0)
+    spectrum = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spectrum[..., 1 : M + 1] = (((0.5 if cosine else -0.5j) * n) * sign)[1:] * coeffs
+    return np.fft.irfft(spectrum, n)
+
+
+def _public_fft_coeffs(values, M, cosine):
+    # sine_coeffs written with np.fft.rfft
+    n = values.shape[-1]
+    sign = np.where(np.arange(M + 1) % 2 == 0, 1.0, -1.0)
+    spectrum = np.fft.rfft(values)
+    if cosine:
+        return ((2.0 / n) * sign) * spectrum[..., : M + 1].real
+    return ((-2.0 / n) * sign)[1:] * spectrum[..., 1 : M + 1].imag
+
+
+@st.composite
+def _transform_cases(draw):
+    n = draw(st.sampled_from([2**k for k in range(4, 13)]))
+    M = draw(st.integers(1, n // 2 - 1))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return n, M, batch, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@given(case=_transform_cases())
+def test_transforms_equal_the_public_numpy_fft_to_the_bit(case):
+    # spectral calls numpy's pocketfft gufuncs directly; a numpy whose
+    # kernels or factors differ from np.fft's fails here, not in a trajectory
+    n, M, batch, cosine, seed = case
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(batch + (M,)) / np.arange(1, M + 1)
+    values = rng.standard_normal(batch + (n,))
+    got = sine_values(coeffs, n, cosine=cosine)
+    assert got.tobytes() == _public_fft_values(coeffs, n, cosine).tobytes()
+    M_analysis = M + 1 if cosine else M  # the cosine analysis takes M up to n/2
+    got = sine_coeffs(values, M_analysis, cosine=cosine)
+    assert got.tobytes() == _public_fft_coeffs(values, M_analysis, cosine).tobytes()
+    sine, out = SineWorkspace(M, n), np.empty(M)
+    for c, v in zip(coeffs.reshape(-1, M), values.reshape(-1, n)):
+        assert sine.values(c).tobytes() == _public_fft_values(c, n, False).tobytes()
+        sine.minus_coeffs(v, out)
+        assert out.tobytes() == (-_public_fft_coeffs(v, M, False)).tobytes()
+
+
+@pytest.mark.parametrize("n", [17, 63])
+def test_analysis_refuses_an_odd_grid(n):
+    # the even-grid kernel would return wrong coefficients, not an error
+    with pytest.raises(DomainError, match=f"grid with {n} points is odd"):
+        sine_coeffs(np.ones(n), 4)
+    with pytest.raises(DomainError, match=f"grid with {n} points is odd"):
+        SineWorkspace(4, n)
+
+
 @given(
     coeffs=arrays(float, st.integers(1, 31), elements=st.floats(-1.0, 1.0, allow_nan=False)),
     cosine=st.booleans(),
@@ -165,7 +236,7 @@ def test_cosine_analysis_inverts_cosine_synthesis(coeffs, a0):
 def test_fft_used_only_in_spectral():
     # one home for every grid <-> spectrum map: no FFT and no dense trig basis elsewhere
     src = Path(aclab.__file__).parent
-    markers = ("np.fft", "np.sin(np.outer(", "np.cos(np.outer(")
+    markers = ("np.fft", "numpy.fft", "_pocketfft", "np.sin(np.outer(", "np.cos(np.outer(")
     users = sorted(
         p.name for p in src.glob("*.py") if any(m in p.read_text() for m in markers)
     )
