@@ -149,6 +149,9 @@ def cmd_evolve(args):
         filter=FILTER_NAMES[args.filter],
         record_every=args.record_every,
     )
+    if args.compare_steady and not params.kappa < 1.0:
+        raise DomainError(f"domain error: --compare-steady needs kappa < 1, where a steady "
+                          f"profile exists; got kappa={params.kappa!r}")
     if args.coeffs is not None:
         u0 = initial_spectrum(_parse_coeffs(args.coeffs), params.max_mode)
         label = "coeffs"
@@ -173,7 +176,7 @@ def cmd_evolve(args):
         "final_mass": float(traj.diagnostics.mass[-1]),
         "final_energy": float(traj.diagnostics.energy[-1]),
     }
-    if args.compare_steady and 0.0 < params.kappa < 1.0:
+    if args.compare_steady:
         gs = build_ground_state(params.kappa, TorusGrid(DEFAULT_N_POINTS))
         sign, err = terminal_comparison(traj, gs.field)
         summary["steady_match"] = f"{'+' if sign > 0 else '-'}u_kappa"

@@ -237,10 +237,11 @@ def energy(field: TorusField, kappa: float) -> float:
     """Double-well energy int (kappa^2/2 (u')^2 + (1-u^2)^2/4) dx on the torus.
 
     The derivative is spectral, so the field must be odd to ``ODD_TOL``;
-    asymmetric input raises :class:`SymmetryError`.
+    asymmetric input raises :class:`SymmetryError`.  A kappa that is not
+    positive with a finite square raises :class:`DomainError`.
     """
-    if not kappa > 0.0:
-        raise DomainError(f"domain error: kappa={kappa!r} must be positive")
+    if not (0.0 < kappa and kappa * kappa < math.inf):
+        raise DomainError(f"domain error: kappa={kappa!r} must be positive with a finite square")
     return _energy_from_spectrum(field, sine_transform(field), kappa)  # refuses non-odd
 
 

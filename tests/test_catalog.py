@@ -263,6 +263,22 @@ class TestSpectralGap:
         assert gap == pytest.approx(_subset_eigh_gap(gs.field, kappa, M), abs=1e-10)
         assert gap == pytest.approx(1.5 * gs.peak.N**2, abs=1e-13)
 
+    @pytest.mark.parametrize("kappa", [round(0.05 * i, 2) for i in range(1, 20)] + [0.99])
+    def test_ground_state_gap_is_the_lame_value(self, gs_cache, kappa):
+        # Lame's j = 1 band edge: the gap about u_kappa is (3/2) N^2, so the N
+        # column of the default energy table (0.05:0.95:0.05) carries every gap
+        gs = gs_cache(kappa)
+        assert spectral_gap(gs, M=256) == pytest.approx(1.5 * gs.peak.N**2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kappa, M",
+        [(math.nan, 256), (math.inf, 256), (1e200, 256), (-0.5, 256), (0.0, 256),
+         (0.5, 100.5), (0.5, 256.0)],
+    )
+    def test_bad_input_refused(self, gs_cache, kappa, M):
+        with pytest.raises(DomainError):
+            linearization_gap(gs_cache(0.5).field, kappa, M=M)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rough_field_against_dense_assembly(self, seed):
         # odd white noise: the weight's coefficients near Nyquist are O(1), so the
@@ -309,6 +325,11 @@ class TestBasinCriterion:
     def test_rejects_asymmetric_input(self, grid2048):
         with pytest.raises(SymmetryError):
             basin_criterion(TorusField(grid2048, np.cos(grid2048.x)), 0.3)
+
+    @pytest.mark.parametrize("kappa", [math.inf, 1e200])
+    def test_kappa_without_a_finite_square_refused(self, grid2048, kappa):
+        with pytest.raises(DomainError, match="finite square"):
+            basin_criterion(TorusField(grid2048, 0.5 * np.sin(grid2048.x)), kappa)
 
 
 def test_h1_distance_controlled_by_energy_gap(gs_cache, grid2048):

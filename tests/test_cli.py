@@ -227,6 +227,27 @@ def test_evolve_with_coeffs_and_filter(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("kappa", ["1.0", "1.5"])
+def test_compare_steady_without_a_steady_profile_is_domain_error(kappa, tmp_path, capsys):
+    # at kappa >= 1 there is no nontrivial steady state to compare against
+    args = ["evolve", "--kappa", kappa, "--dt", "0.05", "--t-end", "1",
+            "--compare-steady", "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_DOMAIN_ERROR
+    assert "--compare-steady needs kappa < 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_compare_steady_names_the_terminal_profile(tmp_path, capsys):
+    args = ["evolve", "--kappa", "0.9", "--preset", "half_sin_x", "--dt", "0.05",
+            "--t-end", "120", "--record-every", "20", "--compare-steady", "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_OK
+    summary = json.loads((tmp_path / "diagnostics_half_sin_x_kappa_0.9.json").read_text())
+    assert summary["terminal"] == "steady_detected"
+    assert summary["steady_match"] == "+u_kappa"
+    assert summary["steady_max_error"] < 1e-9
+    assert "converged: +u_kappa" in capsys.readouterr().out
+
+
 def test_evolve_snapshot_dump(tmp_path, capsys):
     code = run_cli(
         [
@@ -317,6 +338,17 @@ def test_evolve_blow_up_is_a_check_failure(t_end, step, tmp_path, capsys):
     assert run_cli(args) == EXIT_CHECK_FAILURE
     assert f"blow-up detected at step {step}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_default_energy_table_and_catalog(tmp_path, capsys):
+    assert run_cli(["energy-table", "--out", str(tmp_path)]) == EXIT_OK
+    assert run_cli(["catalog", "--kappa", "0.26", "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "energy_table.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows[1:]] == [
+        round(0.05 * i, 2) for i in range(1, 20)
+    ]
+    record = json.loads((tmp_path / "catalog_kappa_0.26.json").read_text())
+    assert record["m"] == 3
 
 
 def test_energy_table_bytes_repeat(tmp_path):

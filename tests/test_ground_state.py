@@ -406,6 +406,11 @@ class TestEnergy:
         with pytest.raises(DomainError):
             energy(TorusField(grid2048, np.zeros(2048)), 0.0)
 
+    @pytest.mark.parametrize("kappa", [math.inf, 1e200])
+    def test_kappa_without_a_finite_square_refused(self, grid2048, kappa):
+        with pytest.raises(DomainError, match="finite square"):
+            energy(TorusField(grid2048, 0.5 * np.sin(grid2048.x)), kappa)
+
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9])
     def test_build_energy_is_public_energy(self, gs_cache, kappa):
         # the build reuses the residual check's spectrum; the value is the same
