@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .ground_state import DEFAULT_N_POINTS, GroundState, build_ground_state, energy, eval_g
-from .spectral import TorusField, TorusGrid, sine_coeffs
+from .spectral import TorusField, TorusGrid, _require_room, sine_coeffs
 
 C_BOUNDARY_TOL = 1e-12
 C_NEAR_BOUNDARY = 1e-8
@@ -137,8 +137,8 @@ def minimal_period(C, kappa):
     """Minimal period of the periodic orbit with invariant C in (0, 1/2)."""
     if not 0.0 < C < 0.5:
         raise DomainError(f"domain error: need 0 < C < 1/2, got C={C!r}")
-    if not kappa > 0.0:
-        raise DomainError(f"domain error: kappa={kappa!r} must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"domain error: kappa={kappa!r} must be positive and finite")
     amp = math.sqrt(2.0 * C / (1.0 + math.sqrt(1.0 - 2.0 * C)))
     return 4.0 * math.sqrt(2.0) * kappa * eval_g(amp)
 
@@ -149,17 +149,15 @@ def linearization_gap(field: TorusField, kappa, M=256):
     Assembles phi -> int kappa^2 (phi')^2 + (3 field^2 - 1) phi^2 in the
     sine basis sin(mx), m = 1..M, and returns the smallest eigenvalue
     relative to the L2 Gram.  A positive value certifies the gap.  A kappa
-    that is not positive with a finite square, or an M that is not an
-    integer, raises :class:`DomainError`.
+    that is not positive with a finite square, an M that is not an integer,
+    or more modes than the grid holds raises :class:`DomainError`.
     """
     if not (0.0 < kappa and kappa * kappa < math.inf):
         raise DomainError(f"domain error: kappa={kappa!r} must be positive with a finite square")
     if not isinstance(M, (int, np.integer)) or M < 64:
         raise DomainError(f"domain error: need an integer M >= 64, got M={M!r}")
-    grid = field.grid
-    n = grid.n_points
-    if M > n // 2 - 1:
-        raise DomainError(f"domain error: M={M} too large for n_points={n}")
+    n = field.grid.n_points
+    _require_room(M, n)
     # int w sin(mx) sin(kx) dx = (pi/2)(a_|m-k| - a_(m+k)) for the cosine
     # coefficients a_l of w = 3 field^2 - 1, on the grid a_l = a_(n-l)
     a = sine_coeffs(3.0 * field.values**2 - 1.0, n // 2, cosine=True)

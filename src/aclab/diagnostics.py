@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SignError, WindowError
-from .spectral import SineSpectrum, _freeze, sine_coeffs, sine_values
+from .spectral import SineSpectrum, _freeze, gradient_energy, sine_coeffs, sine_values
 
 SIGNAL_FLOOR = 1e-13
 MIN_FIT_POINTS = 20
@@ -65,7 +65,6 @@ def spectra_series(spectra, kappa, gamma, n_pad):
     n_pad > 4M.  A finite record too large for its series (u^4 overflows
     first) leaves non-finite samples, without a warning.
     """
-    m = np.arange(1, spectra.shape[-1] + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         sum_sq = np.sum(spectra * spectra, axis=-1)
         u = sine_values(spectra, n_pad)
@@ -73,7 +72,7 @@ def spectra_series(spectra, kappa, gamma, n_pad):
         u *= u  # u^4 in place: the padded grid is the largest array here
         u *= u
         int_u4 = (2.0 * np.pi / n_pad) * np.sum(u, axis=-1)
-        grad = 0.5 * kappa**2 * np.pi * np.sum((m ** (0.5 * gamma) * spectra) ** 2, axis=-1)
+        grad = gradient_energy(spectra, kappa, gamma)
         return {
             "mass": np.pi * sum_sq,
             "energy": grad + 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4),
@@ -163,10 +162,11 @@ def extract_profile(series: DiagnosticSeries, kappa, window=None) -> ProfileEsti
     compensated amplitude c1(t)^2 t is extrapolated linearly in 1/t per
     sub-window (its remainder is O(1/t)).  ``stability`` is the spread of
     the sub-window estimates; a first mode at round-off level is reported
-    as the zero profile.
+    as the zero profile.  A kappa below 1 or without a finite square raises
+    :class:`DomainError`.
     """
-    if kappa < 1.0:
-        raise DomainError(f"domain error: profile extraction needs kappa >= 1, got {kappa}")
+    if not (1.0 <= kappa and kappa * kappa < math.inf):
+        raise DomainError(f"domain error: need kappa >= 1 with a finite square, got {kappa!r}")
     t = series.times
     lo, hi, sel = _select(t, window)
     t_w = t[sel]
@@ -211,9 +211,12 @@ class LogConvexityReport:
 def check_log_convexity(series: DiagnosticSeries, t1, t2, factor=1.0) -> LogConvexityReport:
     """Interpolation test m(t) <= factor * m(t1)^(1-l) m(t2)^l on (t1, t2).
 
-    ``factor=1`` is the sharp test.  The pass criterion carries relative
+    ``factor=1`` is the sharp test; a factor that is not positive and finite
+    raises :class:`DomainError`.  The pass criterion carries relative
     round-off slack 1e-12 so the exact log-linear equality case passes.
     """
+    if not 0.0 < factor < math.inf:
+        raise DomainError(f"domain error: factor={factor!r} must be positive and finite")
     t = series.times
     m = series.mass
     if not (t[0] <= t1 < t2 <= t[-1]):

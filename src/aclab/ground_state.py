@@ -32,12 +32,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, IdentityError, ResolutionError
 from .roots import find_root
-from .spectral import (
-    TorusField,
-    TorusGrid,
-    sine_transform,
-    spectral_derivative,
-)
+from .spectral import TorusField, TorusGrid, gradient_energy, sine_transform, sine_values
 
 G_AT_ZERO = math.pi / (2.0 * math.sqrt(2.0))
 
@@ -194,8 +189,6 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
     the rounding floor kappa^2 (n/2)^2 eps of the spectral u'' is too high.
     """
     grid = grid if grid is not None else TorusGrid(DEFAULT_N_POINTS)
-    if not 0.0 < kappa < 1.0:
-        raise DomainError(f"domain error: kappa={kappa!r} outside (0, 1)")
     peak = solve_peak(kappa)
     q = peak.q
 
@@ -213,8 +206,9 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
     values[1:i0] = -values[n - 1 : i0 : -1]  # odd about 0
 
     field = TorusField(grid, values)
-    spec = sine_transform(field)
-    u_xx = spectral_derivative(spec, 2, grid).values
+    c = sine_transform(field).coeffs
+    m = np.arange(1.0, c.size + 1)
+    u_xx = sine_values(-(m * m) * c, n)
     residual = float(np.max(np.abs(kappa**2 * u_xx + values - values**3)))
     if residual >= RESIDUAL_TOL:
         rounding_floor = kappa**2 * (n // 2) ** 2 * _EPS
@@ -226,7 +220,7 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
         kappa=kappa,
         peak=peak,
         field=field,
-        energy=_energy_from_spectrum(field, spec, kappa),
+        energy=energy(field, kappa),
         quarter_x=x_quarter,
         quarter_u=field.values[i0 : i0 + n4 + 1],
         residual=residual,
@@ -236,22 +230,17 @@ def build_ground_state(kappa, grid: TorusGrid | None = None):
 def energy(field: TorusField, kappa: float) -> float:
     """Double-well energy int (kappa^2/2 (u')^2 + (1-u^2)^2/4) dx on the torus.
 
-    The derivative is spectral, so the field must be odd to ``ODD_TOL``;
-    asymmetric input raises :class:`SymmetryError`.  A kappa that is not
-    positive with a finite square raises :class:`DomainError`.
+    The gradient term is :func:`~aclab.spectral.gradient_energy` of the
+    field's sine spectrum, the one trajectories record, and the quartic term
+    a grid sum.  The field must be odd to ``ODD_TOL``; asymmetric input
+    raises :class:`SymmetryError`.  A kappa that is not positive with a
+    finite square raises :class:`DomainError`.
     """
     if not (0.0 < kappa and kappa * kappa < math.inf):
         raise DomainError(f"domain error: kappa={kappa!r} must be positive with a finite square")
-    return _energy_from_spectrum(field, sine_transform(field), kappa)  # refuses non-odd
-
-
-def _energy_from_spectrum(field: TorusField, spec, kappa):
-    """:func:`energy` of ``field`` given its sine spectrum ``spec``."""
-    v = field.values
-    grid = field.grid
-    du = spectral_derivative(spec, 1, grid).values
-    density = 0.5 * kappa**2 * du**2 + 0.25 * (1.0 - v**2) ** 2
-    return float(grid.dx * np.sum(density))
+    c = sine_transform(field).coeffs  # refuses non-odd
+    quartic = 0.25 * field.grid.dx * np.sum((1.0 - field.values**2) ** 2)
+    return float(gradient_energy(c, kappa, 2) + quartic)
 
 
 @dataclass(frozen=True)

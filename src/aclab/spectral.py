@@ -84,10 +84,6 @@ class SineSpectrum:
             raise DomainError("domain error: coefficients must be finite")
         object.__setattr__(self, "coeffs", _freeze(c))
 
-    @property
-    def max_mode(self):
-        return self.coeffs.size
-
 
 def require_odd(values):
     """Raise :class:`SymmetryError` unless the samples are odd about x = 0 to ``ODD_TOL``."""
@@ -108,9 +104,11 @@ def _grid_factor(M, scale):
     return factor
 
 
-def _require_room(M, n):
-    if M > n // 2 - 1:
-        raise DomainError(f"domain error: grid with {n} points cannot hold {M} sine modes")
+def _require_room(M, n, cosine=False):
+    # the Nyquist mode n/2 is a cosine on the grid: sin(n x_j / 2) is 0
+    if M > n // 2 - (0 if cosine else 1):
+        kind = "cosine" if cosine else "sine"
+        raise DomainError(f"domain error: grid with {n} points cannot hold {M} {kind} modes")
 
 
 def _require_even(n):
@@ -134,19 +132,18 @@ def _analysis(values, spectrum, part, factor, out=None):
     return np.multiply(factor, part, out=out)
 
 
-def sine_values(coeffs, n, cosine=False):
+def sine_values(coeffs, n):
     """Samples of sum_m c_m sin(m x_j) on the n-point grid, m = 1..M.
 
     ``coeffs`` has shape (..., M) and the result (..., n); each row along
-    the last axis is transformed on its own.  ``cosine=True`` samples
-    sum_m c_m cos(m x_j) instead.  The grid must hold the modes,
+    the last axis is transformed on its own.  The grid must hold the modes,
     M <= n/2 - 1, or :class:`DomainError` is raised; :func:`sine_coeffs` is
     the inverse.
     """
     M = coeffs.shape[-1]
     _require_room(M, n)
     spectrum = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    return _synthesis(spectrum, _grid_factor(M, (0.5 if cosine else -0.5j) * n)[1:], coeffs, n)
+    return _synthesis(spectrum, _grid_factor(M, -0.5j * n)[1:], coeffs, n)
 
 
 def sine_coeffs(values, M, cosine=False):
@@ -154,12 +151,13 @@ def sine_coeffs(values, M, cosine=False):
 
     ``values`` has shape (..., n) and the result (..., M).  ``cosine=True``
     gives the cosine coefficients (1/pi) int f cos(m x) dx for m = 0..M
-    instead, shape (..., M + 1), with M up to n/2.  Exact for fields
-    band-limited below the grid's Nyquist mode.  An odd n raises
-    :class:`DomainError`.
+    instead, shape (..., M + 1).  Exact for fields band-limited below the
+    grid's Nyquist mode.  An odd n, or more modes than the grid holds
+    (M <= n/2 - 1 sine, M <= n/2 cosine), raises :class:`DomainError`.
     """
     n = values.shape[-1]
     _require_even(n)
+    _require_room(M, n, cosine)
     spectrum = np.empty(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
     scale = 2.0 / n
     if cosine:
@@ -207,15 +205,12 @@ def sine_transform(field: TorusField) -> SineSpectrum:
     return SineSpectrum(sine_coeffs(field.values, field.grid.n_points // 2 - 1))
 
 
-def spectral_derivative(spec: SineSpectrum, order: int, grid: TorusGrid) -> TorusField:
-    """Differentiate a sine spectrum term by term and sample on a grid.
+def gradient_energy(coeffs, kappa, gamma):
+    """The gradient term (kappa^2/2) pi sum m^gamma c_m^2 of the order-``gamma`` energy.
 
-    Order 1 yields sum m c_m cos(mx); order 2 yields -sum m^2 c_m sin(mx).
-    A grid that cannot hold the spectrum's modes raises :class:`DomainError`.
+    The sum runs along the last axis of ``coeffs``, m = 1..M.  At gamma = 2
+    it is int (kappa^2/2) (u')^2 dx, which the grid sum of u'^2 equals
+    whenever the grid holds the modes (discrete Parseval).
     """
-    if order not in (1, 2):
-        raise DomainError(f"domain error: order must be 1 or 2, got {order!r}")
-    m = np.arange(1.0, spec.max_mode + 1)
-    if order == 1:
-        return TorusField(grid, sine_values(m * spec.coeffs, grid.n_points, cosine=True))
-    return TorusField(grid, sine_values(-(m**2) * spec.coeffs, grid.n_points))
+    m = np.arange(1, coeffs.shape[-1] + 1, dtype=float)
+    return 0.5 * kappa**2 * np.pi * np.sum((m ** (0.5 * gamma) * coeffs) ** 2, axis=-1)

@@ -194,15 +194,15 @@ def check_catalog(ctx):
     problems = []
     if cat.m != 3:
         problems.append(f"m = {cat.m} != 3")
-    n = grid.n_points
     worst_ident = 0.0
     worst_energy = 0.0
     for r in cat.replicas:
+        # u_j(x) = U_{j kappa}(jx): the profile's sine spectrum on the multiples of j
         gs_j = build_ground_state(r.j * kappa, grid)
-        idx = (r.j * np.arange(n) - (r.j - 1) * (n // 2)) % n
-        worst_ident = max(
-            worst_ident, float(np.max(np.abs(r.field.values - gs_j.field.values[idx])))
-        )
+        c = sine_transform(r.field).coeffs
+        placed = np.zeros_like(c)
+        placed[r.j - 1 :: r.j] = sine_transform(gs_j.field).coeffs[: c.size // r.j]
+        worst_ident = max(worst_ident, float(np.max(np.abs(c - placed))))
         worst_energy = max(worst_energy, abs(r.energy - gs_j.energy))
     mono = all(a.energy < b.energy for a, b in zip(cat.replicas, cat.replicas[1:]))
     if worst_ident > 1e-10:

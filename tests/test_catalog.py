@@ -20,13 +20,8 @@ from aclab.catalog import (
 from aclab.errors import DomainError, SymmetryError
 from aclab.ground_state import build_ground_state, energy, eval_g
 from aclab.oracles import first_return_period
-from aclab.spectral import (
-    TorusField,
-    TorusGrid,
-    sine_coeffs,
-    sine_transform,
-    spectral_derivative,
-)
+from aclab.spectral import TorusField, TorusGrid, sine_coeffs, sine_transform, sine_values
+from helpers import fft_derivative
 
 SQRT2 = math.sqrt(2.0)
 
@@ -89,12 +84,12 @@ class TestCatalog:
         assert all(a < b for a, b in zip(energies, energies[1:]))
 
     def test_replicas_solve_the_steady_equation(self, grid2048):
-        from aclab.spectral import sine_transform, spectral_derivative
-
         cat = build_catalog(0.26, grid2048)
         for r in cat.replicas:
             u = r.field.values
-            u_xx = spectral_derivative(sine_transform(r.field), 2, grid2048).values
+            c = sine_transform(r.field).coeffs
+            m = np.arange(1.0, c.size + 1)
+            u_xx = sine_values(-(m * m) * c, grid2048.n_points)
             residual = cat.kappa**2 * u_xx + u - u**3
             assert np.max(np.abs(residual)) < 1e-8
 
@@ -152,7 +147,7 @@ class TestClassifyOrbit:
 
     def test_invariant_conserved_along_profile(self, gs_cache):
         gs = gs_cache(0.5)
-        du = spectral_derivative(sine_transform(gs.field), 1, gs.field.grid).values
+        du = fft_derivative(gs.field.values)
         idx = [10, 200, 700, 1500]
         cs = [classify_orbit(gs.field.values[i], du[i], 0.5).C for i in idx]
         assert max(cs) - min(cs) < 1e-9
@@ -196,6 +191,9 @@ class TestMinimalPeriod:
         for bad_c in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(DomainError):
                 minimal_period(bad_c, 0.5)
+        for bad_kappa in (0.0, -1.0, math.inf, math.nan):  # inf gave an infinite period
+            with pytest.raises(DomainError, match="positive and finite"):
+                minimal_period(0.25, bad_kappa)
 
 
 def _dense_linearization_gap(field, kappa, M):
@@ -238,7 +236,7 @@ class TestSpectralGap:
     def test_mode_cutoff_gate(self, gs_cache):
         with pytest.raises(DomainError):
             spectral_gap(gs_cache(0.9), M=32)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="cannot hold 1024 sine modes"):
             spectral_gap(gs_cache(0.9), M=1024)  # above n/2 - 1 = 1023
         assert spectral_gap(gs_cache(0.9), M=1023) > 0.0
 

@@ -166,6 +166,12 @@ class TestExtractProfile:
         with pytest.raises(DomainError):
             extract_profile(kappa1_run.diagnostics, 0.9)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 1e200])
+    def test_kappa_without_a_finite_square_rejected(self, kappa1_run, kappa):
+        # nan once ran the kappa = 1 branch, and inf returned inf with a warning
+        with pytest.raises(DomainError, match="finite square"):
+            extract_profile(kappa1_run.diagnostics, kappa)
+
     def test_kappa_one_riccati_level(self, kappa1_run):
         prof = extract_profile(kappa1_run.diagnostics, 1.0, window=(5.0, 25.0))
         assert prof.value**2 == pytest.approx(2.0 / 3.0, rel=0.05)
@@ -199,6 +205,15 @@ class TestLogConvexity:
     def test_domain(self, kappa1_run):
         with pytest.raises(DomainError):
             check_log_convexity(kappa1_run.diagnostics, 3.0, 1.0)
+
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, math.inf, math.nan])
+    def test_factor_must_be_positive_and_finite(self, factor):
+        # factor = -1 once passed the non-log-convex mass of
+        # test_nonconvex_detected, with a worst ratio of -1.08; 0 divided by zero
+        t = np.linspace(0.0, 2.0, 40)
+        series = _synthetic_series(t, np.exp(-((t - 1.0) ** 2)) + 0.1)
+        with pytest.raises(DomainError, match="factor"):
+            check_log_convexity(series, 0.0, 2.0, factor=factor)
 
 
 def _worst_over_pairs(series):

@@ -30,8 +30,8 @@ from aclab.ground_state import (
     solve_peak,
 )
 from aclab.oracles import peak_complement_mp
-from aclab.spectral import TorusField, TorusGrid, sine_transform, spectral_derivative
-from helpers import composite_simpson
+from aclab.spectral import TorusField, TorusGrid, sine_values
+from helpers import composite_simpson, fft_derivative, grid_energy
 
 SQRT2 = math.sqrt(2.0)
 # a few ulps: the closed form and the 30-digit reference round differently
@@ -342,7 +342,7 @@ class TestProfile:
     def test_orbit_invariant_constant_along_profile(self, gs_cache):
         gs = gs_cache(0.5)
         u = gs.field.values
-        v = spectral_derivative(sine_transform(gs.field), 1, gs.field.grid).values
+        v = fft_derivative(gs.field.values)
         C = orbit_invariant(u, v, gs.kappa)
         expected = 0.5 * (1.0 - gs.peak.q**2)
         assert np.max(np.abs(C - expected)) < 1e-9
@@ -413,9 +413,38 @@ class TestEnergy:
 
     @pytest.mark.parametrize("kappa", [0.05, 0.5, 0.9])
     def test_build_energy_is_public_energy(self, gs_cache, kappa):
-        # the build reuses the residual check's spectrum; the value is the same
         gs = gs_cache(kappa)
         assert gs.energy == energy(gs.field, kappa)
+
+    @given(
+        n=st.sampled_from([16, 32, 64, 128, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.floats(0.05, 0.95),
+    )
+    def test_parseval_gradient_matches_the_grid_sum(self, n, seed, kappa):
+        # the gradient term by Parseval against the grid sum of u'^2, over
+        # random odd fields: within 4 ulp (13,000 draws measured, 4 at most)
+        rng = np.random.default_rng(seed)
+        values = sine_values(rng.uniform(-1.0, 1.0, rng.integers(1, n // 2)), n)
+        e = energy(TorusField(TorusGrid(n), values), kappa)
+        ref = grid_energy(values, kappa)
+        assert abs(e - ref) <= 4.0 * np.spacing(ref)
+
+    def test_parseval_gradient_against_40_digits(self):
+        # where the two forms part most (equal coefficients: 7 ulp here), the
+        # grid sum is the one that rounds: 7.7 ulp from the exact value of the
+        # same definition, the Parseval form 0.7
+        n, kappa = 256, 0.9
+        values = sine_values(np.full(96, 0.5), n)
+        with mp.workdps(40):
+            v = [mp.mpf(float(t)) for t in values]
+            c = [2 * mp.fsum(v[j] * mp.sinpi(mp.mpf(m * (2 * j - n)) / n) for j in range(n)) / n
+                 for m in range(1, n // 2)]
+            grad = mp.mpf(kappa) ** 2 / 2 * mp.pi * mp.fsum(m * m * c[m - 1] ** 2
+                                                            for m in range(1, n // 2))
+            exact = grad + mp.pi / (2 * n) * mp.fsum((1 - t * t) ** 2 for t in v)
+        e = energy(TorusField(TorusGrid(n), values), kappa)
+        assert abs(e - exact) <= np.spacing(e)
 
 
 class TestEnergyIdentities:

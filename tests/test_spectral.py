@@ -13,10 +13,10 @@ from aclab.spectral import (
     SineWorkspace,
     TorusField,
     TorusGrid,
+    gradient_energy,
     sine_coeffs,
     sine_transform,
     sine_values,
-    spectral_derivative,
 )
 
 
@@ -52,17 +52,19 @@ def test_symmetry_violation_rejected(grid64):
 
 
 def test_derivative_examples(grid64):
+    # u'' is the synthesis of -m^2 c_m, as the ground-state build takes it
     x = grid64.x
-    d2 = spectral_derivative(sine_transform(TorusField(grid64, np.sin(x))), 2, grid64)
-    assert np.max(np.abs(d2.values + np.sin(x))) < 1e-12
+    c = sine_transform(TorusField(grid64, np.sin(x))).coeffs
+    m = np.arange(1.0, c.size + 1)
+    assert np.max(np.abs(sine_values(-(m * m) * c, 64) + np.sin(x))) < 1e-12
 
-    d1 = spectral_derivative(sine_transform(TorusField(grid64, np.sin(3 * x))), 1, grid64)
-    assert np.max(np.abs(d1.values - 3.0 * np.cos(3 * x))) < 1e-12
-
-    with pytest.raises(DomainError):
-        spectral_derivative(SineSpectrum([1.0]), 3, grid64)
-    with pytest.raises(DomainError, match="cannot hold 32 sine modes"):
-        spectral_derivative(SineSpectrum(np.ones(32)), 2, grid64)
+    # int (kappa^2/2) (u')^2 of sin 3x is 9 pi kappa^2 / 2, and its order-gamma
+    # form 3^gamma pi kappa^2 / 2; a (records, M) array gives one term per row
+    c3 = sine_transform(TorusField(grid64, np.sin(3 * x))).coeffs
+    assert gradient_energy(c3, 0.5, 2) == pytest.approx(9 * np.pi / 8, abs=1e-12)
+    assert gradient_energy(c3, 0.5, 1.5) == pytest.approx(3**1.5 * np.pi / 8, abs=1e-12)
+    rows = np.stack([c, c3])
+    assert np.array_equal(gradient_energy(rows, 0.5, 2), [gradient_energy(r, 0.5, 2) for r in rows])
 
 
 def test_ground_state_band_gap(gs_cache):
@@ -78,7 +80,8 @@ def test_ground_state_second_derivative_residual(gs_cache):
     gs = gs_cache(0.5)
     spec = sine_transform(gs.field)
     u = gs.field.values
-    u_xx = spectral_derivative(spec, 2, gs.field.grid).values
+    m = np.arange(1.0, spec.coeffs.size + 1)
+    u_xx = sine_values(-(m * m) * spec.coeffs, gs.field.grid.n_points)
     residual = 0.25 * u_xx + u - u**3
     assert np.max(np.abs(residual)) < 1e-8
 
@@ -101,16 +104,27 @@ def test_round_trip_band_limited(coeffs, grid64):
     # band-limited means M <= n/4; round trip is exact to 1e-10
     spec = SineSpectrum(coeffs)
     back = sine_transform(TorusField(grid64, sine_values(spec.coeffs, 64)))
-    assert np.max(np.abs(back.coeffs[: spec.max_mode] - spec.coeffs)) < 1e-10
-    assert np.max(np.abs(back.coeffs[spec.max_mode :])) < 1e-10
+    assert np.max(np.abs(back.coeffs[: coeffs.size] - spec.coeffs)) < 1e-10
+    assert np.max(np.abs(back.coeffs[coeffs.size :])) < 1e-10
 
 
-@pytest.mark.parametrize("cosine", [False, True])
 @pytest.mark.parametrize("M", [32, 40])
-def test_sine_values_refuses_modes_the_grid_cannot_hold(M, cosine):
-    # M = n/2 would lose (sine) or halve (cosine) the Nyquist mode
+def test_sine_values_refuses_modes_the_grid_cannot_hold(M):
+    # M = n/2 would lose the Nyquist mode: sin(n x_j / 2) is 0 on the grid
     with pytest.raises(DomainError, match=f"grid with 64 points cannot hold {M} sine modes"):
-        sine_values(np.ones(M), 64, cosine=cosine)
+        sine_values(np.ones(M), 64)
+
+
+@pytest.mark.parametrize("M, cosine", [(8, False), (9, False), (9, True), (40, True)])
+def test_sine_coeffs_refuses_modes_the_grid_cannot_hold(M, cosine):
+    # it once returned the Nyquist "sine coefficient", 0 on every grid, at
+    # M = n/2, and failed on a bare numpy broadcast error above
+    kind = "cosine" if cosine else "sine"
+    values = np.sin(TorusGrid(16).x)
+    with pytest.raises(DomainError, match=f"grid with 16 points cannot hold {M} {kind} modes"):
+        sine_coeffs(values, M, cosine=cosine)
+    assert sine_coeffs(values, 7).shape == (7,)
+    assert sine_coeffs(values, 8, cosine=True).shape == (9,)
 
 
 def test_workspace_refuses_modes_the_grid_cannot_hold():
@@ -127,12 +141,12 @@ def test_workspace_refuses_modes_the_grid_cannot_hold():
     assert np.array_equal(out, -sine_coeffs(values, 31))
 
 
-def _public_fft_values(coeffs, n, cosine):
+def _public_fft_values(coeffs, n):
     # sine_values written with np.fft.irfft
     M = coeffs.shape[-1]
     sign = np.where(np.arange(M + 1) % 2 == 0, 1.0, -1.0)
     spectrum = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    spectrum[..., 1 : M + 1] = (((0.5 if cosine else -0.5j) * n) * sign)[1:] * coeffs
+    spectrum[..., 1 : M + 1] = ((-0.5j * n) * sign)[1:] * coeffs
     return np.fft.irfft(spectrum, n)
 
 
@@ -162,14 +176,14 @@ def test_transforms_equal_the_public_numpy_fft_to_the_bit(case):
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(batch + (M,)) / np.arange(1, M + 1)
     values = rng.standard_normal(batch + (n,))
-    got = sine_values(coeffs, n, cosine=cosine)
-    assert got.tobytes() == _public_fft_values(coeffs, n, cosine).tobytes()
+    got = sine_values(coeffs, n)
+    assert got.tobytes() == _public_fft_values(coeffs, n).tobytes()
     M_analysis = M + 1 if cosine else M  # the cosine analysis takes M up to n/2
     got = sine_coeffs(values, M_analysis, cosine=cosine)
     assert got.tobytes() == _public_fft_coeffs(values, M_analysis, cosine).tobytes()
     sine, out = SineWorkspace(M, n), np.empty(M)
     for c, v in zip(coeffs.reshape(-1, M), values.reshape(-1, n)):
-        assert sine.values(c).tobytes() == _public_fft_values(c, n, False).tobytes()
+        assert sine.values(c).tobytes() == _public_fft_values(c, n).tobytes()
         sine.minus_coeffs(v, out)
         assert out.tobytes() == (-_public_fft_coeffs(v, M, False)).tobytes()
 
@@ -185,19 +199,16 @@ def test_analysis_refuses_an_odd_grid(n):
 
 @given(
     coeffs=arrays(float, st.integers(1, 31), elements=st.floats(-1.0, 1.0, allow_nan=False)),
-    cosine=st.booleans(),
 )
-def test_sine_values_against_direct_sum(coeffs, cosine):
+def test_sine_values_against_direct_sum(coeffs):
     # at n = 64 and at the twice-as-fine grid the stepper pads to
-    basis = np.cos if cosine else np.sin
     m = np.arange(1, coeffs.size + 1)
     for n in (64, 128):
         x = TorusGrid(n).x
-        direct = basis(np.outer(x, m)) @ coeffs
-        assert np.max(np.abs(sine_values(coeffs, n, cosine=cosine) - direct)) < 1e-12
-        if not cosine:
-            back = sine_coeffs(direct, coeffs.size)
-            assert np.max(np.abs(back - coeffs)) < 1e-12
+        direct = np.sin(np.outer(x, m)) @ coeffs
+        assert np.max(np.abs(sine_values(coeffs, n) - direct)) < 1e-12
+        back = sine_coeffs(direct, coeffs.size)
+        assert np.max(np.abs(back - coeffs)) < 1e-12
 
 
 @given(
@@ -209,13 +220,14 @@ def test_sine_values_against_direct_sum(coeffs, cosine):
     cosine=st.booleans(),
 )
 def test_transform_pair_rows_equal_single_calls(coeffs, cosine):
-    # a (records, M) array transforms row by row, bit for bit
+    # a (records, M) array transforms row by row, bit for bit; ``cosine``
+    # picks the analysis
     for n in (64, 128):
-        values = sine_values(coeffs, n, cosine=cosine)
+        values = sine_values(coeffs, n)
         assert values.shape == (coeffs.shape[0], n)
         back = sine_coeffs(values, coeffs.shape[1], cosine=cosine)
         for row, v, b in zip(coeffs, values, back):
-            assert np.array_equal(v, sine_values(row, n, cosine=cosine))
+            assert np.array_equal(v, sine_values(row, n))
             assert np.array_equal(b, sine_coeffs(v, coeffs.shape[1], cosine=cosine))
 
 
@@ -225,8 +237,9 @@ def test_transform_pair_rows_equal_single_calls(coeffs, cosine):
 )
 def test_cosine_analysis_inverts_cosine_synthesis(coeffs, a0):
     # a_0 is (1/pi) int f, so a constant a0/2 comes back as a_0 = a0
+    m = np.arange(1, coeffs.size + 1)
     for n in (64, 128):
-        values = 0.5 * a0 + sine_values(coeffs, n, cosine=True)
+        values = 0.5 * a0 + np.cos(np.outer(TorusGrid(n).x, m)) @ coeffs
         back = sine_coeffs(values, coeffs.size, cosine=True)
         assert back.shape == (coeffs.size + 1,)
         assert abs(back[0] - a0) < 1e-12
