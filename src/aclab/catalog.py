@@ -28,8 +28,8 @@ C_NEAR_BOUNDARY = 1e-8
 
 def count_states(kappa):
     """Number of nontrivial steady states: m with 1/(m+1) <= kappa < 1/m."""
-    if not kappa > 0.0:
-        raise DomainError(f"domain error: kappa={kappa!r} must be positive")
+    if not (kappa > 0.0 and 1.0 / kappa < math.inf):
+        raise DomainError(f"domain error: need kappa > 0 with a finite reciprocal, got {kappa!r}")
     if kappa >= 1.0:
         return 0
     return math.ceil(1.0 / kappa) - 1

@@ -154,19 +154,14 @@ class ProfileEstimate:
     zero_mode: bool
 
 
-def extract_profile(series: DiagnosticSeries, kappa, window=None) -> ProfileEstimate:
-    """Late-time first-mode amplitude of the decaying solution.
+def extract_profile(series: DiagnosticSeries, window=None) -> ProfileEstimate:
+    """Late-time first-mode amplitude beta of the kappa = 1 decay c1 ~ beta / sqrt(t).
 
-    For kappa > 1 the compensated amplitude c1(t) exp((kappa^2-1) t) is
-    averaged over consecutive late sub-windows; for kappa = 1 the squared
-    compensated amplitude c1(t)^2 t is extrapolated linearly in 1/t per
-    sub-window (its remainder is O(1/t)).  ``stability`` is the spread of
-    the sub-window estimates; a first mode at round-off level is reported
-    as the zero profile.  A kappa below 1 or without a finite square raises
-    :class:`DomainError`.
+    The squared compensated amplitude c1(t)^2 t is extrapolated linearly in
+    1/t per late sub-window (its remainder is O(1/t)).  ``stability`` is the
+    spread of the sub-window estimates; a first mode at round-off level is
+    reported as the zero profile.
     """
-    if not (1.0 <= kappa and kappa * kappa < math.inf):
-        raise DomainError(f"domain error: need kappa >= 1 with a finite square, got {kappa!r}")
     t = series.times
     lo, hi, sel = _select(t, window)
     t_w = t[sel]
@@ -185,14 +180,9 @@ def extract_profile(series: DiagnosticSeries, kappa, window=None) -> ProfileEsti
         tt, cc = t_w[m], c1_w[m]
         if tt.size < 3:
             raise WindowError("window error: sub-window too thin for extraction")
-        if kappa > 1.0:
-            comp = cc * np.exp((kappa**2 - 1.0) * tt)
-            estimates.append(float(np.mean(comp)))
-        else:
-            theta = cc**2 * tt
-            slope, intercept = np.polyfit(1.0 / tt, theta, 1)
-            sign = 1.0 if np.mean(cc) >= 0.0 else -1.0
-            estimates.append(sign * math.sqrt(max(float(intercept), 0.0)))
+        _, intercept = np.polyfit(1.0 / tt, cc**2 * tt, 1)
+        sign = 1.0 if np.mean(cc) >= 0.0 else -1.0
+        estimates.append(sign * math.sqrt(max(float(intercept), 0.0)))
     spread = float(np.max(estimates) - np.min(estimates))
     return ProfileEstimate(value=float(estimates[-1]), stability=spread, zero_mode=False)
 
@@ -201,22 +191,18 @@ def extract_profile(series: DiagnosticSeries, kappa, window=None) -> ProfileEsti
 class LogConvexityReport:
     t1: float
     t2: float
-    factor: float
     worst_ratio: float
     worst_time: float
     n_checked: int
     passed: bool
 
 
-def check_log_convexity(series: DiagnosticSeries, t1, t2, factor=1.0) -> LogConvexityReport:
-    """Interpolation test m(t) <= factor * m(t1)^(1-l) m(t2)^l on (t1, t2).
+def check_log_convexity(series: DiagnosticSeries, t1, t2) -> LogConvexityReport:
+    """Sharp interpolation test m(t) <= m(t1)^(1-l) m(t2)^l on (t1, t2).
 
-    ``factor=1`` is the sharp test; a factor that is not positive and finite
-    raises :class:`DomainError`.  The pass criterion carries relative
-    round-off slack 1e-12 so the exact log-linear equality case passes.
+    The pass criterion carries relative round-off slack 1e-12 so the exact
+    log-linear equality case passes.
     """
-    if not 0.0 < factor < math.inf:
-        raise DomainError(f"domain error: factor={factor!r} must be positive and finite")
     t = series.times
     m = series.mass
     if not (t[0] <= t1 < t2 <= t[-1]):
@@ -228,15 +214,13 @@ def check_log_convexity(series: DiagnosticSeries, t1, t2, factor=1.0) -> LogConv
         raise DomainError("domain error: mass must be positive at the window ends")
     inner = (t > t[i1]) & (t < t[i2])
     if not np.any(inner):
-        return LogConvexityReport(t1, t2, factor, 0.0, t1, 0, True)
+        return LogConvexityReport(t1, t2, 0.0, t1, 0, True)
     lam = (t[inner] - t[i1]) / (t[i2] - t[i1])
-    bound = factor * m1 ** (1.0 - lam) * m2**lam
-    ratios = m[inner] / bound
+    ratios = m[inner] / (m1 ** (1.0 - lam) * m2**lam)
     worst = int(np.argmax(ratios))
     return LogConvexityReport(
         t1=float(t[i1]),
         t2=float(t[i2]),
-        factor=float(factor),
         worst_ratio=float(ratios[worst]),
         worst_time=float(t[inner][worst]),
         n_checked=int(ratios.size),

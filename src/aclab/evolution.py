@@ -23,6 +23,7 @@ import numpy as np
 from .diagnostics import DiagnosticSeries, spectra_series
 from .errors import BlowUpError, DomainError
 from .spectral import (
+    ODD_TOL,
     SineSpectrum,
     SineWorkspace,
     TorusField,
@@ -203,8 +204,8 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     steps and at the last one; the diagnostics (mass |u|_2^2, energy, first
     mode, tail norm, grid max) are derived from the records after the run.
     Steady detection requires |u(t) - u(t - D)|_2 / D below
-    ``STEADY_TOL`` for ten consecutive record points.  The band-gap filter
-    would zero any even mode of ``u0``, so such data raise :class:`DomainError`.
+    ``STEADY_TOL`` for ten consecutive record points.  The band-gap filter zeroes the
+    even modes of ``u0``, so one above ``ODD_TOL`` raises :class:`DomainError`.
     A state that overflows, or a record too large for its diagnostics, raises
     :class:`BlowUpError` at its step.
     """
@@ -218,8 +219,11 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     stepper = _Stepper(params)
     c = np.zeros(params.max_mode)
     c[: spec0.coeffs.size] = spec0.coeffs[: params.max_mode]
-    if params.filter == FILTER_ODD_BAND_GAP and np.any(c[1::2] != 0.0):
-        raise DomainError("domain error: the band-gap filter would zero even modes of u0")
+    if params.filter == FILTER_ODD_BAND_GAP:
+        if np.any(np.abs(c[1::2]) > ODD_TOL):
+            raise DomainError("domain error: the band-gap filter would zero even modes of u0 "
+                              f"above {ODD_TOL}")
+        c[1::2] = 0.0  # a sampled field carries round-off even content
 
     n_steps = round(params.t_end / params.dt)  # a whole number, checked by EvolveParams
     detect = params.steady_detection_enabled

@@ -277,5 +277,7 @@ def energy_identities(gs: GroundState) -> EnergyIdentityReport:
 
 
 def kink_profile(kappa, x):
-    """The infinite-line kink tanh(x / (sqrt 2 kappa)) sampled at ``x``."""
+    """The infinite-line kink tanh(x / (sqrt 2 kappa)) at ``x``, for kappa positive and finite."""
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(f"domain error: kappa={kappa!r} must be positive and finite")
     return np.tanh(np.asarray(x, dtype=float) / (math.sqrt(2.0) * kappa))

@@ -36,7 +36,9 @@ RETURN_MAX_STEPS = 50_000  # about 4 s of marching; t_max beyond it is refused
 
 
 def peak_complement_mp(kappa, dps=40):
-    """Solve the quarter-period identity for w = 1 - N in mp precision."""
+    """Solve the quarter-period identity for w = 1 - N in mp precision, at kappa in (0, 1)."""
+    if not (0.0 < kappa < 1.0 and kappa * kappa > 0.0):
+        raise DomainError(f"domain error: kappa={kappa!r} outside (0, 1), or its square underflows")
     with mp.workdps(dps):
         target = mp.pi / (2 * mp.sqrt(2) * mp.mpf(kappa))
 
@@ -94,7 +96,7 @@ def shoot_profile(kappa, xs):
     is not finite: below kappa ~ 0.045 the launch round-off, amplified by
     ~1/(1-N), outgrows ``SHOOT_DPS`` digits.  A march that leaves the bounded
     orbits (|u| >= 2) stops there and misses by inf.  Points outside
-    [0, pi/2] raise :class:`DomainError`.
+    [0, pi/2], or a kappa :func:`peak_complement_mp` refuses, raise :class:`DomainError`.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < -1e-15 or xs.max() > 0.5 * math.pi + 1e-15):

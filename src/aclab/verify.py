@@ -305,7 +305,7 @@ def check_algebraic_decay(ctx):
     bound = math.sqrt(math.pi) * math.sqrt(math.pi) / np.sqrt(d.times * math.pi + math.pi)
     bound_ok = bool(np.all(np.sqrt(d.mass) <= bound * (1.0 + 1e-9)))
     exp_fit = fit_rate(d.times, np.sqrt(d.mass), "algebraic", window=(10.0, 100.0))
-    prof = extract_profile(d, 1.0, window=(10.0, 100.0))
+    prof = extract_profile(d, window=(10.0, 100.0))
     beta_sq = prof.value**2
     exp_ok = abs(exp_fit.rate_or_exponent - 0.5) <= 0.05
     beta_ok = abs(beta_sq - 2.0 / 3.0) <= 0.05 * (2.0 / 3.0)

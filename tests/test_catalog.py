@@ -41,6 +41,12 @@ class TestCountStates:
         with pytest.raises(DomainError):
             count_states(0.0)
 
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-320])
+    def test_kappa_without_a_finite_reciprocal_refused(self, kappa):
+        # 1/kappa is inf: math.ceil raised OverflowError
+        with pytest.raises(DomainError, match="finite reciprocal"):
+            count_states(kappa)
+
 
 @pytest.mark.parametrize(
     "call",

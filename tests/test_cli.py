@@ -96,6 +96,7 @@ def test_removed_filter_choice_is_usage_error():
         ["evolve", "--kappa", "0.9", "--t-end", "nan"],
         ["evolve", "--kappa", "0.9", "--t-end", "inf"],
         ["evolve", "--kappa", "1e200"],
+        ["catalog", "--kappa", "1e-320"],  # once an OverflowError traceback, exit 1
         ["verify", "--suite", "steady", "--seed", "-1"],
     ],
 )

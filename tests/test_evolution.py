@@ -20,7 +20,7 @@ from aclab.evolution import (
     initial_spectrum,
     terminal_comparison,
 )
-from aclab.spectral import TorusField, TorusGrid, sine_values
+from aclab.spectral import TorusField, TorusGrid, sine_transform, sine_values
 
 SERIES = ("times", "mass", "energy", "c1", "hi_mass", "linf")
 
@@ -251,6 +251,19 @@ class TestFilter:
         )
         traj = evolve(initial_spectrum("sin_x", params.max_mode), params)
         assert np.all(traj.snapshots[:, 1::2] == 0.0)
+
+    def test_band_gap_admits_sampled_fields(self):
+        # sampling leaves every even sine coefficient at round-off, which the
+        # filter zeroes before the first record; 1e-3 sin 2x is still data
+        grid = TorusGrid(256)
+        x = grid.x
+        field = TorusField(grid, 0.5 * np.sin(x) + 0.2 * np.sin(3.0 * x))
+        assert np.all(sine_transform(field).coeffs[1::2] != 0.0)
+        params = EvolveParams(kappa=0.9, dt=0.01, t_end=1.0, record_every=5, filter="odd_band_gap")
+        traj = evolve(field, params)
+        assert np.all(traj.snapshots[:, 1::2] == 0.0)
+        with pytest.raises(DomainError, match="even modes"):
+            evolve(TorusField(grid, field.values + 1e-3 * np.sin(2.0 * x)), params)
 
     @pytest.mark.parametrize("preset", ["sin_2x", "mixed"])
     def test_band_gap_refuses_even_initial_modes(self, preset):
