@@ -10,9 +10,14 @@ as Taylor series (Kassam & Trefethen 2005).  The cubic is evaluated
 pointwise on a grid zero padded to twice the configured size, so products
 of modes up to the cutoff n/4 stay strictly below the padded Nyquist and
 the convolution is exact: the plain two-thirds truncation is not alias-free
-for a cubic term.  A step allocates nothing: it works in FFT, grid and
-coefficient buffers built once per run and overwrites the state in place,
-so each recorded spectrum is a copy.
+for a cubic term.  The state is kept as (-1)^m c_m in a
+:class:`SineWorkspace`; the sign commutes with e^z, dt phi1 and dt phi2,
+so a step is two cubic terms and six diagonal operations that allocate
+nothing.  Finiteness is tested at each record and at the last step, and a
+non-finite record replays the steps since the previous one to find the
+first non-finite step.  That is exact: the replay repeats the arithmetic,
+and a non-finite d_m stays so (the next step adds to e^z d_m, and the
+band-gap filter zeroes only modes it zeroed the step before).
 """
 
 import math
@@ -136,7 +141,7 @@ class Trajectory:
 
 
 class _Stepper:
-    """One ETDRK2 step in buffers built once per run: a step allocates nothing."""
+    """One ETDRK2 step of the workspace's ``state``, in place: a step allocates nothing."""
 
     def __init__(self, params: EvolveParams):
         self.params = params
@@ -148,30 +153,26 @@ class _Stepper:
         self.dt_phi2 = params.dt * phi2
         self.n_pad = 2 * params.n_points
         self.sine = SineWorkspace(params.max_mode, self.n_pad)
-        self.cube = np.empty(self.n_pad)
-        self.n0, self.a, self.na = np.empty((3, params.max_mode))
 
-    def cubic_term(self, c, out):
-        """-(u^3) projected on the sine modes, written into ``out``."""
-        u = self.sine.values(c)
-        np.multiply(u, u, out=self.cube)
-        np.multiply(self.cube, u, out=self.cube)
-        self.sine.minus_coeffs(self.cube, out)
-
-    def step(self, c, out):
-        """Write the step from ``c`` into ``out``, which may be ``c``; overflow leaves non-finites."""
-        n0, a, na = self.n0, self.a, self.na
-        self.cubic_term(c, n0)
-        np.multiply(self.e_full, c, out=a)
-        np.multiply(self.dt_phi1, n0, out=na)
-        np.add(a, na, out=a)  # a = e^z c + dt phi1 N(c)
-        self.cubic_term(a, na)
-        np.subtract(na, n0, out=na)
-        np.multiply(self.dt_phi2, na, out=na)
-        np.add(a, na, out=out)  # a + dt phi2 (N(a) - N(c))
+    def step(self):
+        """Advance ``sine.state`` one step; overflow leaves non-finites."""
+        sine = self.sine  # every array below holds (-1)^m times its coefficients
+        d, a, n0, na = sine.state, sine.predictor, sine.cubic_state, sine.cubic_predictor
+        sine.cube(0)  # n0 = N(d)
+        np.multiply(self.e_full, d, a)  # the last argument is the output
+        np.multiply(self.dt_phi1, n0, na)
+        np.add(a, na, a)  # a = e^z d + dt phi1 N(d)
+        sine.cube(1)  # na = N(a)
+        np.subtract(na, n0, na)
+        np.multiply(self.dt_phi2, na, na)
+        np.add(a, na, d)  # a + dt phi2 (N(a) - N(d))
         if self.params.filter == FILTER_ODD_BAND_GAP:
-            out[1::2] = 0.0
-        return out
+            d[1::2] = 0.0  # the even modes, whose sign is +1
+
+
+def _finite(c):
+    # a finite sum has finite terms; only a non-finite one needs the full test
+    return math.isfinite(c.sum()) or bool(np.all(np.isfinite(c)))
 
 
 def initial_spectrum(preset, max_mode):
@@ -194,6 +195,17 @@ def initial_spectrum(preset, max_mode):
     if preset not in table:
         raise DomainError(f"domain error: unknown preset {preset!r}")
     return initial_spectrum(table[preset], max_mode)
+
+
+def _first_non_finite_step(stepper, c, last, kstep):
+    """The first step after ``last``, replayed from its record ``c``, whose
+    state is not finite, given that the state at ``kstep`` is not."""
+    stepper.sine.load(c)
+    for k in range(last + 1, kstep):
+        stepper.step()
+        if not _finite(stepper.sine.state):
+            return k
+    return kstep
 
 
 def evolve(u0, params: EvolveParams) -> Trajectory:
@@ -224,33 +236,37 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
             raise DomainError("domain error: the band-gap filter would zero even modes of u0 "
                               f"above {ODD_TOL}")
         c[1::2] = 0.0  # a sampled field carries round-off even content
+    stepper.sine.load(c)
 
     n_steps = round(params.t_end / params.dt)  # a whole number, checked by EvolveParams
     detect = params.steady_detection_enabled
 
     times = [0.0]
-    spectra = [c.copy()]  # c is the state the steps overwrite; the records are copies
+    spectra = [c]
     consecutive = 0
     terminal = "reached_t_end"
+    kstep = 0
 
     # overflow surfaces as non-finite coefficients, turned into BlowUpError
     # below; the warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for kstep in range(1, n_steps + 1):
-            stepper.step(c, c)
-            # a finite sum has finite terms; only a non-finite one needs the full test
-            if not math.isfinite(c.sum()) and not np.all(np.isfinite(c)):
+        while kstep < n_steps:
+            last, kstep = kstep, min(kstep + params.record_every, n_steps)
+            for _ in range(last, kstep):
+                stepper.step()
+            c = stepper.sine.coeffs()
+            if not _finite(c):
+                kstep = _first_non_finite_step(stepper, spectra[-1], last, kstep)
                 raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
-            if kstep % params.record_every == 0 or kstep == n_steps:
-                t = kstep * params.dt
-                if detect:
-                    rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])
-                    consecutive = consecutive + 1 if rate < STEADY_TOL else 0
-                times.append(t)
-                spectra.append(c.copy())
-                if consecutive >= STEADY_CHECKS_REQUIRED:
-                    terminal = "steady_detected"
-                    break
+            t = kstep * params.dt
+            if detect:
+                rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])
+                consecutive = consecutive + 1 if rate < STEADY_TOL else 0
+            times.append(t)
+            spectra.append(c)
+            if consecutive >= STEADY_CHECKS_REQUIRED:
+                terminal = "steady_detected"
+                break
 
     times = np.array(times)
     snapshots = np.array(spectra)

@@ -277,7 +277,12 @@ def energy_identities(gs: GroundState) -> EnergyIdentityReport:
 
 
 def kink_profile(kappa, x):
-    """The infinite-line kink tanh(x / (sqrt 2 kappa)) at ``x``, for kappa positive and finite."""
+    """The infinite-line kink tanh(x / (sqrt 2 kappa)) at ``x``, for kappa positive and finite.
+
+    For a tiny kappa the argument overflows to +-inf away from x = 0, where
+    tanh gives the +-1 step the kink is at that scale.
+    """
     if not 0.0 < kappa < math.inf:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive and finite")
-    return np.tanh(np.asarray(x, dtype=float) / (math.sqrt(2.0) * kappa))
+    with np.errstate(over="ignore"):
+        return np.tanh(np.asarray(x, dtype=float) / (math.sqrt(2.0) * kappa))

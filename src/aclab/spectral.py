@@ -3,10 +3,14 @@
 The grid is x_j = -pi + 2*pi*j/n.  An odd 2*pi-periodic field is carried by
 its sine coefficients c_m, f(x) = sum_{m>=1} c_m sin(m x); on this grid
 sin(m x_j) = (-1)^m sin(2*pi*m*j/n), which is what the FFT index mapping
-in :func:`sine_values` and :func:`sine_coeffs` (and :class:`SineWorkspace`,
-their allocation-free form) accounts for.  This module is the only one that
-knows that mapping.  It calls the pocketfft gufuncs that ``np.fft.irfft`` and
-``rfft`` end in, with their factors: their outputs to the bit, without their per-call set-up.
+in :func:`sine_values` and :func:`sine_coeffs` accounts for.  This module is
+the only one that knows that mapping.  It calls the pocketfft gufuncs that
+``np.fft.irfft`` and ``rfft`` end in, without their per-call set-up: the
+free functions pass the factors those pass (1/n and 1), and their outputs
+are np.fft's to the bit.  :class:`SineWorkspace`, the time stepper's
+kernel, keeps a spectrum as (-1)^m c_m in the slots irfft reads and passes
+the grid factors as the kernels' own (-1/2 to the grid, 2/n back), so a
+cubic term costs the two transforms and two products, and no copies.
 """
 
 from dataclasses import dataclass
@@ -117,21 +121,6 @@ def _require_even(n):
         raise DomainError(f"domain error: grid with {n} points is odd; the analysis needs an even grid")
 
 
-def _synthesis(spectrum, factor, coeffs, n, out=None):
-    # irfft of the half spectrum holding factor * coeffs at 1..M; every other
-    # entry of ``spectrum`` must be zero, and M <= n/2 - 1
-    np.multiply(factor, coeffs, out=spectrum[..., 1 : coeffs.shape[-1] + 1])
-    if out is None:
-        out = np.empty(spectrum.shape[:-1] + (n,))
-    return _pocketfft.irfft(spectrum, 1 / n, out=out)
-
-
-def _analysis(values, spectrum, part, factor, out=None):
-    # factor * part, where ``part`` is a view of ``spectrum``, which rfft(values) fills
-    _pocketfft.rfft_n_even(values, 1.0, out=spectrum)
-    return np.multiply(factor, part, out=out)
-
-
 def sine_values(coeffs, n):
     """Samples of sum_m c_m sin(m x_j) on the n-point grid, m = 1..M.
 
@@ -143,7 +132,8 @@ def sine_values(coeffs, n):
     M = coeffs.shape[-1]
     _require_room(M, n)
     spectrum = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    return _synthesis(spectrum, _grid_factor(M, -0.5j * n)[1:], coeffs, n)
+    np.multiply(_grid_factor(M, -0.5j * n)[1:], coeffs, out=spectrum[..., 1 : M + 1])
+    return _pocketfft.irfft(spectrum, 1 / n, out=np.empty(coeffs.shape[:-1] + (n,)))
 
 
 def sine_coeffs(values, M, cosine=False):
@@ -159,39 +149,58 @@ def sine_coeffs(values, M, cosine=False):
     _require_even(n)
     _require_room(M, n, cosine)
     spectrum = np.empty(values.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    _pocketfft.rfft_n_even(values, 1.0, out=spectrum)
     scale = 2.0 / n
     if cosine:
-        return _analysis(values, spectrum, spectrum[..., : M + 1].real, _grid_factor(M, scale))
-    return _analysis(values, spectrum, spectrum[..., 1 : M + 1].imag, _grid_factor(M, -scale)[1:])
+        return _grid_factor(M, scale) * spectrum[..., : M + 1].real
+    return _grid_factor(M, -scale)[1:] * spectrum[..., 1 : M + 1].imag
 
 
 class SineWorkspace:
-    """:func:`sine_values` and :func:`sine_coeffs` of one M-mode spectrum on
-    the n-point grid, bit for bit, in buffers built once: no call allocates.
+    """Two M-mode sine spectra kept where the n-point transforms read them,
+    and the cubic term -(u^3) of each, in buffers built once: no call allocates.
 
-    ``values`` returns the workspace's grid buffer, which the next call overwrites.
-    M > n/2 - 1 or an odd n raises :class:`DomainError`, as in the free functions.
+    ``state`` and ``predictor`` hold c_m as (-1)^m c_m, the imaginary parts
+    of entries 1..M of half spectra that are zero elsewhere; ``cube(k)``
+    writes the term of the one k picks (0 or 1), in that form, into
+    ``cubic_state`` or ``cubic_predictor``.  Up to (-1)^m and the signs of
+    zeros, which :meth:`coeffs` makes +0, these are the bits of
+    ``-sine_coeffs(u * u * u, M)`` with u = ``sine_values(c, n)``, whose
+    factors differ from these by exact powers of two (outside the subnormal
+    range).  M > n/2 - 1 or an odd n raises :class:`DomainError`, as in the
+    free functions.
     """
 
     def __init__(self, M, n):
         _require_room(M, n)
         _require_even(n)
-        self.n = n
-        self._spectrum = np.zeros(n // 2 + 1, dtype=complex)  # entries 0 and M+1.. stay zero
+        # the factors as 0-d arrays, which the kernels take without a conversion per call
+        self._to_grid, self._from_grid = np.array(-0.5), np.array(2.0 / n)
+        halves = np.zeros((2, n // 2 + 1), dtype=complex)  # only imag 1..M is ever written
+        rffts = np.empty((2, n // 2 + 1), dtype=complex)
+        self._halves, self._rffts = tuple(halves), tuple(rffts)
+        self.state, self.predictor = halves[:, 1 : M + 1].imag
+        self.cubic_state, self.cubic_predictor = rffts[:, 1 : M + 1].imag
         self._grid = np.empty(n)
-        self._rfft = np.empty(n // 2 + 1, dtype=complex)
-        self._imag = self._rfft[1 : M + 1].imag
-        self._to_grid = _grid_factor(M, -0.5j * n)[1:]
-        # (-f) x == -(f x) in IEEE, signed zeros included
-        self._minus_from_grid = _grid_factor(M, 2.0 / n)[1:]
+        self._cube = np.empty(n)
+        self._sign = _grid_factor(M, 1.0)[1:]
 
-    def values(self, coeffs):
-        """``sine_values(coeffs, n)`` in the workspace's grid buffer."""
-        return _synthesis(self._spectrum, self._to_grid, coeffs, self.n, out=self._grid)
+    def load(self, coeffs):
+        """Set ``state`` to the coefficients ``coeffs``."""
+        np.multiply(self._sign, coeffs, out=self.state)
 
-    def minus_coeffs(self, values, out):
-        """``-sine_coeffs(values, M)``, written into ``out``."""
-        return _analysis(values, self._rfft, self._imag, self._minus_from_grid, out=out)
+    def coeffs(self):
+        """A new array of the coefficients ``state`` holds, every zero +0."""
+        return self._sign * self.state + 0.0
+
+    def cube(self, k):
+        """Write -(u^3) of ``state`` (k = 0) or ``predictor`` (k = 1) into
+        ``cubic_state`` or ``cubic_predictor``."""
+        # outputs by position, which costs less than out=
+        u = _pocketfft.irfft(self._halves[k], self._to_grid, self._grid)
+        np.multiply(u, u, self._cube)
+        np.multiply(self._cube, u, self._cube)
+        _pocketfft.rfft_n_even(self._cube, self._from_grid, self._rffts[k])
 
 
 def sine_transform(field: TorusField) -> SineSpectrum:

@@ -13,6 +13,7 @@ from aclab.evolution import (
     STEADY_CHECKS_REQUIRED,
     STEADY_TOL,
     EvolveParams,
+    _first_non_finite_step,
     _phi_functions,
     _Stepper,
     evolve,
@@ -20,7 +21,7 @@ from aclab.evolution import (
     initial_spectrum,
     terminal_comparison,
 )
-from aclab.spectral import TorusField, TorusGrid, sine_transform, sine_values
+from aclab.spectral import SineWorkspace, TorusField, TorusGrid, sine_transform, sine_values
 
 SERIES = ("times", "mass", "energy", "c1", "hi_mass", "linf")
 
@@ -180,37 +181,51 @@ class TestParams:
         assert EvolveParams(kappa=1.0, detect_steady=True).steady_detection_enabled
 
 
+def _one_step(params, c):
+    # the coefficients one stepper step takes ``c`` to
+    stepper = _Stepper(params)
+    stepper.sine.load(c)
+    stepper.step()
+    return stepper.sine.coeffs()
+
+
 class TestStep:
     def test_zero_fixed_point(self):
         params = EvolveParams(kappa=0.9)
-        c = np.zeros(params.max_mode)
-        out = _Stepper(params).step(c, np.empty_like(c))
+        out = _one_step(params, np.zeros(params.max_mode))
         assert np.all(out == 0.0)
 
     def test_exact_linear_propagator(self, monkeypatch):
         # without the cubic the phi terms vanish and the step is e^z exactly
-        monkeypatch.setattr(_Stepper, "cubic_term", lambda self, c, out: out.fill(0.0))
+        def no_cubic(self, k):
+            (self.cubic_state, self.cubic_predictor)[k].fill(0.0)
+
+        monkeypatch.setattr(SineWorkspace, "cube", no_cubic)
         params = EvolveParams(kappa=2.0, dt=0.01)
         stepper = _Stepper(params)
-        c = initial_spectrum("sin_x", params.max_mode).coeffs.copy()
+        stepper.sine.load(initial_spectrum("sin_x", params.max_mode).coeffs)
         expected = 1.0
         for _ in range(5):
-            stepper.step(c, c)
+            stepper.step()
+            c = stepper.sine.coeffs()
             expected *= math.exp(-(4.0 - 1.0) * params.dt)
             assert c[0] == pytest.approx(expected, rel=1e-15)
             assert np.max(np.abs(c[1:])) == 0.0
 
     def test_step_allocates_nothing(self):
         # the padded grid alone is 64 KB at n_points = 4096; a step that built
-        # its spectra, cube and predictor afresh peaked at about 231 KB
+        # its spectra, cube and predictor afresh peaked at about 231 KB.  The
+        # replay that finds a blow-up's step steps in the same buffers
         params = EvolveParams(kappa=0.9, dt=0.01, n_points=4096)
         stepper = _Stepper(params)
-        c = initial_spectrum("mixed", params.max_mode).coeffs.copy()
-        stepper.step(c, c)
+        c = initial_spectrum("mixed", params.max_mode).coeffs
+        stepper.sine.load(c)
+        stepper.step()
         tracemalloc.start()
         try:
             for _ in range(50):
-                stepper.step(c, c)
+                stepper.step()
+            assert _first_non_finite_step(stepper, c, 0, 50) == 50  # a finite replay runs out
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,15 +245,15 @@ class TestFilter:
     def test_band_gap_zeroes_even_modes(self):
         params = EvolveParams(kappa=2.0, filter="odd_band_gap")
         c = initial_spectrum({1: 1.0, 2: 0.1, 4: 0.05}, params.max_mode).coeffs
-        out = _Stepper(params).step(c, np.empty_like(c))
+        out = _one_step(params, c)
         assert np.all(out[1::2] == 0.0)
         assert out[0] != 0.0
 
     def test_odd_modes_preserved(self):
         params = EvolveParams(kappa=0.9)
         c = initial_spectrum({1: 0.5, 2: 0.1, 3: 0.3, 4: 0.05}, params.max_mode).coeffs
-        filtered = _Stepper(EvolveParams(kappa=0.9, filter="odd_band_gap")).step(c, c.copy())
-        assert np.array_equal(filtered[0::2], _Stepper(params).step(c, c.copy())[0::2])
+        filtered = _one_step(EvolveParams(kappa=0.9, filter="odd_band_gap"), c)
+        assert np.array_equal(filtered[0::2], _one_step(params, c)[0::2])
 
     def test_unknown_kind(self):
         for kind in ("odd_projection", "other"):
@@ -495,13 +510,19 @@ class TestInitialSpectrum:
     record_every=st.integers(1, 8),
     amplitude=st.sampled_from([0.0, 0.3, 1.0, 10.0, 100.0]),
     seed=st.integers(0, 2**32 - 1),
+    preset=st.none(),
 )
-@example(1.0, 2.0, 0.05, 256, False, 40, 4, 1.0, 0)  # z = 0 on mode 1: the phi series
-@example(0.5, 2.0, 0.1, 256, False, 40, 10, 100.0, 0)  # blow-up at step 3
-@example(0.5, 2.0, 0.1, 256, False, 2, 1, 100.0, 0)  # record 2 overflows its diagnostics
-@example(0.9, 2.0, 0.05, 64, True, 40, 2, 0.0, 0)  # steady at once
+@example(1.0, 2.0, 0.05, 256, False, 40, 4, 1.0, 0, None)  # z = 0 on mode 1: the phi series
+@example(0.5, 2.0, 0.1, 256, False, 40, 10, 100.0, 0, None)  # blow-up at step 3
+@example(0.5, 2.0, 0.1, 256, False, 40, 3, 10.0, 16, None)  # blow-up at step 5, after record 3
+@example(0.5, 2.0, 0.1, 256, False, 2, 1, 100.0, 0, None)  # record 2 overflows its diagnostics
+@example(0.9, 2.0, 0.05, 64, True, 40, 2, 0.0, 0, None)  # steady at once
+# odd modes exactly 0 without the filter: the stepper carries (-1)^m c_m, so
+# a sign slip would turn their +0 into -0
+@example(0.3, 2.0, 0.05, 256, False, 40, 4, 1.0, 0, "sin_2x")
+@example(0.6, 1.5, 0.02, 128, False, 40, 3, 1.0, 0, {2: -0.7, 4: 0.3})
 def test_evolve_equals_the_reference_loop_bit_for_bit(
-    kappa, gamma, dt, n_points, band_gap, steps, record_every, amplitude, seed
+    kappa, gamma, dt, n_points, band_gap, steps, record_every, amplitude, seed, preset
 ):
     params = EvolveParams(
         kappa=kappa, gamma=gamma, dt=dt, t_end=steps * dt, n_points=n_points,
@@ -511,9 +532,9 @@ def test_evolve_equals_the_reference_loop_bit_for_bit(
     if band_gap:
         modes = modes[modes % 2 == 1]
     rng = np.random.default_rng(seed)
-    u0 = initial_spectrum(
-        {int(m): amplitude * rng.uniform(-1.0, 1.0) / m for m in modes}, params.max_mode
-    )
+    if preset is None:
+        preset = {int(m): amplitude * rng.uniform(-1.0, 1.0) / m for m in modes}
+    u0 = initial_spectrum(preset, params.max_mode)
     want = _outcome(lambda: _reference_evolve(u0.coeffs.copy(), params))
     got = _outcome(lambda: evolve(u0, params))
     if not isinstance(want[0], np.ndarray):  # the reference ended in an error

@@ -468,6 +468,14 @@ def test_kink_profile_values():
     assert k[1] == pytest.approx(math.tanh(1.0 / (SQRT2 * 0.5)))
 
 
+@pytest.mark.parametrize("kappa", [1e-320, 5e-324])
+def test_kink_profile_of_a_tiny_kappa_is_the_step(kappa):
+    # x / (sqrt 2 kappa) overflows; under the suite's warning filter the
+    # overflow once escaped as an error instead of the correct step
+    k = kink_profile(kappa, np.linspace(-1.0, 1.0, 5))
+    assert k.tolist() == [-1.0, -1.0, 0.0, 1.0, 1.0]
+
+
 def test_gs_cache_keys_on_exact_kappa(gs_cache):
     near = float(np.linspace(0.05, 0.95, 19)[15])  # 0.7999999999999999
     assert gs_cache(near).kappa == near

@@ -127,18 +127,28 @@ def test_sine_coeffs_refuses_modes_the_grid_cannot_hold(M, cosine):
     assert sine_coeffs(values, 8, cosine=True).shape == (9,)
 
 
+def _workspace_cubes(sine, c):
+    # the cubic terms the workspace gives for coefficients c, through state and predictor
+    sign = np.where(np.arange(1, c.size + 1) % 2 == 0, 1.0, -1.0)
+    sine.load(c)
+    np.multiply(sign, c, out=sine.predictor)
+    sine.cube(0)
+    sine.cube(1)
+    return sign * sine.cubic_state, sign * sine.cubic_predictor
+
+
 def test_workspace_refuses_modes_the_grid_cannot_hold():
-    # it once built, and minus_coeffs then failed on a bare numpy broadcast
-    # error; 31 modes, the most 64 points hold, still run through both methods
+    # it once built, and then failed on a bare numpy broadcast error; 31
+    # modes, the most 64 points hold, still run through the kernel
     for M in (32, 200):
         with pytest.raises(DomainError, match=f"grid with 64 points cannot hold {M} sine modes"):
             SineWorkspace(M, 64)
-    rng = np.random.default_rng(31)
-    coeffs, values, out = rng.standard_normal(31), rng.standard_normal(64), np.empty(31)
+    coeffs = np.random.default_rng(31).standard_normal(31)
     sine = SineWorkspace(31, 64)
-    assert np.array_equal(sine.values(coeffs), sine_values(coeffs, 64))
-    assert sine.minus_coeffs(values, out) is out
-    assert np.array_equal(out, -sine_coeffs(values, 31))
+    u = sine_values(coeffs, 64)
+    for cube in _workspace_cubes(sine, coeffs):
+        assert np.array_equal(cube, -sine_coeffs(u * u * u, 31))
+    assert np.array_equal(sine.coeffs(), coeffs)
 
 
 def _public_fft_values(coeffs, n):
@@ -181,11 +191,12 @@ def test_transforms_equal_the_public_numpy_fft_to_the_bit(case):
     M_analysis = M + 1 if cosine else M  # the cosine analysis takes M up to n/2
     got = sine_coeffs(values, M_analysis, cosine=cosine)
     assert got.tobytes() == _public_fft_coeffs(values, M_analysis, cosine).tobytes()
-    sine, out = SineWorkspace(M, n), np.empty(M)
-    for c, v in zip(coeffs.reshape(-1, M), values.reshape(-1, n)):
-        assert sine.values(c).tobytes() == _public_fft_values(c, n).tobytes()
-        sine.minus_coeffs(v, out)
-        assert out.tobytes() == (-_public_fft_coeffs(v, M, False)).tobytes()
+    sine = SineWorkspace(M, n)
+    for c in coeffs.reshape(-1, M):
+        u = _public_fft_values(c, n)
+        want = (-_public_fft_coeffs(u * u * u, M, False)).tobytes()
+        assert [cube.tobytes() for cube in _workspace_cubes(sine, c)] == [want, want]
+        assert sine.coeffs().tobytes() == (c + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("n", [17, 63])
