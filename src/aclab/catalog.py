@@ -148,9 +148,11 @@ def linearization_gap(field: TorusField, kappa, M=256):
 
     Assembles phi -> int kappa^2 (phi')^2 + (3 field^2 - 1) phi^2 in the
     sine basis sin(mx), m = 1..M, and returns the smallest eigenvalue
-    relative to the L2 Gram.  A positive value certifies the gap.  A kappa
-    that is not positive with a finite square, an M that is not an integer,
-    or more modes than the grid holds raises :class:`DomainError`.
+    relative to the L2 Gram, by odd-m and even-m blocks where 3 field^2 - 1
+    has period pi (about every ground state and replica).  A positive value
+    certifies the gap.  A kappa that is not positive with a finite square, an
+    M that is not an integer, or more modes than the grid holds raises
+    :class:`DomainError`.
     """
     if not (0.0 < kappa and kappa * kappa < math.inf):
         raise DomainError(f"domain error: kappa={kappa!r} must be positive with a finite square")
@@ -161,11 +163,15 @@ def linearization_gap(field: TorusField, kappa, M=256):
     # int w sin(mx) sin(kx) dx = (pi/2)(a_|m-k| - a_(m+k)) for the cosine
     # coefficients a_l of w = 3 field^2 - 1, on the grid a_l = a_(n-l)
     a = sine_coeffs(3.0 * field.values**2 - 1.0, n // 2, cosine=True)
+    step = 1 if a[1::2].any() else 2  # w of period pi couples m only with k of m's parity
     a = np.concatenate((a, a[-2:0:-1]))
-    m = np.arange(1, M + 1)
-    A = 0.5 * np.pi * (a[np.abs(m[:, None] - m)] - a[m[:, None] + m])
-    A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
-    return float(np.linalg.eigvalsh(A)[0] / np.pi)
+    lowest = []
+    for first in range(1, step + 1):
+        m = np.arange(first, M + 1, step)
+        A = 0.5 * np.pi * (a[np.abs(m[:, None] - m)] - a[m[:, None] + m])
+        A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
+        lowest.append(np.linalg.eigvalsh(A)[0])
+    return float(np.min(lowest) / np.pi)
 
 
 def spectral_gap(gs: GroundState, M=256):

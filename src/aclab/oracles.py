@@ -32,7 +32,7 @@ TAYLOR_ORDER = 50  # series terms per step
 GUARD_BITS = 32  # fixed-point bits kept beyond the SHOOT_DPS digits
 RETURN_BITS = 80  # fixed-point fraction bits of the period march
 RETURN_ORDER = 20  # series terms per step of the period march
-RETURN_MAX_STEPS = 50_000  # about 4 s of marching; t_max beyond it is refused
+RETURN_MAX_STEPS = 50_000  # about 4 s at 85 us a step on a 2.1-GHz Xeon; t_max beyond it is refused
 
 
 def peak_complement_mp(kappa, dps=40):
@@ -60,8 +60,10 @@ def _scaled_taylor_coeffs(u, v, r, order, prec):
     b = [0] * (order + 1)
     for k in range(order):
         a_rev = a[k::-1]
-        b[k] = sum(map(operator.mul, a[: k + 1], a_rev)) >> prec
-        c = sum(map(operator.mul, b[: k + 1], a_rev)) >> prec
+        half = (k + 1) >> 1  # b_k = 2 sum_(i < k/2) a_i a_(k-i), plus a_(k/2)^2 at even k
+        b2 = sum(map(operator.mul, a[:half], a_rev)) << 1
+        b[k] = (b2 + (0 if k & 1 else a[half] * a[half])) >> prec
+        c = sum(map(operator.mul, b, a_rev)) >> prec
         a[k + 2] = (c - a[k]) * r // ((k + 1) * (k + 2) << prec)
     return a
 
@@ -149,21 +151,30 @@ def shoot_profile(kappa, xs):
         return out, gap
 
 
+def _polyval(c, t):
+    # np.polyval(c, t) at a float t: its float operations in its order, without numpy scalars
+    y = 0.0
+    for ck in c:
+        y = y * t + ck
+    return y
+
+
 def _upward_root(a):
     # the zero of sum a_k t^k on [0, 1] where the step's u rises through 0:
     # bisection to a bracket of 2^-12, then Newton on the double coefficients
-    c = np.array(a[::-1], dtype=float)
-    dc = np.polyder(c)
+    c = a[::-1]
+    dc = [k * ck for k, ck in zip(range(len(c) - 1, 0, -1), c)]
     lo, hi = 0.0, 1.0
     for _ in range(12):
         mid = 0.5 * (lo + hi)
-        if np.polyval(c, mid) <= 0.0:
+        if _polyval(c, mid) <= 0.0:
             lo = mid
         else:
             hi = mid
     t = 0.5 * (lo + hi)
     for _ in range(8):
-        dt = np.polyval(c, t) / np.polyval(dc, t)
+        d = _polyval(dc, t)
+        dt = _polyval(c, t) / d if d else 0.0  # Newton ends where the derivative vanishes
         t -= dt
         if abs(dt) <= 1e-17:
             break
@@ -175,10 +186,11 @@ def first_return_period(u0, v0, kappa, t_max):
 
     Marches kappa^2 u'' = u^3 - u from (u0, v0) with the shooting oracle's
     series recurrence in integer fixed point (``RETURN_BITS`` fraction bits,
-    order ``RETURN_ORDER``, fixed step h = min(0.22 kappa, 0.15)), and
-    measures the gap between consecutive upward zero crossings of u, which
-    closed orbits hit exactly once per period; each crossing is located on
-    its step's polynomial by bisection and Newton, and the march stops at the
+    order ``RETURN_ORDER``, fixed step h = 0.22 kappa: in s = x / kappa the
+    ODE holds no kappa, so every orbit takes the same s-step), and measures
+    the gap between consecutive upward zero crossings of u, which closed
+    orbits hit exactly once per period; each crossing is located on its
+    step's polynomial by bisection and Newton, and the march stops at the
     second one.  A march that reaches |u| >= 2 stops there: such an orbit is
     no closed one and crosses upward at most once.  Fewer than two crossings
     in t <= t_max raise :class:`WindowError`.  Non-finite data, a kappa or
@@ -190,7 +202,7 @@ def first_return_period(u0, v0, kappa, t_max):
                           f"u0={u0!r}, v0={v0!r}, kappa={kappa!r}, t_max={t_max!r}")
     if not (kappa > 0.0 and t_max > 0.0):
         raise DomainError(f"domain error: kappa={kappa!r} and t_max={t_max!r} must be positive")
-    h = min(0.22 * kappa, 0.15)
+    h = 0.22 * kappa
     if t_max > RETURN_MAX_STEPS * h:
         raise DomainError(f"domain error: t_max={t_max!r} asks for more than "
                           f"{RETURN_MAX_STEPS} steps of {h:.3g}")

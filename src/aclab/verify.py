@@ -38,6 +38,11 @@ from .spectral import SineSpectrum, TorusGrid, sine_transform
 ENERGY_RATIO_LIMIT = 4.0 * math.sqrt(2.0) / 3.0
 
 
+def _fold(reduce, acc, *values):
+    # a running max or min that any non-finite value turns to NaN, which fails every comparison
+    return reduce(acc, *values) if all(map(math.isfinite, values)) else math.nan
+
+
 @dataclass
 class CheckResult:
     passed: bool
@@ -115,12 +120,12 @@ def check_peak_bounds(ctx):
         lo, hi = bounds
         holds = lo < pv.complement < hi
         ok = ok and holds
-        worst = min(worst, pv.complement / lo, hi / pv.complement)
+        worst = _fold(min, worst, pv.complement / lo, hi / pv.complement)
         lines.append(
             f"kappa={kap}: {lo:.3e} < 1-N = {pv.complement:.3e} < {hi:.3e} -> {holds}"
         )
     return CheckResult(
-        passed=ok,
+        passed=ok and not math.isnan(worst),
         observed=f"min margin factor {worst:.3g}",
         expected="lower < 1-N < upper wherever N > sqrt(2/3)",
         tolerance="strict inequalities",
@@ -134,9 +139,9 @@ def check_profile_residual_and_oracle(ctx):
     worst_oracle = 0.0
     for kap in RESIDUAL_KAPPAS:
         gs = build_ground_state(kap)
-        worst_resid = max(worst_resid, gs.residual)
+        worst_resid = _fold(max, worst_resid, gs.residual)
         vals, _ = shoot_profile(kap, gs.quarter_x)
-        worst_oracle = max(worst_oracle, float(np.max(np.abs(vals - gs.quarter_u))))
+        worst_oracle = _fold(max, worst_oracle, float(np.max(np.abs(vals - gs.quarter_u))))
     return CheckResult(
         passed=worst_resid < 1e-8 and worst_oracle < 1e-7,
         observed=f"max residual {worst_resid:.3e}, max oracle gap {worst_oracle:.3e}",
@@ -150,7 +155,7 @@ def check_energy_identities(ctx):
     worst = 0.0
     for kap in RESIDUAL_KAPPAS:
         rep = energy_identities(build_ground_state(kap))
-        worst = max(worst, rep.max_discrepancy)
+        worst = _fold(max, worst, rep.max_discrepancy)
     return CheckResult(
         passed=worst <= 1e-8,
         observed=f"max pairwise discrepancy {worst:.3e}",
@@ -202,12 +207,12 @@ def check_catalog(ctx):
         c = sine_transform(r.field).coeffs
         placed = np.zeros_like(c)
         placed[r.j - 1 :: r.j] = sine_transform(gs_j.field).coeffs[: c.size // r.j]
-        worst_ident = max(worst_ident, float(np.max(np.abs(c - placed))))
-        worst_energy = max(worst_energy, abs(r.energy - gs_j.energy))
+        worst_ident = _fold(max, worst_ident, float(np.max(np.abs(c - placed))))
+        worst_energy = _fold(max, worst_energy, abs(r.energy - gs_j.energy))
     mono = all(a.energy < b.energy for a, b in zip(cat.replicas, cat.replicas[1:]))
-    if worst_ident > 1e-10:
+    if not worst_ident <= 1e-10:
         problems.append(f"replica identity gap {worst_ident:.3e}")
-    if worst_energy > 1e-8:
+    if not worst_energy <= 1e-8:
         problems.append(f"replica energy gap {worst_energy:.3e}")
     if not mono:
         problems.append("energies not increasing in j")
@@ -235,7 +240,7 @@ def check_orbit_classification(ctx):
         kinds[oc.kind] += 1
         if oc.kind == "periodic" and not oc.near_boundary and oc.amplitude > 1e-3:
             oracle = first_return_period(u0, v0, kappa, t_max=3.0 * oc.period + 5.0)
-            worst_period = max(worst_period, abs(oracle - oc.period))
+            worst_period = _fold(max, worst_period, abs(oracle - oc.period))
             checked_periods += 1
     # deterministic boundary representatives
     zero = classify_orbit(0.0, 0.0, 0.5)
@@ -267,8 +272,8 @@ def check_spectral_gap(ctx):
         gs = build_ground_state(kap)
         g256 = spectral_gap(gs, M=256)
         g512 = spectral_gap(gs, M=512)
-        worst_gap = min(worst_gap, g256)
-        worst_drift = max(worst_drift, abs(g512 - g256))
+        worst_gap = _fold(min, worst_gap, g256)
+        worst_drift = _fold(max, worst_drift, abs(g512 - g256))
     return CheckResult(
         passed=worst_gap > 0.0 and worst_drift <= 1e-6,
         observed=f"min gap {worst_gap:.6f}, max drift under M doubling {worst_drift:.3e}",
@@ -362,7 +367,7 @@ def check_sharp_log_convexity(ctx):
     t = d.times
     worst = max(
         (check_log_convexity(d, t[i], t[i + 2]) for i in range(t.size - 2)),
-        key=lambda rep: rep.worst_ratio,
+        key=lambda rep: rep.worst_ratio if math.isfinite(rep.worst_ratio) else math.inf,
     )
     return CheckResult(
         passed=worst.passed,
@@ -377,7 +382,7 @@ def check_sharp_log_convexity(ctx):
 
 def check_no_extinction(ctx):
     names = ("kappa2_sinx", "kappa1_sinx", "kappa09_half", "sharp_logconv")
-    min_mass = min(float(np.min(ctx.trajectory(n).diagnostics.mass)) for n in names)
+    min_mass = _fold(min, math.inf, *(float(np.min(ctx.trajectory(n).diagnostics.mass)) for n in names))
     return CheckResult(
         passed=min_mass > 0.0,
         observed=f"min recorded mass {min_mass:.3e}",
@@ -392,7 +397,7 @@ def check_eta0_random(ctx):
     for _ in range(100):
         coeffs = rng.normal(size=8)
         rep = check_eta0_inequality(SineSpectrum(coeffs))
-        worst = min(worst, rep.ratio)
+        worst = _fold(min, worst, rep.ratio)
     return CheckResult(
         passed=worst >= 0.75 * (1.0 - 1e-12),
         observed=f"min ratio lhs/|u|_4^4 = {worst:.6f}",
@@ -409,7 +414,7 @@ def check_theta_oracle(ctx):
     consistency = abs(forced.theta_star - restart.theta_star)
     planted = theta_ode_oracle(1.0 / 9.0, 3.0, lambda t: -2.0 * t**-3 + 1.5 * t**-4, 3e3)
     ts = np.geomspace(3.0, 3e3, 120)
-    sup_t2 = max(planted.evaluate(float(t)) * t * t for t in ts)
+    sup_t2 = _fold(max, -math.inf, *(planted.evaluate(float(t)) * t * t for t in ts))
     ok = (
         err_star <= 1e-6
         and consistency <= 1e-5

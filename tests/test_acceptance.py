@@ -4,9 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion; the same checks back ``aclab verify --suite all``.
 """
 
+import dataclasses
+import math
+
 import pytest
 
+import aclab.oracles
 from aclab import verify
+from aclab.diagnostics import check_log_convexity
 from aclab.errors import AclabError
 from aclab.verify import ALL_CHECK_NAMES, run_suite
 
@@ -44,3 +49,40 @@ def test_raising_check_fails_under_its_table_name(monkeypatch):
     assert seen == [result]
     assert result.name == "g_zero" and result.passed is False
     assert result.observed.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_period_fails_its_check(monkeypatch, bad):
+    # max(0.0, nan) is 0.0: a nan oracle period once passed as "worst gap 0.000e+00"
+    monkeypatch.setattr(aclab.oracles, "first_return_period", lambda *args, **kwargs: bad)
+    result = verify.check_orbit_classification(verify._Context(seed=SEED))
+    assert not result.passed and result.observed.endswith("worst gap nan")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_spectral_gap_fails_its_check(monkeypatch, bad):
+    # min(inf, nan) is inf: a nan gap once passed as "min gap inf"
+    monkeypatch.setattr(verify, "spectral_gap", lambda gs, M=256: bad)
+    result = verify.check_spectral_gap(verify._Context(seed=SEED))
+    assert not result.passed and result.observed.startswith("min gap nan")
+
+
+def test_non_finite_interpolation_ratio_fails_its_check(monkeypatch):
+    # one nan ratio among finite ones: the worst window is the nan one
+    def planted(series, t1, t2):
+        report = check_log_convexity(series, t1, t2)
+        if t1 == series.times[40]:
+            report = dataclasses.replace(report, worst_ratio=math.nan, passed=False)
+        return report
+
+    monkeypatch.setattr(verify, "check_log_convexity", planted)
+    result = verify.check_sharp_log_convexity(verify._Context(seed=SEED))
+    assert not result.passed and "ratio nan" in result.observed
+
+
+@pytest.mark.parametrize("values", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])
+@pytest.mark.parametrize("reduce", [max, min])
+def test_fold_turns_any_non_finite_value_to_nan(reduce, values):
+    assert math.isnan(verify._fold(reduce, 0.0, *values))
+    assert math.isnan(verify._fold(reduce, verify._fold(reduce, 0.0, *values), 2.0))
+    assert verify._fold(reduce, math.inf if reduce is min else -math.inf, 1.0, 2.0) == reduce(1.0, 2.0)

@@ -213,16 +213,35 @@ def _dense_linearization_gap(field, kappa, M):
     return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0] / np.pi)
 
 
-def _subset_eigh_gap(field, kappa, M):
-    # linearization_gap as it ran on scipy: the same FFT assembly, the lowest
-    # eigenvalue alone from the subset solver
+def _fft_assembly(field, kappa, M):
+    # linearization_gap's matrix before the parity split: all M modes in one block
     n = field.grid.n_points
     a = sine_coeffs(3.0 * field.values**2 - 1.0, n // 2, cosine=True)
     a = np.concatenate((a, a[-2:0:-1]))
     m = np.arange(1, M + 1)
     A = 0.5 * np.pi * (a[np.abs(m[:, None] - m)] - a[m[:, None] + m])
     A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
+    return A
+
+
+def _subset_eigh_gap(field, kappa, M):
+    # linearization_gap as it ran on scipy: the same FFT assembly, the lowest
+    # eigenvalue alone from the subset solver
+    A = _fft_assembly(field, kappa, M)
     return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0] / np.pi)
+
+
+def _solved_block_sizes(monkeypatch):
+    # the order of every matrix linearization_gap hands to numpy's eigvalsh
+    sizes = []
+    solve = np.linalg.eigvalsh
+
+    def spy(A):
+        sizes.append(A.shape[0])
+        return solve(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
 
 
 class TestSpectralGap:
@@ -296,6 +315,27 @@ class TestSpectralGap:
             fast = linearization_gap(field, 0.3, M=M)
             assert fast == pytest.approx(_dense_linearization_gap(field, 0.3, M), abs=1e-10)
             assert fast == pytest.approx(_subset_eigh_gap(field, 0.3, M), abs=1e-10)
+
+    @pytest.mark.parametrize("M", [256, 512])
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.9])
+    def test_parity_blocks_against_the_full_matrix(self, gs_cache, monkeypatch, kappa, M):
+        # 3u^2 - 1 has period pi about a ground state: two blocks of M/2 modes,
+        # whose lower minimum is the full matrix's lowest eigenvalue
+        field = gs_cache(kappa).field
+        full = float(np.linalg.eigvalsh(_fft_assembly(field, kappa, M))[0] / np.pi)
+        sizes = _solved_block_sizes(monkeypatch)
+        assert linearization_gap(field, kappa, M=M) == pytest.approx(full, abs=1e-14)
+        assert sizes == [M // 2, M // 2]
+
+    def test_odd_cosine_content_takes_one_block(self, gs_cache, monkeypatch):
+        # + 1e-6 sin 2x gives 3u^2 - 1 cosine modes at odd l near 1e-6: tiny, not
+        # zero, so the parity split would drop couplings; one block of all M modes
+        gs = gs_cache(0.5)
+        field = TorusField(gs.field.grid, gs.field.values + 1e-6 * np.sin(2.0 * gs.field.grid.x))
+        sizes = _solved_block_sizes(monkeypatch)
+        gap = linearization_gap(field, 0.5, M=256)
+        assert sizes == [256]
+        assert gap == pytest.approx(_dense_linearization_gap(field, 0.5, 256), abs=1e-10)
 
     @pytest.mark.parametrize("kappa", [0.15, 0.26, 0.3])
     def test_replicas_against_dense_assembly(self, kappa):

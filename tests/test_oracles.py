@@ -2,6 +2,7 @@
 
 import ast
 import math
+import operator
 from pathlib import Path
 
 import mpmath as mp
@@ -17,9 +18,11 @@ from aclab.errors import AclabError, DomainError, ResolutionError, WindowError
 from aclab.ground_state import build_ground_state
 from aclab.oracles import (
     GUARD_BITS,
+    RETURN_BITS,
     SHOOT_DPS,
     _horner_fixed,
     _scaled_taylor_coeffs,
+    _upward_root,
     first_return_period,
     peak_complement_mp,
     shoot_profile,
@@ -49,6 +52,39 @@ def _horner2(a, h):
         u = a[k] + u * h
         v = k * a[k] + v * h
     return a[0] + u * h, v
+
+
+def _scaled_taylor_coeffs_full(u, v, r, order, prec):
+    # the integer recurrence with both convolutions over all k + 1 products,
+    # as it ran before b_k = u*u was summed over half of them by symmetry
+    a = [u, v] + [0] * order
+    b = [0] * (order + 1)
+    for k in range(order):
+        a_rev = a[k::-1]
+        b[k] = sum(map(operator.mul, a[: k + 1], a_rev)) >> prec
+        c = sum(map(operator.mul, b[: k + 1], a_rev)) >> prec
+        a[k + 2] = (c - a[k]) * r // ((k + 1) * (k + 2) << prec)
+    return a
+
+
+def _upward_root_np(a):
+    # _upward_root as it ran on np.polyval and np.polyder
+    c = np.array(a[::-1], dtype=float)
+    dc = np.polyder(c)
+    lo, hi = 0.0, 1.0
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        if np.polyval(c, mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    for _ in range(8):
+        dt = np.polyval(c, t) / np.polyval(dc, t)
+        t -= dt
+        if abs(dt) <= 1e-17:
+            break
+    return float(t)
 
 
 def _taylor_coeffs_fsum(u0, v0, kappa2, order):
@@ -354,8 +390,48 @@ def test_first_return_period_matches_dop853_and_the_period_formula(u0, v0, kappa
     assert period == pytest.approx(oc.period, abs=1e-12)
 
 
-@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5, 1e-7])
-@pytest.mark.parametrize("kappa", [0.3, 1.7])
+_fixed_series = st.sampled_from([RETURN_BITS, PREC]).flatmap(
+    lambda prec: st.tuples(
+        st.integers(-(2 << prec), 2 << prec),  # u, |u| <= 2 as in the marches
+        st.integers(-(2 << prec), 2 << prec),  # h u'
+        st.integers(0, 1 << prec),  # r = (h / kappa)^2 <= 1
+        st.integers(0, 50),
+        st.just(prec),
+    )
+)
+
+
+@given(_fixed_series)
+def test_half_square_equals_the_full_convolution(args):
+    # b_k = 2 sum_(i < k/2) a_i a_(k-i) + a_(k/2)^2 is the same integer sum
+    assert _scaled_taylor_coeffs(*args) == _scaled_taylor_coeffs_full(*args)
+
+
+@given(_fixed_series)
+def test_float_horner_root_equals_the_polyval_root_bitwise(args):
+    # the same IEEE operations in the same order: the same double, bit for bit;
+    # draws whose Newton iterate hits a zero derivative, where np.polyval
+    # divides by zero, are left to the next test
+    prec = args[-1]
+    a = [ak / (1 << prec) for ak in _scaled_taylor_coeffs(*args)]
+    with np.errstate(all="raise"):
+        try:
+            ref = _upward_root_np(a)
+        except FloatingPointError:
+            assume(False)
+    assert _upward_root(a).hex() == ref.hex()
+
+
+def test_upward_root_stops_newton_at_a_zero_derivative():
+    # (t - t0)^3 with t0 = 1/2 + 2^-13: bisection ends on t0 itself, where the
+    # derivative is exactly 0; np.polyval's Newton step there made 0/0 = nan
+    t0 = 0.5 + 2.0**-13
+    a = [-(t0**3), 3.0 * t0 * t0, -3.0 * t0, 1.0]
+    assert _upward_root(a) == t0
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5, 1e-7, 2e-8])
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 1.7, 2.0])
 def test_first_return_period_near_the_separatrix(delta, kappa):
     # 1/2 - C = delta down to just above the gate's near-boundary band (1e-8),
     # where the period grows like ln(1/delta) and the orbit lingers at the saddles
@@ -363,6 +439,17 @@ def test_first_return_period_near_the_separatrix(delta, kappa):
     exact = _period_mp(u0, 0.0, kappa)
     period = first_return_period(u0, 0.0, kappa, 3.0 * exact + 5.0)
     assert period == pytest.approx(exact, abs=1e-12)
+
+
+@given(u0=st.floats(-1.3, 1.3), v0=st.floats(-1.2, 1.2), kappa=st.floats(0.25, 2.0))
+def test_first_return_period_scales_with_kappa(u0, v0, kappa):
+    # x = kappa s takes kappa^2 u'' = u^3 - u to the kappa = 1 ODE, and u' to
+    # du/ds / kappa: P(u0, v0, kappa) = kappa P(u0, kappa v0, 1)
+    oc = classify_orbit(u0, v0, kappa)
+    assume(oc.kind == "periodic" and not oc.near_boundary and oc.amplitude > 1e-3)
+    period = first_return_period(u0, v0, kappa, 3.0 * oc.period + 5.0)
+    scaled = first_return_period(u0, kappa * v0, 1.0, 3.0 * oc.period / kappa + 5.0)
+    assert kappa * scaled == pytest.approx(period, rel=1e-14)
 
 
 @pytest.mark.parametrize(
