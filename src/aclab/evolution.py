@@ -289,11 +289,11 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
 def terminal_comparison(traj: Trajectory, reference_field: TorusField):
     """(sign, max-norm error) of the terminal state against a steady profile.
 
-    The sign follows the terminal first-mode coefficient, matching the +-
-    degeneracy of the ground profile.
+    The sign is that of the grid inner product of the terminal state with the
+    profile, matching the +- degeneracy of every steady profile: the first
+    mode, which fixes it for the ground profile, is 0 on a replica u_j, j >= 2.
     """
-    c = traj.snapshots[-1]
-    u_term = sine_values(c, reference_field.grid.n_points)
-    sign = 1.0 if c[0] >= 0.0 else -1.0
+    u_term = sine_values(traj.snapshots[-1], reference_field.grid.n_points)
+    sign = 1.0 if np.dot(u_term, reference_field.values) >= 0.0 else -1.0
     err = float(np.max(np.abs(u_term - sign * reference_field.values)))
     return sign, err

@@ -1,56 +1,75 @@
 """Independent truth sources used by tests and the verification suites.
 
-Nothing here shares code paths with the construction it checks: the peak
-value is re-solved in 40-digit mpmath through Gauss's arithmetic-geometric
-mean, R_F(0, 1+q, 2q) = pi / (2 AGM(sqrt(1+q), sqrt(2q))), the construction's
-formula (itself checked by Simpson quadrature and the shooting oracle's peak
-gap), and the steady profile is re-derived by Taylor-series shooting of the
-second-order ODE from that 40-digit launch, marched in integer fixed point
-with 32 bits beyond the 40 digits.  Double-precision shooting cannot serve
-as an oracle for small kappa: the profile rides the saddle at u = 1, where
+Nothing here shares code paths with the construction it checks.  The peak
+value is re-solved in Python integers: Gauss's arithmetic-geometric mean
+turns the quarter-period identity R_F(0, 1+q, 2q) = pi / (2 sqrt 2 kappa)
+into AGM(sqrt(1+q), sqrt(2q)) = sqrt(2) kappa, in which pi cancels (DLMF
+19.8(i)), and regula falsi solves that in fixed point, each mean by
+``math.isqrt``.  The construction evaluates the identity in double precision
+by its own AGM loop; Simpson quadrature and this solve check it.  The
+steady profile is re-derived by Taylor-series shooting of the second-order
+ODE from the launch that peak dictates, marched in integer fixed point at
+``SHOOT_BITS`` fraction bits.  Double-precision shooting cannot serve as an
+oracle for small kappa: the profile rides the saddle at u = 1, where
 initial-condition round-off grows by ~1/(1-N), 1e9 already at kappa=0.1.
 The march's series recurrence is the automatic-differentiation Taylor method
 (Jorba & Zou, Experimental Mathematics 14 (2005) 99-117); it needs only
-integer products and shifts, which cost far less than mpmath's numbers on
-its pure-Python backend.  The first-return period oracle marches the same
+integer products and shifts.  The first-return period oracle marches the same
 ODE with the same recurrence, in 80-bit fixed point from double data, and
 times the orbit's upward zeros; it shares no code with the period formula
 (the AGM behind ``catalog.minimal_period``) it checks.
 """
-
 import math
 import operator
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, ResolutionError, WindowError
 
-SHOOT_DPS = 40  # working digits of the march
+SHOOT_BITS = 168  # fixed-point fraction bits of the shooting march
+PEAK_KAPPA_FLOOR = 0.002  # the peak solve carries about 1.6 / kappa extra bits
 TAYLOR_ORDER = 50  # series terms per step
-GUARD_BITS = 32  # fixed-point bits kept beyond the SHOOT_DPS digits
 RETURN_BITS = 80  # fixed-point fraction bits of the period march
 RETURN_ORDER = 20  # series terms per step of the period march
 RETURN_MAX_STEPS = 50_000  # about 4 s at 85 us a step on a 2.1-GHz Xeon; t_max beyond it is refused
 
 
-def peak_complement_mp(kappa, dps=40):
-    """Solve the quarter-period identity for w = 1 - N in mp precision, at kappa in (0, 1)."""
-    if not (0.0 < kappa < 1.0 and kappa * kappa > 0.0):
-        raise DomainError(f"domain error: kappa={kappa!r} outside (0, 1), or its square underflows")
-    with mp.workdps(dps):
-        target = mp.pi / (2 * mp.sqrt(2) * mp.mpf(kappa))
+def peak_complement_mp(kappa):
+    """w = 1 - N of the steady profile at kappa in [``PEAK_KAPPA_FLOOR``, 1), as an exact Fraction.
 
-        def g_of_s(s):
-            # R_F(0, 1+q, 2q) = pi / (2 AGM(sqrt(1+q), sqrt(2q))), DLMF 19.8(i), 19.22(i)
-            w = mp.e**s
-            q = w * (2 - w)
-            return mp.pi / (2 * mp.agm(mp.sqrt(1 + q), mp.sqrt(2 * q))) - target
+    Solves AGM(sqrt(1 + q), y) = sqrt(2) kappa for y = sqrt(2q), q = 1 - N^2,
+    by Illinois regula falsi on the whole bracket y in [2^-P, sqrt 2], in
+    integers times 2^-P.  P is ``SHOOT_BITS`` + 8 plus the leading zero bits
+    of the root y ~ 4 exp(-pi / (2 sqrt 2 kappa)), so y keeps SHOOT_BITS + 8
+    significant bits at every kappa; the floor bounds P near 1000.  Returns
+    w = q / (1 + sqrt(1 - q)).  Any other kappa raises :class:`DomainError`.
+    """
+    if not PEAK_KAPPA_FLOOR <= kappa < 1.0:
+        raise DomainError(f"domain error: kappa={kappa!r} outside [{PEAK_KAPPA_FLOOR}, 1)")
+    zeros = -math.frexp(4.0 * math.exp(-math.pi / (2.0 * math.sqrt(2.0) * kappa)))[1]
+    prec = SHOOT_BITS + 8 + max(zeros, 0)
+    one2 = 1 << 2 * prec
+    target = math.isqrt(int(2 * Fraction(kappa) ** 2 * one2))
 
-        s_lo = -2 * target - 8
-        s = mp.findroot(g_of_s, (s_lo, mp.mpf(0)), solver="anderson", tol=mp.mpf(10) ** (-2 * dps + 8))
-        return mp.e**s
+    def f(y):  # AGM(sqrt(1 + q), y) - sqrt(2) kappa; floored means keep a >= b
+        a, b = math.isqrt(one2 + (y * y >> 1)), y
+        while a - b > 1:
+            a, b = (a + b) >> 1, math.isqrt(a * b)
+        return a - target
+
+    lo, hi = 1, math.isqrt(2 * one2)
+    f_lo, f_hi, side = f(lo), f(hi), 0
+    while hi - lo > 1:
+        y = min(max(hi - f_hi * (hi - lo) // (f_hi - f_lo), lo + 1), hi - 1)
+        f_y = f(y)
+        # Illinois: an end kept twice in a row has its value halved, away from 0
+        if f_y >= 0:
+            hi, f_hi, f_lo, side = y, f_y, (f_lo >> 1 if side > 0 else f_lo), 1
+        else:
+            lo, f_lo, f_hi, side = y, f_y, ((f_hi + 1) >> 1 if side < 0 else f_hi), -1
+    s = math.isqrt((2 * one2 - hi * hi) >> 1)  # sqrt(1 - q) times 2^prec
+    return Fraction(hi * hi, (1 << prec + 1) * ((1 << prec) + s))
 
 
 def _scaled_taylor_coeffs(u, v, r, order, prec):
@@ -68,87 +87,68 @@ def _scaled_taylor_coeffs(u, v, r, order, prec):
     return a
 
 
-def _horner_fixed(a, p, q):
-    # (sum a_k t^k, sum k a_k t^(k-1)) at t = p / q: u and h u' at x + t h;
-    # at t = 1 these are the plain sums the marches end their full steps with
-    u = 0
-    v = 0
-    for k in range(len(a) - 1, 0, -1):
-        u = a[k] + u * p // q
-        v = k * a[k] + v * p // q
-    return a[0] + u * p // q, v
-
-
 def shoot_profile(kappa, xs):
     """Steady profile u at points ``xs`` in [0, pi/2] by Taylor shooting.
 
-    Launches from (u, u') = (0, sqrt(1 - (1 - N^2)^2) / (sqrt 2 kappa)), the
-    slope the orbit invariant dictates at u = 0, with N from
-    :func:`peak_complement_mp` in ``SHOOT_DPS`` digits, and marches fixed
-    Taylor steps h sized well inside the series' convergence disk.  The march
+    Launches from (u, h u') = (0, h sqrt((1 - q^2) / 2) / kappa), the slope
+    the orbit invariant dictates at u = 0, with q = 1 - N^2 from
+    :func:`peak_complement_mp` and the square root by ``math.isqrt`` on exact
+    rationals.  The march takes n = ceil((pi/2) / (0.44 kappa)) equal Taylor
+    steps h = (pi/2) / n, well inside the series' convergence disk; since
+    u'(pi/2) = 0, rounding n h to pi/2 moves the end value by O(ulp^2).  It
     runs on Python integers in fixed point: each step's series is carried as
-    a_k h^k times 2^P, with P the binary precision of ``SHOOT_DPS`` digits
-    plus 32 guard bits, and the next step starts from (u, h u') = (sum a_k h^k,
-    sum k a_k h^k).  The scaled terms are O(1) inside the convergence disk,
-    so a fixed absolute precision holds at small kappa.  The requested points
-    are summed in double from each step's scaled series.  Returns the values
-    and the peak gap |u(pi/2) - (1 - N)| of the march.
+    a_k h^k times 2^``SHOOT_BITS``, and the next step starts from (u, h u') =
+    (sum a_k h^k, sum k a_k h^k).  The scaled terms are O(1) inside the
+    convergence disk, so a fixed absolute precision holds at small kappa.
+    The requested points are summed in double from each step's scaled
+    series.  Returns the values and the peak gap |u(n h) - (1 - N)|, exact
+    before its rounding to double.
 
     Raises :class:`ResolutionError` when that gap exceeds 1e-17 or an output
     is not finite: below kappa ~ 0.045 the launch round-off, amplified by
-    ~1/(1-N), outgrows ``SHOOT_DPS`` digits.  A march that leaves the bounded
-    orbits (|u| >= 2) stops there and misses by inf.  Points outside
-    [0, pi/2], or a kappa :func:`peak_complement_mp` refuses, raise :class:`DomainError`.
+    ~1/(1-N), outgrows ``SHOOT_BITS`` bits.  A march that leaves the bounded
+    orbits (|u| >= 2) stops there and misses by inf.  Points not inside
+    [0, pi/2], NaN among them, or a kappa :func:`peak_complement_mp` refuses,
+    raise :class:`DomainError`.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.size and (xs.min() < -1e-15 or xs.max() > 0.5 * math.pi + 1e-15):
+    if not np.all((xs >= -1e-15) & (xs <= 0.5 * math.pi + 1e-15)):  # NaN fails both
         raise DomainError("domain error: shoot_profile expects points inside [0, pi/2]")
-    with mp.workdps(SHOOT_DPS):
-        kap = mp.mpf(kappa)
-        w = peak_complement_mp(kappa, dps=SHOOT_DPS)
-        q = w * (2 - w)
-        v0 = mp.sqrt(1 - q * q) / (mp.sqrt(2) * kap)
-        prec = mp.mp.prec + GUARD_BITS
-        one = 1 << prec
-        kappa2 = Fraction(float(kap)) ** 2
-        h_step = min(0.44 * float(kap), 0.3)
-        h = h_step
-        u, v, x = 0, int(mp.nint(mp.ldexp(h * v0, prec))), Fraction(0)
-        out = np.empty(xs.size)
-        idx = np.argsort(xs)
-        xs_sorted = xs[idx]
-        pos = 0
-        x_end = 0.5 * math.pi
-        while abs(u) < 2 * one:  # past the separatrix the integers grow without bound
-            x_hi = float(x)
-            x_lo = float(x - Fraction(x_hi))  # Fraction - float would round to float first
-            h_next = min(h_step, x_end - x_hi + 1e-18)
-            if h_next != h:  # the shorter last step: rescale h u'
-                ratio = Fraction(h_next) / Fraction(h)
-                v = v * ratio.numerator // ratio.denominator
-                h = h_next
-            r = Fraction(h) ** 2 / kappa2
-            a = _scaled_taylor_coeffs(u, v, (r.numerator << prec) // r.denominator, TAYLOR_ORDER, prec)
-            # evaluate any requested points inside [x, x+h]
-            stop = int(np.searchsorted(xs_sorted, x_hi + h + 1e-15, side="right"))
-            if stop > pos:
-                # xs - x_hi is exact (Sterbenz, or x_hi = 0)
-                t = ((xs_sorted[pos:stop] - x_hi) - x_lo) / h
-                out[idx[pos:stop]] = np.polyval([ak / one for ak in reversed(a)], t)
-                pos = stop
-            if x_hi + h >= x_end - 1e-15:
-                t_end = (Fraction(x_end) - x) / Fraction(h)
-                u, _ = _horner_fixed(a, t_end.numerator, t_end.denominator)
-                break
-            u, v = sum(a), sum(k * ak for k, ak in enumerate(a))
-            x += Fraction(h)
-        gap = float(abs(mp.ldexp(u, -prec) - (1 - w))) if abs(u) < 2 * one else math.inf
-        if not (gap <= 1e-17 and np.all(np.isfinite(out))):
-            raise ResolutionError(
-                f"shooting at kappa={kappa} misses the peak value by {gap:.3e} "
-                f"(limit 1e-17) in {SHOOT_DPS} digits"
-            )
-        return out, gap
+    w = peak_complement_mp(kappa)
+    q = w * (2 - w)
+    n_steps = math.ceil(0.5 * math.pi / (0.44 * kappa))
+    h = 0.5 * math.pi / n_steps
+    r = Fraction(h) ** 2 / Fraction(kappa) ** 2
+    one = 1 << SHOOT_BITS
+    u, v = 0, math.isqrt(int(r * (1 - q * q) / 2 * one * one))  # h u'(0) = sqrt(r (1 - q^2) / 2)
+    r_fixed = int(r * one)
+    out = np.empty(xs.size)
+    idx = np.argsort(xs)
+    xs_sorted = xs[idx]
+    pos = 0
+    for step in range(n_steps):
+        x = step * Fraction(h)
+        x_hi = float(x)
+        x_lo = float(x - Fraction(x_hi))  # Fraction - float would round to float first
+        a = _scaled_taylor_coeffs(u, v, r_fixed, TAYLOR_ORDER, SHOOT_BITS)
+        # evaluate the requested points inside [x, x+h]; the last step takes the rest
+        stop = int(np.searchsorted(xs_sorted, x_hi + h + 1e-15, side="right"))
+        stop = xs.size if step == n_steps - 1 else stop
+        if stop > pos:
+            # xs - x_hi is exact (Sterbenz, or x_hi = 0)
+            t = ((xs_sorted[pos:stop] - x_hi) - x_lo) / h
+            out[idx[pos:stop]] = np.polyval([ak / one for ak in reversed(a)], t)
+            pos = stop
+        u, v = sum(a), sum(k * ak for k, ak in enumerate(a))
+        if abs(u) >= 2 * one:  # past the separatrix the integers grow without bound
+            break
+    gap = float(abs(Fraction(u, one) - (1 - w))) if abs(u) < 2 * one else math.inf
+    if not (gap <= 1e-17 and np.all(np.isfinite(out))):
+        raise ResolutionError(
+            f"shooting at kappa={kappa} misses the peak value by {gap:.3e} "
+            f"(limit 1e-17) in {SHOOT_BITS} bits"
+        )
+    return out, gap
 
 
 def _polyval(c, t):

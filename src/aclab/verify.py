@@ -134,7 +134,7 @@ def check_peak_bounds(ctx):
 
 
 def check_profile_residual_and_oracle(ctx):
-    from .oracles import shoot_profile  # mpmath loads with the oracles, not with verify
+    from .oracles import shoot_profile  # fractions loads with the oracles, not with verify
     worst_resid = 0.0
     worst_oracle = 0.0
     for kap in RESIDUAL_KAPPAS:
@@ -227,7 +227,7 @@ def check_catalog(ctx):
 
 
 def check_orbit_classification(ctx):
-    from .oracles import first_return_period  # mpmath loads with the oracles, not with verify
+    from .oracles import first_return_period  # fractions loads with the oracles, not with verify
     rng = np.random.default_rng(ctx.seed)
     kinds = {"unbounded": 0, "heteroclinic_or_constant": 0, "periodic": 0, "zero": 0}
     worst_period = 0.0

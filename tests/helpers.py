@@ -3,6 +3,7 @@
 import contextlib
 import signal
 
+import mpmath as mp
 import numpy as np
 
 
@@ -56,3 +57,28 @@ def grid_energy(values, kappa):
     du = fft_derivative(values)
     density = 0.5 * kappa**2 * du**2 + 0.25 * (1.0 - values**2) ** 2
     return float((2.0 * np.pi / values.size) * np.sum(density))
+
+
+def peak_complement_findroot(kappa, dps):
+    """w = 1 - N at ``dps`` digits by ``mp.findroot`` (Anderson) on s = ln w over ``mp.agm``.
+
+    The quarter-period identity R_F(0, 1+q, 2q) = pi / (2 AGM(sqrt(1+q),
+    sqrt(2q))) = pi / (2 sqrt 2 kappa), q = w (2 - w), as the library's
+    shooting oracle solved it before its integer solve (DLMF 19.8(i), 19.22(i)).
+    """
+    with mp.workdps(dps):
+        target = mp.pi / (2 * mp.sqrt(2) * mp.mpf(kappa))
+
+        def g_of_s(s):
+            w = mp.e**s
+            q = w * (2 - w)
+            return mp.pi / (2 * mp.agm(mp.sqrt(1 + q), mp.sqrt(2 * q))) - target
+
+        s = mp.findroot(g_of_s, (-2 * target - 8, mp.mpf(0)), solver="anderson",
+                        tol=mp.mpf(10) ** (-2 * dps + 8))
+        return mp.e**s
+
+
+def mp_fraction(x):
+    """The exact rational ``x`` as an mpf at the working precision."""
+    return mp.mpf(x.numerator) / x.denominator

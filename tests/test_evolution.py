@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from aclab.catalog import build_catalog
 from aclab.diagnostics import DiagnosticSeries, spectra_series
 from aclab.errors import BlowUpError, DomainError, SymmetryError
 from aclab.evolution import (
@@ -21,7 +22,15 @@ from aclab.evolution import (
     initial_spectrum,
     terminal_comparison,
 )
-from aclab.spectral import SineWorkspace, TorusField, TorusGrid, sine_transform, sine_values
+from aclab.spectral import (
+    SineSpectrum,
+    SineWorkspace,
+    TorusField,
+    TorusGrid,
+    sine_coeffs,
+    sine_transform,
+    sine_values,
+)
 
 SERIES = ("times", "mass", "energy", "c1", "hi_mass", "linf")
 
@@ -465,6 +474,17 @@ class TestEvolve:
         sign, err = terminal_comparison(traj, gs_cache(0.9).field)
         assert sign == -1.0
         assert err < 1e-3
+
+    def test_terminal_sign_of_a_replica_comes_from_the_inner_product(self):
+        # u_2 has c_1 = 0, so the round-off c_1 = -1e-12 named -u_2 and an
+        # error of 1.79 for a run that sits about 1e-12 from +u_2
+        u2 = build_catalog(0.3).replicas[1]
+        params = EvolveParams(kappa=0.3, dt=0.05, t_end=1.0)
+        c = sine_coeffs(u2.field.values, params.max_mode)
+        c[0] = -1e-12
+        sign, err = terminal_comparison(evolve(SineSpectrum(c), params), u2.field)
+        assert sign == 1.0
+        assert err < 1e-10
 
     def test_terminal_comparison_refuses_a_reference_grid_too_small(self, gs_cache):
         # 4096 points carry 1024 modes; a 2048-point reference holds 1023

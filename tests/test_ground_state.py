@@ -31,7 +31,7 @@ from aclab.ground_state import (
 )
 from aclab.oracles import peak_complement_mp
 from aclab.spectral import TorusField, TorusGrid, sine_values
-from helpers import composite_simpson, fft_derivative, grid_energy
+from helpers import composite_simpson, fft_derivative, grid_energy, mp_fraction
 
 SQRT2 = math.sqrt(2.0)
 # a few ulps: the closed form and the 30-digit reference round differently
@@ -161,7 +161,7 @@ def test_no_scipy_module_loads_in_a_full_gate_run():
     code = (
         "import sys, aclab.verify; "
         "assert all(r.passed for r in aclab.verify.run_suite('all')); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
     )
     out = _fresh_python(code, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -169,21 +169,21 @@ def test_no_scipy_module_loads_in_a_full_gate_run():
 
 
 def test_heavy_imports_wait_for_the_functions_that_need_them():
-    # the mpmath oracles load on first call; only oracles.py, the mpmath
-    # module itself, imports mpmath on import
+    # the oracles load on first call, and no module imports mpmath, a test
+    # dependency, on import
     hits = []
     for name, tree in _library_sources():
         for node in _module_level_nodes(tree):
             for n in _imported_names(node):
                 parts = n.split(".")  # ".oracles.x" -> ["", "oracles", "x"]
-                if parts[:2] == ["", "oracles"] or (parts[0] == "mpmath" and name != "oracles.py"):
+                if parts[:2] == ["", "oracles"] or parts[0] == "mpmath":
                     hits.append((name, n))
     assert hits == []
 
 
 def test_steady_state_modules_import_without_scipy_or_mpmath():
     # a fresh process: the steady-state modules, and every CLI command, start
-    # without the heavy modules; the mpmath oracles load on first call
+    # without the heavy modules; the oracles load on first call
     code = (
         "import sys, aclab.ground_state, aclab.spectral, aclab.catalog, aclab.diagnostics, "
         "aclab.evolution, aclab.serialize, aclab.verify, aclab.cli; "
@@ -300,7 +300,7 @@ class TestProfile:
         gs = build_ground_state(kappa)
         nodes = np.linspace(1, gs.quarter_x.size - 1, 8).astype(int)
         with mp.workdps(30):
-            w = peak_complement_mp(kappa, dps=30)
+            w = mp_fraction(peak_complement_mp(kappa))
             N = 1 - w
             q = w * (2 - w)
             scale = mp.sqrt(2) * mp.mpf(kappa)

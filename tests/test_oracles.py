@@ -17,19 +17,24 @@ from aclab.catalog import classify_orbit
 from aclab.errors import AclabError, DomainError, ResolutionError, WindowError
 from aclab.ground_state import build_ground_state
 from aclab.oracles import (
-    GUARD_BITS,
+    PEAK_KAPPA_FLOOR,
     RETURN_BITS,
-    SHOOT_DPS,
-    _horner_fixed,
+    SHOOT_BITS,
     _scaled_taylor_coeffs,
     _upward_root,
     first_return_period,
     peak_complement_mp,
     shoot_profile,
 )
-from helpers import time_limit
+from helpers import mp_fraction, peak_complement_findroot, time_limit
 
-PREC = mp.libmp.dps_to_prec(SHOOT_DPS) + GUARD_BITS  # the march's fixed-point bits
+PREC = SHOOT_BITS  # the march's fixed-point bits
+
+
+def _equal_steps(kappa):
+    # shoot_profile's march: n equal steps h = (pi/2) / n, h near 0.44 kappa
+    n_steps = math.ceil(0.5 * math.pi / (0.44 * kappa))
+    return n_steps, 0.5 * math.pi / n_steps
 
 
 def _taylor_coeffs(u0, v0, kappa2, order):
@@ -103,26 +108,24 @@ def _shoot_mp(kappa, xs, dps=40, order=50):
     # the march of shoot_profile with every requested point summed in mp
     with mp.workdps(dps):
         kap = mp.mpf(kappa)
-        w = peak_complement_mp(kappa, dps=dps)
+        w = mp_fraction(peak_complement_mp(kappa))
         q = w * (2 - w)
         v0 = mp.sqrt(1 - q * q) / (mp.sqrt(2) * kap)
-        h_step = min(0.44 * float(kap), 0.3)
+        n_steps, h = _equal_steps(kappa)
         u, v, x = mp.mpf(0), v0, mp.mpf(0)
         out = np.empty(xs.size)
         idx = np.argsort(xs)
         pos = 0
-        x_end = 0.5 * math.pi
-        while True:
-            h = min(h_step, x_end - float(x) + 1e-18)
+        for step in range(n_steps):
             a = _taylor_coeffs(u, v, kap**2, order)
-            while pos < xs.size and xs[idx[pos]] <= float(x) + h + 1e-15:
+            last = step == n_steps - 1
+            while pos < xs.size and (last or xs[idx[pos]] <= float(x) + h + 1e-15):
                 uu, _ = _horner2(a, mp.mpf(xs[idx[pos]]) - x)
                 out[idx[pos]] = float(uu)
                 pos += 1
-            if float(x) + h >= x_end - 1e-15:
-                return out
             u, v = _horner2(a, mp.mpf(h))
             x += mp.mpf(h)
+        return out
 
 
 def _shoot_mp_summed_in_double(kappa, xs, dps=40, order=50):
@@ -130,22 +133,21 @@ def _shoot_mp_summed_in_double(kappa, xs, dps=40, order=50):
     # coefficients a_k h^k: shoot_profile's outputs before its integer march
     with mp.workdps(dps):
         kap = mp.mpf(kappa)
-        w = peak_complement_mp(kappa, dps=dps)
+        w = mp_fraction(peak_complement_mp(kappa))
         q = w * (2 - w)
         v0 = mp.sqrt(1 - q * q) / (mp.sqrt(2) * kap)
-        h_step = min(0.44 * float(kap), 0.3)
+        n_steps, h = _equal_steps(kappa)
         u, v, x = mp.mpf(0), v0, mp.mpf(0)
         out = np.empty(xs.size)
         idx = np.argsort(xs)
         xs_sorted = xs[idx]
         pos = 0
-        x_end = 0.5 * math.pi
-        while True:
+        for step in range(n_steps):
             x_hi = float(x)
             x_lo = float(x - x_hi)
-            h = min(h_step, x_end - x_hi + 1e-18)
             a = _taylor_coeffs(u, v, kap**2, order)
             stop = int(np.searchsorted(xs_sorted, x_hi + h + 1e-15, side="right"))
+            stop = xs.size if step == n_steps - 1 else stop
             hk, scaled = mp.mpf(1), []
             for ak in a:
                 scaled.append(float(ak * hk))
@@ -153,10 +155,9 @@ def _shoot_mp_summed_in_double(kappa, xs, dps=40, order=50):
             t = ((xs_sorted[pos:stop] - x_hi) - x_lo) / h
             out[idx[pos:stop]] = np.polyval(scaled[::-1], t)
             pos = stop
-            if x_hi + h >= x_end - 1e-15:
-                return out
             u, v = _horner2(a, mp.mpf(h))
             x += mp.mpf(h)
+        return out
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.65, 0.9])
@@ -193,7 +194,7 @@ def _assert_fixed_series_matches_mp(u0, v0, kappa2):
     # the integer series from (u0, h v0) and (h/kappa)^2 rounded to 2^-PREC,
     # against the mp recurrence run 64 bits finer from those same rounded values
     with mp.workprec(PREC + 64):
-        h = mp.mpf(min(0.44 * math.sqrt(kappa2), 0.3))
+        h = mp.mpf(_equal_steps(math.sqrt(kappa2))[1])
         u = int(mp.nint(mp.ldexp(mp.mpf(u0), PREC)))
         v = int(mp.nint(mp.ldexp(h * mp.mpf(v0), PREC)))
         r = int(mp.floor(mp.ldexp(h * h / mp.mpf(kappa2), PREC)))
@@ -222,8 +223,8 @@ def test_fixed_point_coeffs_match_mp_recurrence(kappa2, u0, v0):
 def test_fixed_point_coeffs_match_mp_recurrence_on_profile_orbits(kappa, theta, sign):
     # (u0, v0) on the orbit the oracle marches at kappa, where
     # kappa^2 v0^2 + u0^2 - u0^4/2 = (1 - q^2)/2 and |u0| <= N
-    with mp.workdps(SHOOT_DPS):
-        w = peak_complement_mp(kappa, dps=SHOOT_DPS)
+    with mp.workdps(40):
+        w = mp_fraction(peak_complement_mp(kappa))
         q = w * (2 - w)
         u0 = theta * (1 - w)
         v0 = sign * mp.sqrt(max(0, (1 - q * q) / 2 - u0**2 + u0**4 / 2)) / kappa
@@ -261,7 +262,25 @@ def test_peak_complement_matches_two_transcendental_integrand(kappa):
             tol=mp.mpf(10) ** (-2 * dps + 8),
         )
         ref = mp.e**s
-        assert abs(peak_complement_mp(kappa, dps=dps) - ref) <= mp.mpf("1e-35") * ref
+        assert abs(mp_fraction(peak_complement_mp(kappa)) - ref) <= mp.mpf("1e-35") * ref
+
+
+@given(kappa=st.floats(0.01, 0.999))
+def test_peak_complement_matches_the_findroot_solve(kappa):
+    # the integer regula falsi against the mp.findroot solve it replaced, run
+    # at 80 digits, where its own error is far below the bound
+    with mp.workdps(80):
+        ref = peak_complement_findroot(kappa, 80)
+        assert abs(mp_fraction(peak_complement_mp(kappa)) - ref) <= mp.mpf("1e-38") * ref
+
+
+def test_peak_solve_floor():
+    # the fixed point grows like 1.6 / kappa bits; below the floor it is refused
+    with mp.workdps(60):
+        ref = peak_complement_findroot(PEAK_KAPPA_FLOOR, 60)
+        assert abs(mp_fraction(peak_complement_mp(PEAK_KAPPA_FLOOR)) - ref) <= mp.mpf("1e-38") * ref
+    with pytest.raises(DomainError, match="outside"):
+        peak_complement_mp(math.nextafter(PEAK_KAPPA_FLOOR, 0.0))
 
 
 def test_unsorted_points_come_back_in_input_order():
@@ -273,7 +292,9 @@ def test_unsorted_points_come_back_in_input_order():
     assert vals[4] == 0.0 and np.all(np.diff(sorted_vals) > 0)
 
 
-@pytest.mark.parametrize("xs", [[-0.01, 0.5], [0.5, 0.5 * math.pi + 1e-12]])
+@pytest.mark.parametrize(
+    "xs", [[-0.01, 0.5], [0.5, 0.5 * math.pi + 1e-12], [0.5, math.nan], [math.nan]]
+)
 def test_points_outside_quarter_period_are_refused(xs):
     with pytest.raises(ValueError, match="inside"):
         shoot_profile(0.5, xs)
@@ -281,7 +302,7 @@ def test_points_outside_quarter_period_are_refused(xs):
 
 def test_refuses_kappa_beyond_its_digits():
     xs = np.linspace(0.0, 0.5 * math.pi, 9)
-    with pytest.raises(ResolutionError, match=r"kappa=0\.04 .* by 1\.\d+e-13") as exc:
+    with pytest.raises(ResolutionError, match=r"kappa=0\.04 .* by 7\.\d+e-14") as exc:
         shoot_profile(0.04, xs)
     assert isinstance(exc.value, AclabError) and isinstance(exc.value, ValueError)
     vals, gap = shoot_profile(0.05, xs)
@@ -320,33 +341,19 @@ def test_oracles_import_nothing_of_the_construction():
     assert hits == []
 
 
-@given(
-    st.sampled_from([21, 22, 51, 52]).flatmap(
-        lambda n: st.lists(st.integers(-(2**200), 2**200), min_size=n, max_size=n)
-    )
-)
-def test_plain_sums_equal_the_horner_step_at_t_one(a):
-    # the marches end a full step with (u, h u') = (sum a_k, sum k a_k); the
-    # series carry RETURN_ORDER + 2 = 22 and TAYLOR_ORDER + 2 = 52 terms
-    assert (sum(a), sum(k * ak for k, ak in enumerate(a))) == _horner_fixed(a, 1, 1)
-
-
 def test_no_mpmath_inside_the_marches():
-    # mpmath serves the launch and the peak gap only: no loop of either
-    # oracle, nor a module function such a loop calls, names mp
-    tree = ast.parse(Path(aclab.oracles.__file__).read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # the oracles run on Python integers, Fractions and doubles: no module of
+    # the library imports mpmath, at module level or in a function
     hits = []
-    for name in ("shoot_profile", "first_return_period"):
-        loops = [node for node in ast.walk(functions[name]) if isinstance(node, ast.While)]
-        assert loops, name
-        for loop in loops:
-            names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
-            bodies = [loop] + [functions[n] for n in sorted(names & functions.keys())]
-            hits += [
-                (name, node.lineno) for body in bodies for node in ast.walk(body)
-                if isinstance(node, ast.Name) and node.id == "mp"
-            ]
+    for path in sorted(Path(aclab.oracles.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits += [(path.name, n) for n in names if n.split(".")[0] == "mpmath"]
     assert hits == []
 
 
