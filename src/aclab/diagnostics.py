@@ -192,40 +192,30 @@ class LogConvexityReport:
     t1: float
     t2: float
     worst_ratio: float
-    worst_time: float
-    n_checked: int
     passed: bool
 
 
-def check_log_convexity(series: DiagnosticSeries, t1, t2) -> LogConvexityReport:
-    """Sharp interpolation test m(t) <= m(t1)^(1-l) m(t2)^l on (t1, t2).
+def check_log_convexity(series: DiagnosticSeries) -> LogConvexityReport:
+    """Sharp test m(t) <= m(t1)^(1-l) m(t2)^l over all recorded t1 < t < t2, in one pass.
 
-    The pass criterion carries relative round-off slack 1e-12 so the exact
-    log-linear equality case passes.
+    By the three-chord lemma only consecutive triples need the test: r_i =
+    m_(i+1) / (m_i^(1-l) m_(i+2)^l), l = (t_(i+1) - t_i) / (t_(i+2) - t_i).
+    The first largest r_i is reported with its window (t_i, t_(i+2)); it
+    passes up to relative round-off slack 1e-12, so the log-linear equality
+    case passes.  Fewer than three records raise :class:`WindowError`, a
+    mass not positive at every record :class:`DomainError`.
     """
     t = series.times
     m = series.mass
-    if not (t[0] <= t1 < t2 <= t[-1]):
-        raise DomainError(f"domain error: [{t1}, {t2}] outside the recorded range")
-    i1 = int(np.argmin(np.abs(t - t1)))
-    i2 = int(np.argmin(np.abs(t - t2)))
-    m1, m2 = m[i1], m[i2]
-    if m1 <= 0.0 or m2 <= 0.0:
-        raise DomainError("domain error: mass must be positive at the window ends")
-    inner = (t > t[i1]) & (t < t[i2])
-    if not np.any(inner):
-        return LogConvexityReport(t1, t2, 0.0, t1, 0, True)
-    lam = (t[inner] - t[i1]) / (t[i2] - t[i1])
-    ratios = m[inner] / (m1 ** (1.0 - lam) * m2**lam)
-    worst = int(np.argmax(ratios))
-    return LogConvexityReport(
-        t1=float(t[i1]),
-        t2=float(t[i2]),
-        worst_ratio=float(ratios[worst]),
-        worst_time=float(t[inner][worst]),
-        n_checked=int(ratios.size),
-        passed=bool(ratios[worst] <= 1.0 + 1e-12),
-    )
+    if t.size < 3:
+        raise WindowError(f"window error: need >= 3 records, got {t.size}")
+    if np.any(m <= 0.0):
+        raise DomainError("domain error: mass must be positive at every record")
+    lam = (t[1:-1] - t[:-2]) / (t[2:] - t[:-2])
+    ratios = m[1:-1] / (m[:-2] ** (1.0 - lam) * m[2:] ** lam)
+    i = int(np.argmax(ratios))
+    r = float(ratios[i])
+    return LogConvexityReport(t1=float(t[i]), t2=float(t[i + 2]), worst_ratio=r, passed=r <= 1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -273,8 +263,9 @@ def theta_ode_oracle(theta0, t0, forcing, t_end) -> ThetaFit:
     decade (the remainder of t*theta is O(1/t)); the remainder bound reports
     sup |theta - theta_star/t| * t^2 / ln t there.  The map must keep theta
     in [0, inf): a step that ends with phi < 0 raises SignError.  Non-finite
-    data, t0 < 3, theta0 < 0, t_end <= 2 t0, or a phi beyond the step's
-    stable range (phi > ``THETA_STEPS_PER_UNIT`` / 3) raise DomainError.
+    data or forcing samples t^2 F(t) (an overflow included), t0 < 3,
+    theta0 < 0, t_end <= 2 t0, or a phi beyond the step's stable range
+    (phi > ``THETA_STEPS_PER_UNIT`` / 3) raise DomainError.
     """
     if not all(map(math.isfinite, (theta0, t0, t_end))):
         raise DomainError(f"domain error: theta_ode_oracle needs finite data, got "
@@ -312,6 +303,9 @@ def theta_ode_oracle(theta0, t0, forcing, t_end) -> ThetaFit:
         p = p + ds / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         if not 0.0 <= p <= phi_max:
             t = ts[2 * i + 2]
+            if not all(map(math.isfinite, (g0, g1, g2))):
+                raise DomainError(f"domain error: the forcing gives t^2 F(t) = {(g0, g1, g2)!r} "
+                                  f"on the step ending at t = {t:.6g}, not all finite")
             if p < 0.0:
                 raise SignError(f"sign error: theta left [0, inf) at t = {t:.6g}")
             raise DomainError(f"domain error: t*theta = {p!r} at t = {t:.6g} is beyond "

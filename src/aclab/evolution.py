@@ -184,7 +184,10 @@ def initial_spectrum(preset, max_mode):
                 raise DomainError(f"domain error: mode {m!r} is not an integer")
             if not 1 <= m <= max_mode:
                 raise DomainError(f"domain error: mode {m} outside 1..{max_mode}")
-            c[m - 1] = float(val)
+            try:
+                c[m - 1] = float(val)
+            except (TypeError, ValueError):
+                raise DomainError(f"domain error: mode {m} has coefficient {val!r}, not a number") from None
         return SineSpectrum(c)
     table = {
         "sin_x": {1: 1.0},

@@ -107,13 +107,13 @@ def shoot_profile(kappa, xs):
     Raises :class:`ResolutionError` when that gap exceeds 1e-17 or an output
     is not finite: below kappa ~ 0.045 the launch round-off, amplified by
     ~1/(1-N), outgrows ``SHOOT_BITS`` bits.  A march that leaves the bounded
-    orbits (|u| >= 2) stops there and misses by inf.  Points not inside
-    [0, pi/2], NaN among them, or a kappa :func:`peak_complement_mp` refuses,
-    raise :class:`DomainError`.
+    orbits (|u| >= 2) stops there and misses by inf.  Points that are not a
+    1-d array inside [0, pi/2], NaN among them, or a kappa
+    :func:`peak_complement_mp` refuses, raise :class:`DomainError`.
     """
     xs = np.asarray(xs, dtype=float)
-    if not np.all((xs >= -1e-15) & (xs <= 0.5 * math.pi + 1e-15)):  # NaN fails both
-        raise DomainError("domain error: shoot_profile expects points inside [0, pi/2]")
+    if xs.ndim != 1 or not np.all((xs >= -1e-15) & (xs <= 0.5 * math.pi + 1e-15)):  # NaN fails both
+        raise DomainError("domain error: shoot_profile expects a 1-d array of points inside [0, pi/2]")
     w = peak_complement_mp(kappa)
     q = w * (2 - w)
     n_steps = math.ceil(0.5 * math.pi / (0.44 * kappa))

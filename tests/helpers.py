@@ -82,3 +82,14 @@ def peak_complement_findroot(kappa, dps):
 def mp_fraction(x):
     """The exact rational ``x`` as an mpf at the working precision."""
     return mp.mpf(x.numerator) / x.denominator
+
+
+def window_ratios(times, mass, i, k):
+    """m_j / (m_i^(1-l) m_k^l), l = (t_j - t_i) / (t_k - t_i), for every record i < j < k.
+
+    The interpolation ratios of one window (t_i, t_k) as the library formed
+    them one window at a time, before its sharp log-convexity test took all
+    consecutive triples in one pass.
+    """
+    lam = (times[i + 1 : k] - times[i]) / (times[k] - times[i])
+    return mass[i + 1 : k] / (mass[i] ** (1.0 - lam) * mass[k] ** lam)

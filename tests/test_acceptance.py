@@ -12,7 +12,7 @@ import pytest
 import aclab.oracles
 from aclab import verify
 from aclab.diagnostics import check_log_convexity
-from aclab.errors import AclabError
+from aclab.errors import AclabError, DomainError
 from aclab.verify import ALL_CHECK_NAMES, run_suite
 
 SEED = 20240817
@@ -68,16 +68,20 @@ def test_non_finite_spectral_gap_fails_its_check(monkeypatch, bad):
 
 
 def test_non_finite_interpolation_ratio_fails_its_check(monkeypatch):
-    # one nan ratio among finite ones: the worst window is the nan one
-    def planted(series, t1, t2):
-        report = check_log_convexity(series, t1, t2)
-        if t1 == series.times[40]:
-            report = dataclasses.replace(report, worst_ratio=math.nan, passed=False)
-        return report
+    # a nan worst ratio, as no positive finite mass produces: the check fails and says nan
+    def planted(series):
+        return dataclasses.replace(check_log_convexity(series), worst_ratio=math.nan, passed=False)
 
     monkeypatch.setattr(verify, "check_log_convexity", planted)
     result = verify.check_sharp_log_convexity(verify._Context(seed=SEED))
     assert not result.passed and "ratio nan" in result.observed
+
+
+@pytest.mark.parametrize("seed", [True, False, -1, 1.0])
+def test_run_suite_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # True once ran as seed 1
+    with pytest.raises(DomainError, match="seed"):
+        run_suite("all", seed=seed)
 
 
 @pytest.mark.parametrize("values", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)])

@@ -21,7 +21,7 @@ from aclab.diagnostics import (
 from aclab.errors import DomainError, SignError, WindowError
 from aclab.evolution import EvolveParams, evolve, initial_spectrum
 from aclab.spectral import SineSpectrum, sine_transform
-from helpers import time_limit
+from helpers import time_limit, window_ratios
 
 
 @pytest.fixture(scope="module")
@@ -174,31 +174,54 @@ class TestLogConvexity:
     def test_equality_case_passes_sharp(self):
         t = np.linspace(0.0, 5.0, 60)
         series = _synthetic_series(t, np.exp(-6.0 * t))
-        rep = check_log_convexity(series, 0.0, 5.0)
+        rep = check_log_convexity(series)
         assert rep.passed
         assert rep.worst_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_nonconvex_detected(self):
         t = np.linspace(0.0, 2.0, 40)
         series = _synthetic_series(t, np.exp(-((t - 1.0) ** 2)) + 0.1)
-        rep = check_log_convexity(series, 0.0, 2.0)
+        rep = check_log_convexity(series)
         assert not rep.passed
         assert rep.worst_ratio > 1.0
+        assert rep.t1 < 1.0 < rep.t2  # ln m is concave near its peak at t = 1
 
-    def test_domain(self, kappa1_run):
-        with pytest.raises(DomainError):
-            check_log_convexity(kappa1_run.diagnostics, 3.0, 1.0)
+    def test_refuses_fewer_than_three_records(self):
+        t = np.array([0.0, 1.0])
+        with pytest.raises(WindowError, match="3 records"):
+            check_log_convexity(_synthetic_series(t, np.exp(-t)))
+
+    def test_domain(self):
+        t = np.linspace(0.0, 1.0, 5)
+        mass = np.exp(-t)
+        mass[2] = 0.0
+        with pytest.raises(DomainError, match="positive at every record"):
+            check_log_convexity(_synthetic_series(t, mass))
+
+    @given(
+        steps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=59),
+        data=st.data(),
+    )
+    def test_matches_the_per_window_formula(self, steps, data):
+        # the one-pass ratios against the per-window ones they replace, bit for bit
+        t = np.cumsum([0.0, *steps])
+        mass = data.draw(arrays(float, t.size, elements=st.floats(1e-6, 1e6)))
+        rep = check_log_convexity(_synthetic_series(t, mass))
+        per_window = [float(window_ratios(t, mass, i, i + 2)[0]) for i in range(t.size - 2)]
+        i = int(np.argmax(per_window))
+        assert rep.worst_ratio == per_window[i]
+        assert (rep.t1, rep.t2) == (float(t[i]), float(t[i + 2]))
 
 
 def _worst_over_pairs(series):
-    # the all-pairs loop over check_log_convexity that the consecutive triples replace
-    t = series.times
+    # the all-pairs scan over every window (t_i, t_k) that the consecutive triples replace
+    t, m = series.times, series.mass
     worst, worst_pair = 0.0, (0.0, 0.0)
     for i in range(t.size):
         for k in range(i + 2, t.size):
-            rep = check_log_convexity(series, float(t[i]), float(t[k]))
-            if rep.worst_ratio > worst:
-                worst, worst_pair = rep.worst_ratio, (float(t[i]), float(t[k]))
+            ratio = float(np.max(window_ratios(t, m, i, k)))
+            if ratio > worst:
+                worst, worst_pair = ratio, (float(t[i]), float(t[k]))
     return worst, worst_pair
 
 
@@ -316,6 +339,12 @@ class TestThetaOracle:
     def test_refuses_a_forcing_that_drives_theta_out_of_range(self):
         with time_limit(5.0), pytest.raises(DomainError, match="stiff"):
             theta_ode_oracle(1.0, 3.0, lambda t: 1e3, 100.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+    def test_refuses_a_forcing_that_is_not_finite(self, value):
+        # 1e308 is finite, but t^2 F(t) overflows at t >= 3
+        with time_limit(5.0), pytest.raises(DomainError, match="forcing"):
+            theta_ode_oracle(1.0, 3.0, lambda t: value, 100.0)
 
     def test_huge_finite_end_time(self):
         # the log-time march takes 400 steps per unit of ln t: 1e300 costs 0.3 s

@@ -513,6 +513,12 @@ class TestInitialSpectrum:
             initial_spectrum({mode: 1.0}, 8)
         assert initial_spectrum({np.int64(2): 1.0}, 8).coeffs[1] == 1.0
 
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_coefficient_must_be_a_number(self, value):
+        # "x" raised a bare ValueError and None a TypeError
+        with pytest.raises(DomainError, match="mode 1 has coefficient"):
+            initial_spectrum({1: value}, 8)
+
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
             initial_spectrum("unknown", 8)

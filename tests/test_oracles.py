@@ -293,7 +293,8 @@ def test_unsorted_points_come_back_in_input_order():
 
 
 @pytest.mark.parametrize(
-    "xs", [[-0.01, 0.5], [0.5, 0.5 * math.pi + 1e-12], [0.5, math.nan], [math.nan]]
+    "xs",
+    [[-0.01, 0.5], [0.5, 0.5 * math.pi + 1e-12], [0.5, math.nan], [math.nan], 0.5, [[0.1, 0.2]]],
 )
 def test_points_outside_quarter_period_are_refused(xs):
     with pytest.raises(ValueError, match="inside"):
