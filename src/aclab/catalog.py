@@ -27,12 +27,14 @@ C_NEAR_BOUNDARY = 1e-8
 
 
 def count_states(kappa):
-    """Number of nontrivial steady states: m with 1/(m+1) <= kappa < 1/m."""
+    """Number of nontrivial steady states: the j >= 1 with j * kappa < 1 in floating point,
+    the product ``build_catalog`` forms, so m with 1/(m+1) <= kappa < 1/m."""
     if not (kappa > 0.0 and 1.0 / kappa < math.inf):
         raise DomainError(f"domain error: need kappa > 0 with a finite reciprocal, got {kappa!r}")
-    if kappa >= 1.0:
-        return 0
-    return math.ceil(1.0 / kappa) - 1
+    m = math.floor(1.0 / kappa)  # never below the count: j kappa < 1 needs j < 1/kappa
+    while m * kappa >= 1.0:
+        m = math.floor(math.nextafter(m, 0.0))  # m - 1, or past 2^53 the next double down
+    return m
 
 
 @dataclass(frozen=True)

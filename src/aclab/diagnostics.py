@@ -1,6 +1,6 @@
 """Post-processing of evolution runs: diagnostic series, rate fits, convexity.
 
-Fit windows exclude t < 1 by default and refuse signals within a factor 100
+Every fit names its window, and a fit refuses signals within a factor 100
 of the absolute floor 1e-13, where exponentially decaying quantities sit on
 the round-off plateau and any fitted rate would be meaningless.  The theta
 ODE oracle, the reduced modulation equation at kappa = 1, is integrated
@@ -90,22 +90,26 @@ class RateFit:
     prefactor: float
     residual: float
     rejected: bool
+    t: np.ndarray  # t, y: the samples fitted; y_fit: the curve of the parameters at t
+    y: np.ndarray
+    y_fit: np.ndarray
 
 
 def _select(t, window):
-    # the window, by default [max(1, t_0), t_last], and the mask of its samples
-    lo, hi = window if window is not None else (max(1.0, float(t[0])), float(t[-1]))
+    lo, hi = window
     return lo, hi, (t >= lo) & (t <= hi)
 
 
-def fit_rate(times, values, model, window=None) -> RateFit:
-    """Least-squares decay fit on a window.
+def fit_rate(times, values, model, window) -> RateFit:
+    """Least-squares decay fit on the samples with lo <= t <= hi, window = (lo, hi).
 
     ``exponential`` regresses ln y on t (rate = -slope); ``algebraic``
-    regresses ln y on ln t (exponent = -slope).  ``residual`` is the max
-    relative deviation of the fit on the window; fits with residual > 0.1
-    are flagged rejected rather than silently returned.  A non-finite time
-    or value, or a different number of values than times, raises
+    regresses ln y on ln t (exponent = -slope) over the samples with t > 0.
+    The fit keeps its samples as read-only ``t``, ``y`` and its curve there
+    as ``y_fit``, prefactor exp(-rate t) or prefactor t^(-exponent);
+    ``residual`` is max |y_fit / y - 1|, and fits with residual > 0.1 (or
+    nan) are flagged rejected rather than silently returned.  A non-finite
+    time or value, or a different number of values than times, raises
     :class:`DomainError`.
     """
     if model not in ("exponential", "algebraic"):
@@ -133,17 +137,19 @@ def fit_rate(times, values, model, window=None) -> RateFit:
             f"window error: signal reaches {np.min(y_w):.2e}, within 100x of the "
             f"round-off floor {SIGNAL_FLOOR}"
         )
-    abscissa = t_w if model == "exponential" else np.log(t_w)
-    slope, intercept = np.polyfit(abscissa, np.log(y_w), 1)
-    y_hat = np.exp(intercept + slope * abscissa)
-    residual = float(np.max(np.abs(y_hat / y_w - 1.0)))
+    exponential = model == "exponential"
+    slope, intercept = np.polyfit(t_w if exponential else np.log(t_w), np.log(y_w), 1)
+    rate, prefactor = float(-slope), float(np.exp(intercept))
+    y_fit = prefactor * (np.exp(-rate * t_w) if exponential else t_w ** (-rate))
+    residual = float(np.max(np.abs(y_fit / y_w - 1.0)))
     return RateFit(
         window=(float(lo), float(hi)),
         model=model,
-        rate_or_exponent=float(-slope),
-        prefactor=float(np.exp(intercept)),
+        rate_or_exponent=rate,
+        prefactor=prefactor,
         residual=residual,
-        rejected=residual > 0.1,
+        rejected=not residual <= 0.1,
+        t=_freeze(t_w), y=_freeze(y_w), y_fit=_freeze(y_fit),
     )
 
 
@@ -154,11 +160,12 @@ class ProfileEstimate:
     zero_mode: bool
 
 
-def extract_profile(series: DiagnosticSeries, window=None) -> ProfileEstimate:
+def extract_profile(series: DiagnosticSeries, window) -> ProfileEstimate:
     """Late-time first-mode amplitude beta of the kappa = 1 decay c1 ~ beta / sqrt(t).
 
-    The squared compensated amplitude c1(t)^2 t is extrapolated linearly in
-    1/t per late sub-window (its remainder is O(1/t)).  ``stability`` is the
+    Only the records with lo <= t <= hi, window = (lo, hi), count.  The
+    squared compensated amplitude c1(t)^2 t is extrapolated linearly in 1/t
+    per late sub-window (its remainder is O(1/t)).  ``stability`` is the
     spread of the sub-window estimates; a first mode at round-off level is
     reported as the zero profile.
     """

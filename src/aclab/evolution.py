@@ -184,10 +184,9 @@ def initial_spectrum(preset, max_mode):
                 raise DomainError(f"domain error: mode {m!r} is not an integer")
             if not 1 <= m <= max_mode:
                 raise DomainError(f"domain error: mode {m} outside 1..{max_mode}")
-            try:
-                c[m - 1] = float(val)
-            except (TypeError, ValueError):
-                raise DomainError(f"domain error: mode {m} has coefficient {val!r}, not a number") from None
+            if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, float, np.integer, np.floating)):
+                raise DomainError(f"domain error: mode {m} has coefficient {val!r}, not a number")
+            c[m - 1] = val
         return SineSpectrum(c)
     table = {
         "sin_x": {1: 1.0},
@@ -219,8 +218,9 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     steps and at the last one; the diagnostics (mass |u|_2^2, energy, first
     mode, tail norm, grid max) are derived from the records after the run.
     Steady detection requires |u(t) - u(t - D)|_2 / D below
-    ``STEADY_TOL`` for ten consecutive record points.  The band-gap filter zeroes the
-    even modes of ``u0``, so one above ``ODD_TOL`` raises :class:`DomainError`.
+    ``STEADY_TOL`` for ten consecutive record points.  Content of ``u0`` the run
+    cannot carry, the modes above ``max_mode`` and under the band-gap filter
+    the even modes, is zeroed; any above ``ODD_TOL`` raises :class:`DomainError`.
     A state that overflows, or a record too large for its diagnostics, raises
     :class:`BlowUpError` at its step.
     """
@@ -232,13 +232,19 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
         raise DomainError(f"domain error: unsupported initial data {type(u0)!r}")
 
     stepper = _Stepper(params)
-    c = np.zeros(params.max_mode)
-    c[: spec0.coeffs.size] = spec0.coeffs[: params.max_mode]
+    c = np.zeros(max(params.max_mode, spec0.coeffs.size))
+    c[: spec0.coeffs.size] = spec0.coeffs
+    lost = np.arange(c.size) >= params.max_mode  # the content the run cannot carry
     if params.filter == FILTER_ODD_BAND_GAP:
-        if np.any(np.abs(c[1::2]) > ODD_TOL):
-            raise DomainError("domain error: the band-gap filter would zero even modes of u0 "
-                              f"above {ODD_TOL}")
-        c[1::2] = 0.0  # a sampled field carries round-off even content
+        lost[1::2] = True
+    refused = lost & ~(np.abs(c) <= ODD_TOL)  # a sampled field carries round-off there
+    if refused.any():
+        m = 1 + int(np.argmax(refused))
+        where = ("the band-gap filter would zero even modes of u0" if m <= params.max_mode
+                 else f"u0 has modes above the cutoff n_points/4 = {params.max_mode}")
+        raise DomainError(f"domain error: {where}: mode {m} is {c[m - 1]:.3e}, above {ODD_TOL}")
+    c[lost] = 0.0
+    c = c[: params.max_mode]
     stepper.sine.load(c)
 
     n_steps = round(params.t_end / params.dt)  # a whole number, checked by EvolveParams

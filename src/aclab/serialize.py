@@ -107,18 +107,9 @@ def trajectory_rows(traj):
 TRAJECTORY_HEADER = ("t", "mass", "energy", "c1", "hi_mass", "linf")
 
 
-def rate_fit_rows(times, values, fit):
-    """Rows (t, y, y_fit, relative residual) of a fitted decay, as one array."""
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    lo, hi = fit.window
-    sel = (t >= lo) & (t <= hi)
-    t, y = t[sel], y[sel]
-    if fit.model == "exponential":
-        y_hat = fit.prefactor * np.exp(-fit.rate_or_exponent * t)
-    else:
-        y_hat = fit.prefactor * t ** (-fit.rate_or_exponent)
-    return np.column_stack((t, y, y_hat, y_hat / y - 1.0))
+def rate_fit_rows(fit):
+    """Rows (t, y, y_fit, y_fit / y - 1) of a fit's samples; its residual is the max |y_fit / y - 1|."""
+    return np.column_stack((fit.t, fit.y, fit.y_fit, fit.y_fit / fit.y - 1.0))
 
 
 RATE_FIT_HEADER = ("t", "y", "y_fit", "relative_residual")

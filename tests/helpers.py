@@ -93,3 +93,19 @@ def window_ratios(times, mass, i, k):
     """
     lam = (times[i + 1 : k] - times[i]) / (times[k] - times[i])
     return mass[i + 1 : k] / (mass[i] ** (1.0 - lam) * mass[k] ** lam)
+
+
+def rate_fit_rows_reference(times, values, fit):
+    """Rows (t, y, y_fit, relative residual) of a fitted decay, as the writer built them
+    before the fit kept its samples: the window selected again from ``times`` and
+    the curve rebuilt from the fit's prefactor and rate."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    lo, hi = fit.window
+    sel = (t >= lo) & (t <= hi)
+    t, y = t[sel], y[sel]
+    if fit.model == "exponential":
+        y_hat = fit.prefactor * np.exp(-fit.rate_or_exponent * t)
+    else:
+        y_hat = fit.prefactor * t ** (-fit.rate_or_exponent)
+    return np.column_stack((t, y, y_hat, y_hat / y - 1.0))

@@ -7,11 +7,12 @@ per criterion; the same checks back ``aclab verify --suite all``.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import aclab.oracles
 from aclab import verify
-from aclab.diagnostics import check_log_convexity
+from aclab.diagnostics import check_log_convexity, fit_rate
 from aclab.errors import AclabError, DomainError
 from aclab.verify import ALL_CHECK_NAMES, run_suite
 
@@ -75,6 +76,31 @@ def test_non_finite_interpolation_ratio_fails_its_check(monkeypatch):
     monkeypatch.setattr(verify, "check_log_convexity", planted)
     result = verify.check_sharp_log_convexity(verify._Context(seed=SEED))
     assert not result.passed and "ratio nan" in result.observed
+
+
+def test_each_fit_table_is_read_off_its_fit(monkeypatch):
+    # the four fit tables list the samples each fit used, and their largest
+    # |relative residual| is the fit's own residual
+    fits = []
+
+    def recorded(*args, **kwargs):
+        fits.append(fit_rate(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(verify, "fit_rate", recorded)
+    results = run_suite("dynamics", seed=SEED)
+    tables = [rows for r in results for name, (_, rows) in r.tables.items()
+              if name.startswith("fit_")]
+    assert len(fits) == len(tables) == 4
+    for fit, rows in zip(fits, tables):
+        assert np.array_equal(rows[:, :3], np.column_stack((fit.t, fit.y, fit.y_fit)))
+        assert np.max(np.abs(rows[:, 3])) == fit.residual
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    # a bare KeyError, which is no AclabError
+    with pytest.raises(DomainError, match="unknown suite 'bogus'"):
+        run_suite("bogus")
 
 
 @pytest.mark.parametrize("seed", [True, False, -1, 1.0])

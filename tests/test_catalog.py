@@ -37,6 +37,16 @@ class TestCountStates:
         assert count_states(0.25) == 3  # 1/(m+1) <= kappa holds with equality
         assert count_states(0.2) == 4
 
+    def test_counts_the_products_build_catalog_forms(self):
+        # 1/kappa rounded to 5.0 one double below 0.2, where 5 kappa < 1
+        for m in range(2, 61):
+            for kappa in (1.0 / m, math.nextafter(1.0 / m, 0.0), math.nextafter(1.0 / m, 1.0),
+                          1.0 / (m + 0.5)):
+                assert count_states(kappa) == sum(j * kappa < 1.0 for j in range(1, m + 2)), kappa
+
+    def test_catalog_just_below_one_fifth_holds_u5(self):
+        assert build_catalog(np.nextafter(0.2, 0), TorusGrid(2048)).m == 5
+
     def test_domain(self):
         with pytest.raises(DomainError):
             count_states(0.0)

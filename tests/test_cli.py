@@ -13,6 +13,7 @@ from aclab.cli import (
     EXIT_USAGE,
     MAX_GRID_POINTS,
     _parse_kappa_grid,
+    build_parser,
     main,
 )
 from aclab.diagnostics import fit_rate
@@ -103,6 +104,19 @@ def test_removed_filter_choice_is_usage_error():
 def test_malformed_input_is_domain_error(args, tmp_path, capsys):
     assert run_cli(args + ["--out", str(tmp_path)]) == EXIT_DOMAIN_ERROR
     assert "domain error" in capsys.readouterr().err
+
+
+def test_repeated_coefficient_mode_is_domain_error(tmp_path, capsys):
+    # the last value won: "1:0.5,1:0.7" ran with c_1 = 0.7
+    args = ["evolve", "--kappa", "0.9", "--t-end", "0.1", "--coeffs", "1:0.5,1:0.7",
+            "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_DOMAIN_ERROR
+    assert "mode 1 given twice" in capsys.readouterr().err
+
+
+def test_verify_seed_default_is_the_suite_default():
+    args = build_parser().parse_args(["verify", "--suite", "all"])
+    assert args.seed == verify.DEFAULT_SEED == 20240817
 
 
 @pytest.mark.parametrize("u0, v0", [("1e100", "0"), ("0", "1e200")])
@@ -301,7 +315,7 @@ def test_verify_dynamics_writes_its_tables(tmp_path, capsys, gs_cache):
         return traj
 
     def fit(check, name, times, values, model, window):
-        rows = serialize.rate_fit_rows(times, values, fit_rate(times, values, model, window))
+        rows = serialize.rate_fit_rows(fit_rate(times, values, model, window))
         table(check, name, serialize.RATE_FIT_HEADER, rows)
 
     d = trajectory("fast_decay_kappa2", "kappa2_sinx").diagnostics

@@ -87,7 +87,7 @@ class TestFitRate:
 
     def test_planted_algebraic(self):
         t = np.linspace(1.0, 50.0, 200)
-        fit = fit_rate(t, 2.0 * t**-0.5, "algebraic")
+        fit = fit_rate(t, 2.0 * t**-0.5, "algebraic", window=(1.0, 50.0))
         assert fit.rate_or_exponent == pytest.approx(0.5, abs=1e-8)
         assert fit.prefactor == pytest.approx(2.0, rel=1e-8)
 
@@ -95,8 +95,17 @@ class TestFitRate:
         rng = np.random.default_rng(3)
         t = np.linspace(1.0, 3.0, 50)
         y = np.exp(-t) * np.exp(rng.normal(0.0, 0.5, t.size))
-        fit = fit_rate(t, y, "exponential")
+        fit = fit_rate(t, y, "exponential", window=(1.0, 3.0))
         assert fit.residual > 0.1
+        assert fit.rejected
+
+    def test_fit_whose_curve_is_not_finite_is_rejected(self):
+        # far from t = 0 the prefactor e^intercept overflows, so the curve of
+        # the reported parameters is nan there: its residual was nan, not rejected
+        t = np.linspace(400.0, 410.0, 40)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = fit_rate(t, np.exp(-2.0 * (t - 400.0)), "exponential", window=(400.0, 410.0))
+        assert fit.prefactor == math.inf and math.isnan(fit.residual)
         assert fit.rejected
 
     def test_window_too_thin(self):
@@ -108,7 +117,7 @@ class TestFitRate:
         t = np.linspace(1.0, 2.0, 30)
         y = np.linspace(-1.0, 1.0, 30)
         with pytest.raises(DomainError):
-            fit_rate(t, y, "exponential")
+            fit_rate(t, y, "exponential", window=(1.0, 2.0))
 
     def test_round_off_floor(self):
         t = np.linspace(1.0, 30.0, 100)
@@ -117,7 +126,7 @@ class TestFitRate:
 
     def test_unknown_model(self):
         with pytest.raises(DomainError):
-            fit_rate([1, 2], [1, 2], "quadratic")
+            fit_rate([1, 2], [1, 2], "quadratic", window=(1.0, 2.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("model", ["exponential", "algebraic"])
@@ -127,10 +136,10 @@ class TestFitRate:
         y = np.exp(-3.0 * t)
         y[30] = bad
         with pytest.raises(DomainError, match="finite"):
-            fit_rate(t, y, model)
+            fit_rate(t, y, model, window=(1.0, 4.0))
         y[30], t[30] = 1.0, bad
         with pytest.raises(DomainError, match="finite"):
-            fit_rate(t, y, model)
+            fit_rate(t, y, model, window=(1.0, 4.0))
 
 
     @pytest.mark.parametrize("model", ["exponential", "algebraic"])
@@ -138,7 +147,7 @@ class TestFitRate:
         # one value short raised a bare IndexError from the window mask
         t = np.linspace(1.0, 3.0, 30)
         with pytest.raises(DomainError, match="length mismatch"):
-            fit_rate(t, np.exp(-t[:-1]), model)
+            fit_rate(t, np.exp(-t[:-1]), model, window=(1.0, 3.0))
 
 
 class TestExtractProfile:

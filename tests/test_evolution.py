@@ -323,6 +323,19 @@ class TestFilter:
 
 
 class TestEvolve:
+    def test_refuses_content_above_its_cutoff(self):
+        # 256 points carry the modes up to 64: sin 100x was dropped without a word
+        grid = TorusGrid(2048)
+        params = EvolveParams(kappa=0.9, t_end=0.1, n_points=256)
+        field = TorusField(grid, np.sin(grid.x) + 0.5 * np.sin(100.0 * grid.x))
+        with pytest.raises(DomainError, match="cutoff n_points/4 = 64: mode 100 is"):
+            evolve(field, params)
+        # round-off above the cutoff is admitted and zeroed
+        field = TorusField(grid, np.sin(grid.x))
+        assert np.any(sine_transform(field).coeffs[64:] != 0.0)
+        traj = evolve(field, params)
+        assert np.array_equal(traj.snapshots[0], sine_transform(field).coeffs[:64])
+
     def test_rejects_asymmetric_field(self):
         grid = TorusGrid(256)
         params = EvolveParams(kappa=0.9, t_end=0.1)
@@ -513,11 +526,15 @@ class TestInitialSpectrum:
             initial_spectrum({mode: 1.0}, 8)
         assert initial_spectrum({np.int64(2): 1.0}, 8).coeffs[1] == 1.0
 
-    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("value", ["x", None, "1.5", True, np.bool_(True)],
+                             ids=["x", "None", "str", "True", "np_True"])
     def test_coefficient_must_be_a_number(self, value):
-        # "x" raised a bare ValueError and None a TypeError
+        # "x" raised a bare ValueError and None a TypeError; "1.5" and True
+        # went through float() as 1.5 and 1.0
         with pytest.raises(DomainError, match="mode 1 has coefficient"):
             initial_spectrum({1: value}, 8)
+        spec = initial_spectrum({1: 2, 2: np.float32(0.5), 3: np.int64(3)}, 8)
+        assert spec.coeffs[:3].tolist() == [2.0, 0.5, 3.0]
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aclab import serialize
+from aclab.diagnostics import fit_rate
+from helpers import rate_fit_rows_reference
 
 
 def test_float_format_round_trips():
@@ -44,14 +48,56 @@ def test_write_csv_formats_floats(tmp_path):
 
 
 def test_rate_fit_rows_exponential():
-    from aclab.diagnostics import fit_rate
-
     t = np.linspace(1.0, 3.0, 40)
     y = 2.0 * np.exp(-3.0 * t)
     fit = fit_rate(t, y, "exponential", window=(1.0, 3.0))
-    rows = list(serialize.rate_fit_rows(t, y, fit))
+    rows = list(serialize.rate_fit_rows(fit))
     assert len(rows) == 40
     assert all(abs(r[3]) < 1e-9 for r in rows)
+
+
+@st.composite
+def fitted_series(draw):
+    # y = A e^(-r t + noise) on increasing t > 0, and a window over at least
+    # 20 of its samples; the ranges keep y above the fit's round-off floor
+    n = draw(st.integers(20, 60))
+    t = draw(st.floats(0.05, 5.0)) + np.cumsum(
+        draw(st.lists(st.floats(0.05, 0.25), min_size=n, max_size=n)))
+    noise = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    y = np.exp(draw(st.floats(-3.0, 3.0)) - draw(st.floats(-1.0, 1.0)) * t + noise)
+    i0 = draw(st.integers(0, n - 20))
+    i1 = draw(st.integers(i0 + 19, n - 1))
+    window = (t[i0] * draw(st.floats(0.5, 1.0)), t[i1] * draw(st.floats(1.0, 1.5)))
+    return t, y, window
+
+
+@given(series=fitted_series(), model=st.sampled_from(["exponential", "algebraic"]))
+def test_rate_fit_rows_match_the_reselected_window(series, model):
+    # the table is read off the fit, and equals the one selected again from
+    # the series and rebuilt from the fit's parameters bit for bit
+    t, y, window = series
+    fit = fit_rate(t, y, model, window)
+    rows = serialize.rate_fit_rows(fit)
+    reference = rate_fit_rows_reference(t, y, fit)
+    assert rows.shape == reference.shape
+    assert np.array_equal(rows, reference)
+    assert np.max(np.abs(rows[:, 3])) == fit.residual
+
+
+def test_algebraic_fit_from_t_zero_writes_only_its_samples(tmp_path):
+    # the fit skips t = 0; the table once added it back with y_fit = inf,
+    # and write_csv raised ValueError
+    t = np.linspace(0.0, 5.0, 60)
+    y = np.full_like(t, 5.0)
+    y[1:] = 2.0 * t[1:] ** -0.5
+    fit = fit_rate(t, y, "algebraic", window=(0.0, 5.0))
+    rows = serialize.rate_fit_rows(fit)
+    assert np.array_equal(rows[:, 0], t[1:]) and np.array_equal(rows[:, 1], y[1:])
+    path = tmp_path / "fit.csv"
+    serialize.write_csv(path, serialize.RATE_FIT_HEADER, rows)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 60 and lines[0] == "t,y,y_fit,relative_residual"
+    assert np.max(np.abs(rows[:, 3])) == fit.residual
 
 
 def test_check_record_keeps_detail():
