@@ -142,7 +142,10 @@ def minimal_period(C, kappa):
     if not 0.0 < kappa < math.inf:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive and finite")
     amp = math.sqrt(2.0 * C / (1.0 + math.sqrt(1.0 - 2.0 * C)))
-    return 4.0 * math.sqrt(2.0) * kappa * eval_g(amp)
+    period = 4.0 * math.sqrt(2.0) * kappa * eval_g(amp)
+    if period == math.inf:
+        raise DomainError(f"domain error: the period at kappa={kappa!r} overflows")
+    return period
 
 
 def linearization_gap(field: TorusField, kappa, M=256):

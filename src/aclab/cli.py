@@ -13,7 +13,7 @@ from pathlib import Path
 from . import serialize
 from .catalog import build_catalog, classify_orbit
 from .errors import AclabError, DomainError, ResolutionError, SymmetryError
-from .evolution import EvolveParams, evolve, initial_spectrum, terminal_comparison
+from .evolution import PRESETS, EvolveParams, evolve, initial_spectrum, terminal_comparison
 from .ground_state import DEFAULT_N_POINTS, build_ground_state, energy_identities, kink_profile
 from .spectral import TorusGrid
 from .verify import DEFAULT_SEED, ENERGY_RATIO_LIMIT, SUITES, run_suite
@@ -152,15 +152,17 @@ def cmd_evolve(args):
         filter=FILTER_NAMES[args.filter],
         record_every=args.record_every,
     )
-    if args.compare_steady and not params.kappa < 1.0:
-        raise DomainError(f"domain error: --compare-steady needs kappa < 1, where a steady "
-                          f"profile exists; got kappa={params.kappa!r}")
+    if args.compare_steady:  # the profile u_kappa solves the gamma = 2 equation only
+        if not (params.kappa < 1.0 and params.gamma == 2.0):
+            raise DomainError(f"domain error: --compare-steady needs kappa < 1 and gamma = 2, where "
+                              f"u_kappa exists; got kappa={params.kappa!r}, gamma={params.gamma!r}")
+        gs = build_ground_state(params.kappa, TorusGrid(max(DEFAULT_N_POINTS, params.n_points)))
     if args.coeffs is not None:
         u0 = initial_spectrum(_parse_coeffs(args.coeffs), params.max_mode)
         label = "coeffs"
     else:
-        u0 = initial_spectrum(args.preset, params.max_mode)
-        label = args.preset
+        label = args.preset or "sin_x"
+        u0 = initial_spectrum(label, params.max_mode)
     traj = evolve(u0, params)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +182,6 @@ def cmd_evolve(args):
         "final_energy": float(traj.diagnostics.energy[-1]),
     }
     if args.compare_steady:
-        gs = build_ground_state(params.kappa, TorusGrid(DEFAULT_N_POINTS))
         sign, err = terminal_comparison(traj, gs.field)
         summary["steady_match"] = f"{'+' if sign > 0 else '-'}u_kappa"
         summary["steady_max_error"] = err
@@ -261,9 +262,9 @@ def build_parser():
     p.add_argument("--t-end", type=float, default=EvolveParams.t_end)
     p.add_argument("--n-points", type=int, default=EvolveParams.n_points)
     p.add_argument("--filter", choices=sorted(FILTER_NAMES), default="none")
-    p.add_argument("--preset", choices=("sin_x", "half_sin_x", "sin_2x", "mixed"),
-                   default="sin_x")
-    p.add_argument("--coeffs", type=str, default=None, help='initial data as "m:c,m:c,..."')
+    initial = p.add_mutually_exclusive_group()
+    initial.add_argument("--preset", choices=tuple(PRESETS), help="named initial data (default sin_x)")
+    initial.add_argument("--coeffs", type=str, help='initial data as "m:c,m:c,..."')
     p.add_argument("--record-every", type=int, default=EvolveParams.record_every)
     p.add_argument("--compare-steady", action="store_true",
                    help="compare the terminal state against the steady profile")

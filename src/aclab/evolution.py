@@ -16,8 +16,8 @@ so a step is two cubic terms and six diagonal operations that allocate
 nothing.  Finiteness is tested at each record and at the last step, and a
 non-finite record replays the steps since the previous one to find the
 first non-finite step.  That is exact: the replay repeats the arithmetic,
-and a non-finite d_m stays so (the next step adds to e^z d_m, and the
-band-gap filter zeroes only modes it zeroed the step before).
+and a non-finite d_m stays so (the next step adds to e^z d_m).  The
+band-gap filter acts once, at admission: 2^k-point FFTs keep odd data odd.
 """
 
 import math
@@ -40,6 +40,13 @@ from .spectral import (
 FILTER_NONE = "none"
 FILTER_ODD_BAND_GAP = "odd_band_gap"
 FILTERS = (FILTER_NONE, FILTER_ODD_BAND_GAP)
+
+PRESETS = {  # named initial data, as {mode: coefficient}
+    "sin_x": {1: 1.0},
+    "half_sin_x": {1: 0.5},
+    "sin_2x": {2: 1.0},
+    "mixed": {1: 0.5, 2: 0.25, 3: 0.125},
+}
 
 STEADY_CHECKS_REQUIRED = 10
 STEADY_TOL = 1e-10  # record-to-record L2 rate below which a run counts as steady
@@ -144,7 +151,6 @@ class _Stepper:
     """One ETDRK2 step of the workspace's ``state``, in place: a step allocates nothing."""
 
     def __init__(self, params: EvolveParams):
-        self.params = params
         m = np.arange(1, params.max_mode + 1)
         z = params.dt * (1.0 - fractional_multiplier(m, params.kappa, params.gamma))
         self.e_full = np.exp(z)
@@ -166,8 +172,6 @@ class _Stepper:
         np.subtract(na, n0, na)
         np.multiply(self.dt_phi2, na, na)
         np.add(a, na, d)  # a + dt phi2 (N(a) - N(d))
-        if self.params.filter == FILTER_ODD_BAND_GAP:
-            d[1::2] = 0.0  # the even modes, whose sign is +1
 
 
 def _finite(c):
@@ -176,7 +180,7 @@ def _finite(c):
 
 
 def initial_spectrum(preset, max_mode):
-    """Named initial data: sin_x, half_sin_x, sin_2x, mixed, or {mode: coeff}."""
+    """Initial data: a name in :data:`PRESETS`, or {mode: coeff}."""
     c = np.zeros(max_mode)
     if isinstance(preset, dict):
         for m, val in preset.items():
@@ -188,15 +192,9 @@ def initial_spectrum(preset, max_mode):
                 raise DomainError(f"domain error: mode {m} has coefficient {val!r}, not a number")
             c[m - 1] = val
         return SineSpectrum(c)
-    table = {
-        "sin_x": {1: 1.0},
-        "half_sin_x": {1: 0.5},
-        "sin_2x": {2: 1.0},
-        "mixed": {1: 0.5, 2: 0.25, 3: 0.125},
-    }
-    if preset not in table:
+    if not isinstance(preset, str) or preset not in PRESETS:  # a list is not hashable
         raise DomainError(f"domain error: unknown preset {preset!r}")
-    return initial_spectrum(table[preset], max_mode)
+    return initial_spectrum(PRESETS[preset], max_mode)
 
 
 def _first_non_finite_step(stepper, c, last, kstep):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import KIND_HETEROCLINIC, KIND_PERIODIC, KIND_UNBOUNDED, KIND_ZERO
 from .catalog import build_catalog, classify_orbit, spectral_gap
 from .diagnostics import (
     check_eta0_inequality,
@@ -230,7 +231,7 @@ def check_catalog(ctx):
 def check_orbit_classification(ctx):
     from .oracles import first_return_period  # fractions loads with the oracles, not with verify
     rng = np.random.default_rng(ctx.seed)
-    kinds = {"unbounded": 0, "heteroclinic_or_constant": 0, "periodic": 0, "zero": 0}
+    kinds = dict.fromkeys((KIND_UNBOUNDED, KIND_HETEROCLINIC, KIND_PERIODIC, KIND_ZERO), 0)
     worst_period = 0.0
     checked_periods = 0
     for _ in range(50):
@@ -239,7 +240,7 @@ def check_orbit_classification(ctx):
         v0 = float(rng.uniform(-1.2, 1.2))
         oc = classify_orbit(u0, v0, kappa)
         kinds[oc.kind] += 1
-        if oc.kind == "periodic" and not oc.near_boundary and oc.amplitude > 1e-3:
+        if oc.kind == KIND_PERIODIC and not oc.near_boundary and oc.amplitude > 1e-3:
             oracle = first_return_period(u0, v0, kappa, t_max=3.0 * oc.period + 5.0)
             worst_period = _fold(max, worst_period, abs(oracle - oc.period))
             checked_periods += 1
@@ -249,11 +250,11 @@ def check_orbit_classification(ctx):
     het = classify_orbit(u_het, (1.0 - u_het**2) / (math.sqrt(2.0) * 0.5), 0.5)
     kinds[zero.kind] += 1
     kinds[het.kind] += 1
-    regimes_seen = kinds["unbounded"] > 0 and kinds["periodic"] > 0 and kinds["zero"] > 0
+    regimes_seen = kinds[KIND_UNBOUNDED] > 0 and kinds[KIND_PERIODIC] > 0 and kinds[KIND_ZERO] > 0
     ok = (
         regimes_seen
-        and het.kind == "heteroclinic_or_constant"
-        and zero.kind == "zero"
+        and het.kind == KIND_HETEROCLINIC
+        and zero.kind == KIND_ZERO
         and worst_period <= 1e-6
         and checked_periods >= 5
     )

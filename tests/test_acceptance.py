@@ -14,9 +14,9 @@ import aclab.oracles
 from aclab import verify
 from aclab.diagnostics import check_log_convexity, fit_rate
 from aclab.errors import AclabError, DomainError
-from aclab.verify import ALL_CHECK_NAMES, run_suite
+from aclab.verify import ALL_CHECK_NAMES, DEFAULT_SEED, run_suite
 
-SEED = 20240817
+SEED = DEFAULT_SEED
 
 
 @pytest.fixture(scope="module")

@@ -211,6 +211,12 @@ class TestMinimalPeriod:
             with pytest.raises(DomainError, match="positive and finite"):
                 minimal_period(0.25, bad_kappa)
 
+    def test_overflowing_period_refused(self):
+        # a finite kappa whose period overflows returned inf
+        with pytest.raises(DomainError, match="overflows"):
+            minimal_period(0.25, 1e308)
+        assert math.isfinite(minimal_period(0.25, 1e300))
+
 
 def _dense_linearization_gap(field, kappa, M):
     n = field.grid.n_points

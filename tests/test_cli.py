@@ -17,7 +17,7 @@ from aclab.cli import (
     main,
 )
 from aclab.diagnostics import fit_rate
-from aclab.evolution import evolve, initial_spectrum
+from aclab.evolution import PRESETS, evolve, initial_spectrum
 from aclab.spectral import sine_transform
 from helpers import time_limit
 
@@ -249,6 +249,45 @@ def test_compare_steady_without_a_steady_profile_is_domain_error(kappa, tmp_path
             "--compare-steady", "--out", str(tmp_path)]
     assert run_cli(args) == EXIT_DOMAIN_ERROR
     assert "--compare-steady needs kappa < 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_compare_steady_refuses_a_fractional_equation(tmp_path, capsys):
+    # u_kappa is the gamma = 2 steady state: at gamma = 1 this run exited 0
+    # with "converged: +u_kappa (max error 1.727e-02)"
+    args = ["evolve", "--kappa", "0.9", "--gamma", "1", "--preset", "half_sin_x", "--dt", "0.05",
+            "--t-end", "120", "--record-every", "1", "--compare-steady", "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_DOMAIN_ERROR
+    assert "--compare-steady needs kappa < 1 and gamma = 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_compare_steady_on_a_grid_finer_than_the_default(tmp_path):
+    # the profile was built on 2048 points, which cannot hold the run's 1024
+    # modes: the run wrote its CSV, then exited 2 with no JSON
+    args = ["evolve", "--kappa", "0.9", "--n-points", "4096", "--t-end", "0.1",
+            "--compare-steady", "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_OK
+    summary = json.loads((tmp_path / "diagnostics_sin_x_kappa_0.9.json").read_text())
+    assert summary["steady_match"] == "+u_kappa"
+    assert 0.0 < summary["steady_max_error"] < 1.0
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_is_a_choice(preset, tmp_path):
+    # the CLI reads its --preset choices off evolution.PRESETS
+    args = ["evolve", "--kappa", "0.9", "--t-end", "0.1", "--preset", preset, "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_OK
+    assert (tmp_path / f"trajectory_{preset}_kappa_0.9.csv").exists()
+
+
+@pytest.mark.parametrize("preset", ["mixed", "sin_x"])
+def test_preset_with_coeffs_is_usage_error(preset, tmp_path):
+    # --coeffs won and the preset was dropped without a word
+    with pytest.raises(SystemExit) as info:
+        run_cli(["evolve", "--kappa", "0.9", "--t-end", "0.1", "--preset", preset,
+                 "--coeffs", "1:0.5", "--out", str(tmp_path)])
+    assert info.value.code == EXIT_USAGE
     assert not any(tmp_path.iterdir())
 
 

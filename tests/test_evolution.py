@@ -64,13 +64,14 @@ def _reference_cubic(c, n_pad):
     return -(((-2.0 / n_pad) * sign)[1:] * spectrum[1 : M + 1].imag)
 
 
-def _reference_step(stepper, c):
-    # _Stepper.step before its buffers
+def _reference_step(stepper, c, params):
+    # _Stepper.step before its buffers, with the band-gap filter it applied
+    # after every step; evolve applies it once, at admission
     with np.errstate(over="ignore", invalid="ignore"):
         n0 = _reference_cubic(c, stepper.n_pad)
         a = stepper.e_full * c + stepper.dt_phi1 * n0
         out = a + stepper.dt_phi2 * (_reference_cubic(a, stepper.n_pad) - n0)
-    if stepper.params.filter == "odd_band_gap":
+    if params.filter == "odd_band_gap":
         out[1::2] = 0.0
     return out
 
@@ -83,7 +84,7 @@ def _reference_evolve(c, params):
     times, spectra, consecutive, terminal = [0.0], [c], 0, "reached_t_end"
     steps = [0]
     for kstep in range(1, n_steps + 1):
-        c = _reference_step(stepper, c)
+        c = _reference_step(stepper, c, params)
         if not np.all(np.isfinite(c)):
             raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
         if kstep % params.record_every == 0 or kstep == n_steps:
@@ -252,17 +253,22 @@ class TestStep:
 
 class TestFilter:
     def test_band_gap_zeroes_even_modes(self):
+        # even content within ODD_TOL is zeroed at admission, and no step
+        # brings it back
         params = EvolveParams(kappa=2.0, filter="odd_band_gap")
-        c = initial_spectrum({1: 1.0, 2: 0.1, 4: 0.05}, params.max_mode).coeffs
-        out = _one_step(params, c)
-        assert np.all(out[1::2] == 0.0)
-        assert out[0] != 0.0
+        u0 = initial_spectrum({1: 1.0, 2: 1e-9, 4: 5e-10}, params.max_mode)
+        traj = evolve(u0, params)
+        assert traj.snapshots.shape[0] > 2
+        assert np.all(traj.snapshots[:, 1::2] == 0.0)
+        assert not np.signbit(traj.snapshots[:, 1::2]).any()
+        assert np.all(traj.snapshots[:, 0] != 0.0)
 
     def test_odd_modes_preserved(self):
+        # the filter is not the stepper's business: one step is the same bits
         params = EvolveParams(kappa=0.9)
         c = initial_spectrum({1: 0.5, 2: 0.1, 3: 0.3, 4: 0.05}, params.max_mode).coeffs
         filtered = _one_step(EvolveParams(kappa=0.9, filter="odd_band_gap"), c)
-        assert np.array_equal(filtered[0::2], _one_step(params, c)[0::2])
+        assert filtered.tobytes() == _one_step(params, c).tobytes()
 
     def test_unknown_kind(self):
         for kind in ("odd_projection", "other"):
@@ -542,6 +548,11 @@ class TestInitialSpectrum:
         with pytest.raises(DomainError):
             initial_spectrum({99: 1.0}, 8)
 
+    def test_unhashable_preset_is_domain_error(self):
+        # a list raised TypeError from the preset table's lookup
+        with pytest.raises(DomainError, match="unknown preset"):
+            initial_spectrum(["sin_x"], 8)
+
 
 @given(
     kappa=st.one_of(st.just(1.0), st.floats(0.0, 2.0, exclude_min=True)),
@@ -564,6 +575,13 @@ class TestInitialSpectrum:
 # a sign slip would turn their +0 into -0
 @example(0.3, 2.0, 0.05, 256, False, 40, 4, 1.0, 0, "sin_2x")
 @example(0.6, 1.5, 0.02, 128, False, 40, 3, 1.0, 0, {2: -0.7, 4: 0.3})
+# the band-gap filter acts at admission only; the reference filters every
+# step, and its blow-ups must fall on the same steps
+@example(0.5, 2.0, 0.1, 256, True, 40, 10, 100.0, 0, None)  # blow-up at step 3
+@example(0.5, 2.0, 0.1, 256, True, 40, 3, 10.0, 2, None)  # blow-up at step 4, after record 1
+@example(0.5, 2.0, 0.1, 256, True, 2, 1, 100.0, 0, None)  # record 2 overflows its diagnostics
+@example(1.0, 2.0, 0.05, 1024, True, 40, 4, 1.0, 0, None)  # z = 0 on mode 1
+@example(0.6, 0.5, 0.05, 1024, True, 40, 4, 1.0, 0, None)
 def test_evolve_equals_the_reference_loop_bit_for_bit(
     kappa, gamma, dt, n_points, band_gap, steps, record_every, amplitude, seed, preset
 ):
