@@ -185,7 +185,8 @@ def cmd_evolve(args):
         sign, err = terminal_comparison(traj, gs.field)
         summary["steady_match"] = f"{'+' if sign > 0 else '-'}u_kappa"
         summary["steady_max_error"] = err
-        print(f"converged: {summary['steady_match']} (max error {err:.3e})")
+        verdict = "converged" if traj.terminal == "steady_detected" else "closest to"
+        print(f"{traj.terminal}, {verdict}: {summary['steady_match']} (max error {err:.3e})")
     if args.dump_snapshots:
         snap_path = out / f"snapshots_{label}_kappa_{float(params.kappa)!r}.json"
         serialize.write_json(

@@ -103,10 +103,12 @@ def _select(t, window):
 def fit_rate(times, values, model, window) -> RateFit:
     """Least-squares decay fit on the samples with lo <= t <= hi, window = (lo, hi).
 
-    ``exponential`` regresses ln y on t (rate = -slope); ``algebraic``
-    regresses ln y on ln t (exponent = -slope) over the samples with t > 0.
-    The fit keeps its samples as read-only ``t``, ``y`` and its curve there
-    as ``y_fit``, prefactor exp(-rate t) or prefactor t^(-exponent);
+    ``exponential`` regresses ln y on t - t0, t0 the first sample in the
+    window (rate = -slope), so its prefactor is the curve's value at the
+    window's start and stays finite far from t = 0; ``algebraic`` regresses
+    ln y on ln t (exponent = -slope) over the samples with t > 0.  The fit
+    keeps its samples as read-only ``t``, ``y`` and its curve there as
+    ``y_fit``, prefactor exp(-rate (t - t0)) or prefactor t^(-exponent);
     ``residual`` is max |y_fit / y - 1|, and fits with residual > 0.1 (or
     nan) are flagged rejected rather than silently returned.  A non-finite
     time or value, or a different number of values than times, raises
@@ -138,9 +140,10 @@ def fit_rate(times, values, model, window) -> RateFit:
             f"round-off floor {SIGNAL_FLOOR}"
         )
     exponential = model == "exponential"
-    slope, intercept = np.polyfit(t_w if exponential else np.log(t_w), np.log(y_w), 1)
+    x = t_w - t_w[0] if exponential else np.log(t_w)
+    slope, intercept = np.polyfit(x, np.log(y_w), 1)
     rate, prefactor = float(-slope), float(np.exp(intercept))
-    y_fit = prefactor * (np.exp(-rate * t_w) if exponential else t_w ** (-rate))
+    y_fit = prefactor * (np.exp(-rate * x) if exponential else t_w ** (-rate))
     residual = float(np.max(np.abs(y_fit / y_w - 1.0)))
     return RateFit(
         window=(float(lo), float(hi)),

@@ -1,23 +1,25 @@
 """Pseudo-spectral time integration of du/dt = -kappa^2 L^gamma u + u - u^3.
 
-The state is the odd sine spectrum.  Each step is second-order exponential
-time differencing (ETDRK2, Cox & Matthews 2002): the linear symbol
-lambda = 1 - kappa^2 m^gamma is integrated exactly by its exponential, and
-the cubic enters through the phi functions of z = dt lambda, so a steady
-state of the PDE is an exact fixed point of the step at every dt.  Near
-z = 0 (kappa = 1, m = 1 gives z = 0 exactly) the phi functions are summed
-as Taylor series (Kassam & Trefethen 2005).  The cubic is evaluated
-pointwise on a grid zero padded to twice the configured size, so products
-of modes up to the cutoff n/4 stay strictly below the padded Nyquist and
-the convolution is exact: the plain two-thirds truncation is not alias-free
-for a cubic term.  The state is kept as (-1)^m c_m in a
-:class:`SineWorkspace`; the sign commutes with e^z, dt phi1 and dt phi2,
-so a step is two cubic terms and six diagonal operations that allocate
-nothing.  Finiteness is tested at each record and at the last step, and a
-non-finite record replays the steps since the previous one to find the
-first non-finite step.  That is exact: the replay repeats the arithmetic,
-and a non-finite d_m stays so (the next step adds to e^z d_m).  The
-band-gap filter acts once, at admission: 2^k-point FFTs keep odd data odd.
+The state is the odd sine spectrum.  Each step is the second-order
+exponential Adams-Bashforth method ETD2 (Cox & Matthews 2002; Hochbruck &
+Ostermann 2010), d_{k+1} = e^z d_k + dt phi1 N_k + dt phi2 (N_k - N_{k-1}):
+the linear symbol lambda = 1 - kappa^2 m^gamma is integrated exactly by
+e^z, z = dt lambda, and the cubic N_k = N(d_k) is evaluated once per step;
+the first step takes N_{-1} = N_0 and is exponential Euler.  A steady
+state s has N(s) = -lambda s, so it is an exact fixed point at every dt.  Near z = 0 (kappa = 1, m = 1 gives z = 0 exactly) the phi functions
+are summed as Taylor series (Kassam & Trefethen 2005).  The cubic is
+evaluated pointwise on a grid zero padded to twice the configured size, so
+products of modes up to the cutoff n/4 stay strictly below the padded
+Nyquist and the convolution is exact: the plain two-thirds truncation is
+not alias-free for a cubic term.  The state is kept as (-1)^m c_m in a
+:class:`SineWorkspace`, whose two cubic slots hold N_k and N_{k-1}; the
+sign commutes with e^z, dt phi1 and dt phi2, so a step is one cubic term
+and six diagonal operations that allocate nothing.  Finiteness is tested
+at each record and at the last step, and a non-finite record replays the
+steps since the previous one, from its spectrum and the N kept with it, to
+find the first non-finite step.  That is exact: the replay repeats the
+arithmetic, and a non-finite d_m stays so (the next step adds to e^z d_m).
+The band-gap filter acts once, at admission: 2^k-point FFTs keep odd data odd.
 """
 
 import math
@@ -148,7 +150,7 @@ class Trajectory:
 
 
 class _Stepper:
-    """One ETDRK2 step of the workspace's ``state``, in place: a step allocates nothing."""
+    """One ETD2 step of the workspace's ``state``, in place: a step allocates nothing."""
 
     def __init__(self, params: EvolveParams):
         m = np.arange(1, params.max_mode + 1)
@@ -159,19 +161,18 @@ class _Stepper:
         self.dt_phi2 = params.dt * phi2
         self.n_pad = 2 * params.n_points
         self.sine = SineWorkspace(params.max_mode, self.n_pad)
+        self._work = np.empty(params.max_mode)
 
     def step(self):
         """Advance ``sine.state`` one step; overflow leaves non-finites."""
-        sine = self.sine  # every array below holds (-1)^m times its coefficients
-        d, a, n0, na = sine.state, sine.predictor, sine.cubic_state, sine.cubic_predictor
-        sine.cube(0)  # n0 = N(d)
-        np.multiply(self.e_full, d, a)  # the last argument is the output
-        np.multiply(self.dt_phi1, n0, na)
-        np.add(a, na, a)  # a = e^z d + dt phi1 N(d)
-        sine.cube(1)  # na = N(a)
-        np.subtract(na, n0, na)
-        np.multiply(self.dt_phi2, na, na)
-        np.add(a, na, d)  # a + dt phi2 (N(a) - N(d))
+        d, w = self.sine.state, self._work  # every array here holds (-1)^m times its coefficients
+        n, n_before = self.sine.cube()  # N(d), and the N of the state before
+        np.multiply(self.e_full, d, d)  # the last argument is the output
+        np.multiply(self.dt_phi1, n, w)
+        np.add(d, w, d)  # e^z d + dt phi1 N
+        np.subtract(n, n_before, w)
+        np.multiply(self.dt_phi2, w, w)
+        np.add(d, w, d)  # + dt phi2 (N - N_before)
 
 
 def _finite(c):
@@ -197,10 +198,11 @@ def initial_spectrum(preset, max_mode):
     return initial_spectrum(PRESETS[preset], max_mode)
 
 
-def _first_non_finite_step(stepper, c, last, kstep):
-    """The first step after ``last``, replayed from its record ``c``, whose
-    state is not finite, given that the state at ``kstep`` is not."""
-    stepper.sine.load(c)
+def _first_non_finite_step(stepper, c, history, last, kstep):
+    """The first step after ``last``, replayed from its record ``c`` and the
+    ``history`` kept with it, whose state is not finite, given that the state
+    at ``kstep`` is not."""
+    stepper.sine.load(c, history)
     for k in range(last + 1, kstep):
         stepper.step()
         if not _finite(stepper.sine.state):
@@ -250,6 +252,7 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
 
     times = [0.0]
     spectra = [c]
+    history = None  # the cubic term of the step before the last record; none before the first step
     consecutive = 0
     terminal = "reached_t_end"
     kstep = 0
@@ -263,8 +266,9 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
                 stepper.step()
             c = stepper.sine.coeffs()
             if not _finite(c):
-                kstep = _first_non_finite_step(stepper, spectra[-1], last, kstep)
+                kstep = _first_non_finite_step(stepper, spectra[-1], history, last, kstep)
                 raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
+            history = stepper.sine.history()
             t = kstep * params.dt
             if detect:
                 rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])

@@ -10,7 +10,9 @@ free functions pass the factors those pass (1/n and 1), and their outputs
 are np.fft's to the bit.  :class:`SineWorkspace`, the time stepper's
 kernel, keeps a spectrum as (-1)^m c_m in the slots irfft reads and passes
 the grid factors as the kernels' own (-1/2 to the grid, 2/n back), so a
-cubic term costs the two transforms and two products, and no copies.
+cubic term costs the two transforms and two products, and no copies; its
+two cubic slots keep the term of the state before, which the stepper's
+history needs.
 """
 
 from dataclasses import dataclass
@@ -157,14 +159,14 @@ def sine_coeffs(values, M, cosine=False):
 
 
 class SineWorkspace:
-    """Two M-mode sine spectra kept where the n-point transforms read them,
-    and the cubic term -(u^3) of each, in buffers built once: no call allocates.
+    """An M-mode sine spectrum kept where the n-point transforms read it, and
+    two slots for its cubic term -(u^3), in buffers built once: no call allocates.
 
-    ``state`` and ``predictor`` hold c_m as (-1)^m c_m, the imaginary parts
-    of entries 1..M of half spectra that are zero elsewhere; ``cube(k)``
-    writes the term of the one k picks (0 or 1), in that form, into
-    ``cubic_state`` or ``cubic_predictor``.  Up to (-1)^m and the signs of
-    zeros, which :meth:`coeffs` makes +0, these are the bits of
+    ``state`` holds c_m as (-1)^m c_m, the imaginary parts of entries 1..M
+    of a half spectrum that is zero elsewhere.  :meth:`cube` writes the term
+    of ``state``, in that form, into the slots in turn, so the term of the
+    state before stays in the other slot without a copy.  Up to (-1)^m and
+    the signs of zeros, which :meth:`coeffs` makes +0, these are the bits of
     ``-sine_coeffs(u * u * u, M)`` with u = ``sine_values(c, n)``, whose
     factors differ from these by exact powers of two (outside the subnormal
     range).  M > n/2 - 1 or an odd n raises :class:`DomainError`, as in the
@@ -176,31 +178,47 @@ class SineWorkspace:
         _require_even(n)
         # the factors as 0-d arrays, which the kernels take without a conversion per call
         self._to_grid, self._from_grid = np.array(-0.5), np.array(2.0 / n)
-        halves = np.zeros((2, n // 2 + 1), dtype=complex)  # only imag 1..M is ever written
+        self._half = np.zeros(n // 2 + 1, dtype=complex)  # only imag 1..M is ever written
         rffts = np.empty((2, n // 2 + 1), dtype=complex)
-        self._halves, self._rffts = tuple(halves), tuple(rffts)
-        self.state, self.predictor = halves[:, 1 : M + 1].imag
-        self.cubic_state, self.cubic_predictor = rffts[:, 1 : M + 1].imag
+        self._rffts = tuple(rffts)
+        self.state = self._half[1 : M + 1].imag
+        self._cubics = tuple(rffts[:, 1 : M + 1].imag)
+        self._next = self._last = 0  # the slot cube writes next, and the one it wrote last
         self._grid = np.empty(n)
         self._cube = np.empty(n)
         self._sign = _grid_factor(M, 1.0)[1:]
 
-    def load(self, coeffs):
-        """Set ``state`` to the coefficients ``coeffs``."""
+    def load(self, coeffs, history=None):
+        """Set ``state`` to the coefficients ``coeffs``, and the term of the
+        state before to ``history``, as :meth:`history` returned it.  Without
+        one, the next :meth:`cube` is its own history."""
         np.multiply(self._sign, coeffs, out=self.state)
+        if history is None:
+            self._next = self._last = 0
+        else:
+            np.copyto(self._cubics[0], history)
+            self._next, self._last = 1, 0
 
     def coeffs(self):
         """A new array of the coefficients ``state`` holds, every zero +0."""
         return self._sign * self.state + 0.0
 
-    def cube(self, k):
-        """Write -(u^3) of ``state`` (k = 0) or ``predictor`` (k = 1) into
-        ``cubic_state`` or ``cubic_predictor``."""
+    def history(self):
+        """A copy of the last term :meth:`cube` wrote, which :meth:`load` takes back."""
+        return self._cubics[self._last].copy()
+
+    def cube(self):
+        """Write -(u^3) of ``state`` into the next slot; return that slot and
+        the one written before it (the same slot after a :meth:`load` without
+        history)."""
+        k, last = self._next, self._last
         # outputs by position, which costs less than out=
-        u = _pocketfft.irfft(self._halves[k], self._to_grid, self._grid)
+        u = _pocketfft.irfft(self._half, self._to_grid, self._grid)
         np.multiply(u, u, self._cube)
         np.multiply(self._cube, u, self._cube)
         _pocketfft.rfft_n_even(self._cube, self._from_grid, self._rffts[k])
+        self._next, self._last = 1 - k, k
+        return self._cubics[k], self._cubics[last]
 
 
 def sine_transform(field: TorusField) -> SineSpectrum:

@@ -98,14 +98,15 @@ def window_ratios(times, mass, i, k):
 def rate_fit_rows_reference(times, values, fit):
     """Rows (t, y, y_fit, relative residual) of a fitted decay, as the writer built them
     before the fit kept its samples: the window selected again from ``times`` and
-    the curve rebuilt from the fit's prefactor and rate."""
+    the curve rebuilt from the fit's prefactor, its value at the first selected
+    sample for an exponential, and rate."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     lo, hi = fit.window
     sel = (t >= lo) & (t <= hi)
     t, y = t[sel], y[sel]
     if fit.model == "exponential":
-        y_hat = fit.prefactor * np.exp(-fit.rate_or_exponent * t)
+        y_hat = fit.prefactor * np.exp(-fit.rate_or_exponent * (t - t[0]))
     else:
         y_hat = fit.prefactor * t ** (-fit.rate_or_exponent)
     return np.column_stack((t, y, y_hat, y_hat / y - 1.0))

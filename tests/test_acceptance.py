@@ -97,6 +97,60 @@ def test_each_fit_table_is_read_off_its_fit(monkeypatch):
         assert np.max(np.abs(rows[:, 3])) == fit.residual
 
 
+# per gate run, its check and each value the check compares: how to read the
+# value off what the check's fits, profile, terminal comparison and
+# log-convexity test returned (in call order), and its margin to the tolerance
+_COMPARED = {
+    "kappa2_sinx": (verify.check_fast_decay, {
+        "L2 rate": (lambda out: out[0].rate_or_exponent, lambda r: 0.06 - abs(r - 3.0)),
+        "tail rate": (lambda out: out[1].rate_or_exponent, lambda r: r - 8.8),
+    }),
+    "kappa1_sinx": (verify.check_algebraic_decay, {
+        "exponent": (lambda out: out[0].rate_or_exponent, lambda e: 0.05 - abs(e - 0.5)),
+        "beta^2": (lambda out: out[1].value**2, lambda b: 0.05 * (2.0 / 3.0) - abs(b - 2.0 / 3.0)),
+    }),
+    "kappa09_half": (verify.check_ground_state_convergence, {
+        "terminal error": (lambda out: out[0][1], lambda err: 1e-6 - err),
+        "distance fit residual": (lambda out: out[1].residual, lambda res: 0.1 - res),
+    }),
+    "sharp_logconv": (verify.check_sharp_log_convexity, {
+        "worst ratio": (lambda out: out[0].worst_ratio, lambda ratio: 1.0 + 1e-12 - ratio),
+    }),
+}
+
+
+def _compared_values(monkeypatch, name, params):
+    # {value: (observed, margin)} of the check of run ``name``, run at ``params``
+    check, compared = _COMPARED[name]
+    out = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            out.append(fn(*args, **kwargs))
+            return out[-1]
+        return wrapped
+
+    for fn in ("fit_rate", "extract_profile", "terminal_comparison", "check_log_convexity"):
+        monkeypatch.setattr(verify, fn, recording(getattr(verify, fn)))
+    preset = verify._RUNS[name][1]
+    traj = verify.evolve(verify.initial_spectrum(preset, params.max_mode), params)
+    assert check(verify._Context(seed=SEED, trajectories={name: traj})).passed
+    monkeypatch.undo()
+    return {value: (read(out), margin(read(out))) for value, (read, margin) in compared.items()}
+
+
+@pytest.mark.parametrize("name", list(verify._RUNS))
+def test_step_doubling_moves_no_compared_value_by_1_percent_of_its_margin(monkeypatch, name):
+    # each gate run again at dt/2, with the same record times: the step's
+    # own error in every value its check compares, against that check's room
+    params = verify._RUNS[name][0]
+    half = dataclasses.replace(params, dt=params.dt / 2, record_every=2 * params.record_every)
+    at_dt = _compared_values(monkeypatch, name, params)
+    at_half = _compared_values(monkeypatch, name, half)
+    for value, (observed, margin) in at_dt.items():
+        assert abs(at_half[value][0] - observed) < 0.01 * margin, (value, observed, at_half[value], margin)
+
+
 def test_run_suite_refuses_an_unknown_suite():
     # a bare KeyError, which is no AclabError
     with pytest.raises(DomainError, match="unknown suite 'bogus'"):

@@ -302,6 +302,21 @@ def test_compare_steady_names_the_terminal_profile(tmp_path, capsys):
     assert "converged: +u_kappa" in capsys.readouterr().out
 
 
+def test_compare_steady_says_closest_to_unless_the_run_is_steady(tmp_path, capsys):
+    # a run stopped at t = 0.1, far from any steady state, printed
+    # "converged: +u_kappa (max error 4.3e-01)"
+    args = ["evolve", "--kappa", "0.9", "--preset", "half_sin_x", "--dt", "0.05",
+            "--t-end", "0.1", "--compare-steady", "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "converged" not in out
+    line = next(ln for ln in out.splitlines() if "u_kappa" in ln)
+    assert line.startswith("reached_t_end, closest to: +u_kappa (max error ")
+    args[args.index("0.1")] = "120"
+    assert run_cli(args) == EXIT_OK
+    assert "steady_detected, converged: +u_kappa (max error " in capsys.readouterr().out
+
+
 def test_evolve_snapshot_dump(tmp_path, capsys):
     code = run_cli(
         [
@@ -383,9 +398,9 @@ def test_verify_dynamics_writes_its_tables(tmp_path, capsys, gs_cache):
     assert (tmp_path / "second" / "verify_dynamics.json").read_bytes() == first
 
 
-@pytest.mark.parametrize("t_end, step", [("0.2", 2), ("0.3", 3)])
+@pytest.mark.parametrize("t_end, step", [("0.4", 4), ("0.5", 5)])
 def test_evolve_blow_up_is_a_check_failure(t_end, step, tmp_path, capsys):
-    # at 0.2 the last state is finite but too large for its diagnostics; it
+    # at 0.4 the last state is finite but too large for its diagnostics; it
     # was once reported as a domain error
     args = ["evolve", "--kappa", "0.5", "--dt", "0.1", "--t-end", t_end,
             "--record-every", "1", "--coeffs", "1:100", "--out", str(tmp_path)]

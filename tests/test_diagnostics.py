@@ -99,13 +99,23 @@ class TestFitRate:
         assert fit.residual > 0.1
         assert fit.rejected
 
-    def test_fit_whose_curve_is_not_finite_is_rejected(self):
-        # far from t = 0 the prefactor e^intercept overflows, so the curve of
-        # the reported parameters is nan there: its residual was nan, not rejected
+    def test_fit_far_from_t_zero_is_usable(self):
+        # regressed on raw t, e^intercept overflowed here: the fit came back
+        # with prefactor inf, a nan residual and the flag rejected
         t = np.linspace(400.0, 410.0, 40)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fit = fit_rate(t, np.exp(-2.0 * (t - 400.0)), "exponential", window=(400.0, 410.0))
-        assert fit.prefactor == math.inf and math.isnan(fit.residual)
+        fit = fit_rate(t, np.exp(-2.0 * (t - 400.0)), "exponential", window=(400.0, 410.0))
+        assert fit.rate_or_exponent == pytest.approx(2.0, rel=1e-12)
+        assert fit.prefactor == pytest.approx(1.0, rel=1e-12)  # the curve at t = 400
+        assert fit.residual < 1e-12 and not fit.rejected
+
+    def test_fit_whose_curve_is_not_finite_is_rejected(self):
+        # the line through ln y overshoots ln of the largest double at the
+        # window's end, so the curve of the reported parameters is inf there
+        t = np.linspace(400.0, 401.0, 40)
+        y = np.exp(709.0 * np.minimum(1.0, 2.0 * (t - 400.0)))
+        with np.errstate(over="ignore"):
+            fit = fit_rate(t, y, "exponential", window=(400.0, 401.0))
+        assert not np.all(np.isfinite(fit.y_fit)) and fit.residual == math.inf
         assert fit.rejected
 
     def test_window_too_thin(self):

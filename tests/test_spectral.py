@@ -128,13 +128,32 @@ def test_sine_coeffs_refuses_modes_the_grid_cannot_hold(M, cosine):
 
 
 def _workspace_cubes(sine, c):
-    # the cubic terms the workspace gives for coefficients c, through state and predictor
+    # the cubic terms the workspace gives for coefficients c, written into
+    # each of its two slots in turn
     sign = np.where(np.arange(1, c.size + 1) % 2 == 0, 1.0, -1.0)
     sine.load(c)
-    np.multiply(sign, c, out=sine.predictor)
-    sine.cube(0)
-    sine.cube(1)
-    return sign * sine.cubic_state, sign * sine.cubic_predictor
+    first, before = sine.cube()
+    assert before is first  # loaded without history, the first term is its own
+    second, before = sine.cube()
+    assert before is first and second is not first
+    return sign * first, sign * second
+
+
+def test_workspace_history_round_trips():
+    # a restart from a record needs the term of the state before it, bit for bit
+    rng = np.random.default_rng(7)
+    sine = SineWorkspace(31, 64)
+    c, d = rng.standard_normal((2, 31))
+    sine.load(c)
+    sine.cube()
+    history = sine.history()
+    assert history.tobytes() == sine.cube()[1].tobytes()
+    sine.load(d, history)
+    term, before = sine.cube()
+    assert before.tobytes() == history.tobytes()
+    assert term is not before
+    history[:] = np.nan  # a copy: the workspace does not share it
+    assert np.all(np.isfinite(before))
 
 
 def test_workspace_refuses_modes_the_grid_cannot_hold():
