@@ -145,17 +145,16 @@ def cmd_classify(args):
 def cmd_evolve(args):
     params = EvolveParams(
         kappa=args.kappa,
-        gamma=args.gamma,
         dt=args.dt,
         t_end=args.t_end,
         n_points=args.n_points,
         filter=FILTER_NAMES[args.filter],
         record_every=args.record_every,
     )
-    if args.compare_steady:  # the profile u_kappa solves the gamma = 2 equation only
-        if not (params.kappa < 1.0 and params.gamma == 2.0):
-            raise DomainError(f"domain error: --compare-steady needs kappa < 1 and gamma = 2, where "
-                              f"u_kappa exists; got kappa={params.kappa!r}, gamma={params.gamma!r}")
+    if args.compare_steady:
+        if not params.kappa < 1.0:
+            raise DomainError(f"domain error: --compare-steady needs kappa < 1, where u_kappa exists; "
+                              f"got kappa={params.kappa!r}")
         gs = build_ground_state(params.kappa, TorusGrid(max(DEFAULT_N_POINTS, params.n_points)))
     if args.coeffs is not None:
         u0 = initial_spectrum(_parse_coeffs(args.coeffs), params.max_mode)
@@ -170,7 +169,6 @@ def cmd_evolve(args):
     serialize.write_csv(csv_path, serialize.TRAJECTORY_HEADER, serialize.trajectory_rows(traj))
     summary = {
         "kappa": params.kappa,
-        "gamma": params.gamma,
         "dt": params.dt,
         "t_end": params.t_end,
         "n_points": params.n_points,
@@ -258,7 +256,6 @@ def build_parser():
 
     p = command("evolve", cmd_evolve, help="run the pseudo-spectral evolution")
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=EvolveParams.gamma)
     p.add_argument("--dt", type=float, default=EvolveParams.dt)
     p.add_argument("--t-end", type=float, default=EvolveParams.t_end)
     p.add_argument("--n-points", type=int, default=EvolveParams.n_points)

@@ -27,8 +27,8 @@ class DiagnosticSeries:
 
     ``mass`` is the squared L2 norm |u|_2^2; ``hi_mass`` is the (plain) L2
     norm of the tail sum_{m>=2} c_m sin(mx); ``linf`` is the grid max norm.
-    ``energy`` is the functional the flow of order gamma dissipates,
-    kappa^2/2 pi sum m^gamma c_m^2 + 1/4 int (1 - u^2)^2 dx.  Times must be
+    ``energy`` is the functional the flow dissipates,
+    kappa^2/2 pi sum m^2 c_m^2 + 1/4 int (1 - u^2)^2 dx.  Times must be
     strictly increasing, every sample finite and the mass nonnegative, or
     :class:`DomainError` is raised.  Each series is kept as a read-only copy.
     """
@@ -57,13 +57,13 @@ class DiagnosticSeries:
             raise DomainError("domain error: mass must be nonnegative")
 
 
-def spectra_series(spectra, kappa, gamma, n_pad):
+def spectra_series(spectra, kappa, n_pad):
     """The :class:`DiagnosticSeries` fields but ``times`` of the (records, M) spectra.
 
-    The energy of order ``gamma`` and the max norm are evaluated on the
-    ``n_pad``-point grid, where the quartic integral is exact for
-    n_pad > 4M.  A finite record too large for its series (u^4 overflows
-    first) leaves non-finite samples, without a warning.
+    The energy and the max norm are evaluated on the ``n_pad``-point grid,
+    where the quartic integral is exact for n_pad > 4M.  A finite record
+    too large for its series (u^4 overflows first) leaves non-finite
+    samples, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sum_sq = np.sum(spectra * spectra, axis=-1)
@@ -72,7 +72,7 @@ def spectra_series(spectra, kappa, gamma, n_pad):
         u *= u  # u^4 in place: the padded grid is the largest array here
         u *= u
         int_u4 = (2.0 * np.pi / n_pad) * np.sum(u, axis=-1)
-        grad = gradient_energy(spectra, kappa, gamma)
+        grad = gradient_energy(spectra, kappa)
         return {
             "mass": np.pi * sum_sq,
             "energy": grad + 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4),

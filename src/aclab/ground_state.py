@@ -240,7 +240,7 @@ def energy(field: TorusField, kappa: float) -> float:
         raise DomainError(f"domain error: kappa={kappa!r} must be positive with a finite square")
     c = sine_transform(field).coeffs  # refuses non-odd
     quartic = 0.25 * field.grid.dx * np.sum((1.0 - field.values**2) ** 2)
-    return float(gradient_energy(c, kappa, 2) + quartic)
+    return float(gradient_energy(c, kappa) + quartic)
 
 
 @dataclass(frozen=True)

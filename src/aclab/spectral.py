@@ -232,12 +232,12 @@ def sine_transform(field: TorusField) -> SineSpectrum:
     return SineSpectrum(sine_coeffs(field.values, field.grid.n_points // 2 - 1))
 
 
-def gradient_energy(coeffs, kappa, gamma):
-    """The gradient term (kappa^2/2) pi sum m^gamma c_m^2 of the order-``gamma`` energy.
+def gradient_energy(coeffs, kappa):
+    """The gradient term (kappa^2/2) pi sum m^2 c_m^2 of the energy.
 
-    The sum runs along the last axis of ``coeffs``, m = 1..M.  At gamma = 2
-    it is int (kappa^2/2) (u')^2 dx, which the grid sum of u'^2 equals
-    whenever the grid holds the modes (discrete Parseval).
+    The sum runs along the last axis of ``coeffs``, m = 1..M.  It is
+    int (kappa^2/2) (u')^2 dx, which the grid sum of u'^2 equals whenever
+    the grid holds the modes (discrete Parseval).
     """
     m = np.arange(1, coeffs.shape[-1] + 1, dtype=float)
-    return 0.5 * kappa**2 * np.pi * np.sum((m ** (0.5 * gamma) * coeffs) ** 2, axis=-1)
+    return 0.5 * kappa**2 * np.pi * np.sum((m * coeffs) ** 2, axis=-1)

@@ -2,9 +2,9 @@
 
 Each check returns a :class:`CheckResult` with the observed quantity, the
 expectation it was held against, and the tolerance actually applied, so the
-suite output doubles as a quantitative report.  Trajectories, which take
-seconds, are cached per run and shared between checks; profiles take
-milliseconds and are rebuilt where needed.
+suite output doubles as a quantitative report.  Each trajectory is cached
+per run: it feeds its own check, and no_finite_time_extinction reads all four
+again.  Profiles take milliseconds and are rebuilt where needed.
 """
 
 import math
@@ -74,21 +74,19 @@ class _Context:
 
 _RUNS = {
     "kappa2_sinx": (
-        EvolveParams(kappa=2.0, gamma=2.0, dt=0.005, t_end=3.0, record_every=2),
+        EvolveParams(kappa=2.0, dt=0.005, t_end=3.0, record_every=2),
         "sin_x",
     ),
     "kappa1_sinx": (
-        EvolveParams(kappa=1.0, gamma=2.0, dt=0.05, t_end=100.0, record_every=2),
+        EvolveParams(kappa=1.0, dt=0.05, t_end=100.0, record_every=2),
         "sin_x",
     ),
     "kappa09_half": (
-        EvolveParams(kappa=0.9, gamma=2.0, dt=0.05, t_end=120.0, record_every=1),
+        EvolveParams(kappa=0.9, dt=0.05, t_end=120.0, record_every=1),
         "half_sin_x",
     ),
     "sharp_logconv": (
-        EvolveParams(
-            kappa=2.0 / math.sqrt(3.0) + 0.01, gamma=2.0, dt=0.01, t_end=5.0, record_every=5
-        ),
+        EvolveParams(kappa=2.0 / math.sqrt(3.0) + 0.01, dt=0.01, t_end=5.0, record_every=5),
         "sin_x",
     ),
 }

@@ -252,13 +252,20 @@ def test_compare_steady_without_a_steady_profile_is_domain_error(kappa, tmp_path
     assert not any(tmp_path.iterdir())
 
 
-def test_compare_steady_refuses_a_fractional_equation(tmp_path, capsys):
-    # u_kappa is the gamma = 2 steady state: at gamma = 1 this run exited 0
-    # with "converged: +u_kappa (max error 1.727e-02)"
-    args = ["evolve", "--kappa", "0.9", "--gamma", "1", "--preset", "half_sin_x", "--dt", "0.05",
-            "--t-end", "120", "--record-every", "1", "--compare-steady", "--out", str(tmp_path)]
+def test_gamma_is_a_usage_error(tmp_path, capsys):
+    # evolve solves kappa^2 u_xx + u - u^3 and takes no fractional order
+    with pytest.raises(SystemExit) as info:
+        run_cli(["evolve", "--kappa", "0.9", "--gamma", "1", "--out", str(tmp_path)])
+    assert info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --gamma 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_overflowing_step_count_is_domain_error(tmp_path, capsys):
+    # t_end / dt is inf: this exited 1 with an OverflowError traceback
+    args = ["evolve", "--kappa", "0.5", "--dt", "1e-320", "--out", str(tmp_path)]
     assert run_cli(args) == EXIT_DOMAIN_ERROR
-    assert "--compare-steady needs kappa < 1 and gamma = 2" in capsys.readouterr().err
+    assert "t_end/dt=inf must be positive and finite" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

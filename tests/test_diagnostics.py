@@ -26,7 +26,7 @@ from helpers import time_limit, window_ratios
 
 @pytest.fixture(scope="module")
 def kappa1_run():
-    params = EvolveParams(kappa=1.0, gamma=2.0, dt=0.01, t_end=25.0, record_every=10)
+    params = EvolveParams(kappa=1.0, dt=0.01, t_end=25.0, record_every=10)
     return evolve(initial_spectrum("sin_x", params.max_mode), params)
 
 
@@ -41,7 +41,7 @@ def _series_of(*spectra):
     # one record per row, as evolve() keeps them
     C = np.array(spectra, dtype=float)
     times = np.arange(C.shape[0], dtype=float)
-    return DiagnosticSeries(times=times, **spectra_series(C, 1.0, 2.0, 64))
+    return DiagnosticSeries(times=times, **spectra_series(C, 1.0, 64))
 
 
 class TestProjections:
@@ -69,7 +69,7 @@ class TestProjections:
         A, kappa = 0.5, 0.9
         C = np.zeros((1, 16))
         C[0, 0] = A
-        d = DiagnosticSeries(times=np.zeros(1), **spectra_series(C, kappa, 2.0, 64))
+        d = DiagnosticSeries(times=np.zeros(1), **spectra_series(C, kappa, 64))
         closed = kappa**2 * A**2 * math.pi / 2.0 + 0.25 * (
             2.0 * math.pi - 2.0 * A**2 * math.pi + 0.75 * A**4 * math.pi
         )
@@ -451,7 +451,7 @@ class TestSeriesValidation:
 
 @pytest.fixture(scope="module")
 def kappa2_run():
-    params = EvolveParams(kappa=2.0, gamma=2.0, dt=0.005, t_end=3.0, record_every=4)
+    params = EvolveParams(kappa=2.0, dt=0.005, t_end=3.0, record_every=4)
     return evolve(initial_spectrum("sin_x", params.max_mode), params)
 
 
@@ -465,7 +465,7 @@ def test_tail_decays_faster_than_first_mode(kappa2_run):
 
 
 def test_sin_2x_run_has_vanishing_first_mode():
-    params = EvolveParams(kappa=2.0, gamma=2.0, dt=0.01, t_end=3.0, record_every=5)
+    params = EvolveParams(kappa=2.0, dt=0.01, t_end=3.0, record_every=5)
     traj = evolve(initial_spectrum("sin_2x", params.max_mode), params)
     assert float(np.max(np.abs(traj.diagnostics.c1))) == 0.0
     prof = extract_profile(traj.diagnostics, window=(1.0, 3.0))

@@ -19,7 +19,6 @@ from aclab.evolution import (
     _phi_functions,
     _Stepper,
     evolve,
-    fractional_multiplier,
     initial_spectrum,
     terminal_comparison,
 )
@@ -112,7 +111,7 @@ def _reference_evolve(c, params):
                 terminal = "steady_detected"
                 break
     times, spectra = np.array(times), np.array(spectra)
-    series = spectra_series(spectra, params.kappa, params.gamma, stepper.n_pad)
+    series = spectra_series(spectra, params.kappa, stepper.n_pad)
     for i, kstep in enumerate(steps):
         if not all(np.isfinite(s[i]) for s in series.values()):
             raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
@@ -128,19 +127,14 @@ def _outcome(run):
         return type(err), str(err), getattr(err, "step_index", None)
 
 
-class TestFractionalMultiplier:
-    def test_values(self):
-        assert fractional_multiplier(1, 1.0, 2.0) == 1.0
-        assert fractional_multiplier(3, 1.0, 1.0) == pytest.approx(3.0)
-
-    def test_tail_rate_ingredient(self):
-        # linear decay of mode 2 at kappa=2, gamma=2 is 16 - 1 = 15
-        assert fractional_multiplier(2, 2.0, 2.0) == 16.0
-        assert fractional_multiplier(2, 2.0, 2.0) - 1.0 == 15.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            fractional_multiplier(0, 1.0, 2.0)
+def test_stepper_integrates_the_laplacian_symbol_exactly():
+    # e^z with z = dt (1 - kappa^2 m^2), to the bit: kappa^2 u_xx on sin(mx)
+    for kappa in (0.3, 1.0, 2.0):
+        params = EvolveParams(kappa=kappa, dt=0.01, n_points=64)
+        m = np.arange(1.0, params.max_mode + 1)
+        e_full = _Stepper(params).e_full
+        assert e_full.tobytes() == np.exp(params.dt * (1.0 - (kappa * kappa) * (m * m))).tobytes()
+    assert e_full[1] == np.exp(-15.0 * params.dt)  # at kappa = 2, mode 2 decays at 4 * 4 - 1 = 15
 
 
 @pytest.mark.parametrize(
@@ -165,8 +159,6 @@ class TestParams:
         with pytest.raises(DomainError):
             EvolveParams(kappa=1.0, dt=0.2)
         with pytest.raises(DomainError):
-            EvolveParams(kappa=1.0, gamma=2.5)
-        with pytest.raises(DomainError):
             EvolveParams(kappa=1.0, filter="bogus")
         with pytest.raises(DomainError):
             EvolveParams(kappa=-1.0)
@@ -181,9 +173,15 @@ class TestParams:
 
     @pytest.mark.parametrize("kappa", [1e200, -1e200, 1.5e154])
     def test_kappa_with_overflowing_square_refused(self, kappa):
-        # the symbol kappa^2 m^gamma would overflow: refused by name, not by OverflowError
+        # the symbol kappa^2 m^2 would overflow: refused by name, not by OverflowError
         with pytest.raises(DomainError, match=r"kappa=.*as must kappa\^2"):
             EvolveParams(kappa=kappa)
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-320, 0.1), (0.1, 1e308)])
+    def test_overflowing_step_count_refused(self, dt, t_end):
+        # t_end / dt is inf: round(inf) raised an untyped OverflowError
+        with pytest.raises(DomainError, match=r"t_end/dt=inf must be positive and finite"):
+            EvolveParams(kappa=0.5, dt=dt, t_end=t_end)
 
     def test_t_end_must_be_whole_number_of_steps(self):
         with pytest.raises(DomainError, match="not a multiple of dt"):
@@ -277,7 +275,7 @@ class TestStep:
 
     def test_algebraic_mass_bound(self):
         # |u(t)|_2 <= sqrt(pi) |u0|_2 / sqrt(t |u0|_2^2 + pi) for kappa=1
-        params = EvolveParams(kappa=1.0, gamma=2.0, dt=0.01, t_end=5.0, record_every=5)
+        params = EvolveParams(kappa=1.0, dt=0.01, t_end=5.0, record_every=5)
         traj = evolve(initial_spectrum("sin_x", params.max_mode), params)
         d = traj.diagnostics
         m0 = math.sqrt(math.pi)
@@ -408,12 +406,10 @@ class TestEvolve:
         traj = evolve(initial_spectrum("half_sin_x", params.max_mode), params)
         assert np.all(np.diff(traj.diagnostics.energy) <= 1e-10)
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("kappa, preset", [(0.3, "sin_x"), (0.6, "mixed")])
-    def test_recorded_energy_is_the_one_the_flow_dissipates(self, gamma, kappa, preset):
-        # kappa^2/2 pi sum m^gamma c_m^2 + 1/4 int (1 - u^2)^2; the gamma = 2
-        # functional recorded at gamma < 2 rose by up to 8.6e-3 on these runs
-        params = EvolveParams(kappa=kappa, gamma=gamma, dt=0.01, t_end=5.0, record_every=1)
+    def test_recorded_energy_is_the_one_the_flow_dissipates(self, kappa, preset):
+        # kappa^2/2 pi sum m^2 c_m^2 + 1/4 int (1 - u^2)^2, recorded at every step
+        params = EvolveParams(kappa=kappa, dt=0.01, t_end=5.0, record_every=1)
         traj = evolve(initial_spectrum(preset, params.max_mode), params)
         assert np.max(np.diff(traj.diagnostics.energy)) <= 1e-12
 
@@ -590,7 +586,6 @@ class TestInitialSpectrum:
 
 @given(
     kappa=st.one_of(st.just(1.0), st.floats(0.0, 2.0, exclude_min=True)),
-    gamma=st.floats(0.0, 2.0, exclude_min=True),
     dt=st.floats(1e-3, 0.1),
     n_points=st.sampled_from([16, 32, 64, 128, 256, 512, 1024]),
     band_gap=st.booleans(),
@@ -600,33 +595,33 @@ class TestInitialSpectrum:
     seed=st.integers(0, 2**32 - 1),
     preset=st.none(),
 )
-@example(1.0, 2.0, 0.05, 256, False, 40, 4, 1.0, 0, None)  # z = 0 on mode 1: the phi series
-@example(0.5, 2.0, 0.1, 256, False, 40, 10, 100.0, 0, None)  # blow-up at step 5, replayed from step 0
+@example(1.0, 0.05, 256, False, 40, 4, 1.0, 0, None)  # z = 0 on mode 1: the phi series
+@example(0.5, 0.1, 256, False, 40, 10, 100.0, 0, None)  # blow-up at step 5, replayed from step 0
 # blow-up at step 8, replayed from the record at step 6 and the history kept with it
-@example(0.5, 2.0, 0.1, 256, False, 40, 3, 10.0, 16, None)
+@example(0.5, 0.1, 256, False, 40, 3, 10.0, 16, None)
 # blow-up at step 5, after the record at step 3: a replay from that record
 # without its history puts it at step 6
-@example(0.9, 2.0, 0.1, 256, False, 40, 3, 100.0, 19, None)
-@example(0.5, 2.0, 0.1, 256, False, 2, 1, 100.0, 0, None)  # large but finite records
-@example(0.5, 2.0, 0.1, 256, False, 4, 1, 100.0, 0, None)  # record 4 overflows its diagnostics
-@example(0.9, 2.0, 0.05, 64, True, 40, 2, 0.0, 0, None)  # steady at once
+@example(0.9, 0.1, 256, False, 40, 3, 100.0, 19, None)
+@example(0.5, 0.1, 256, False, 2, 1, 100.0, 0, None)  # large but finite records
+@example(0.5, 0.1, 256, False, 4, 1, 100.0, 0, None)  # record 4 overflows its diagnostics
+@example(0.9, 0.05, 64, True, 40, 2, 0.0, 0, None)  # steady at once
 # odd modes exactly 0 without the filter: the stepper carries (-1)^m c_m, so
 # a sign slip would turn their +0 into -0
-@example(0.3, 2.0, 0.05, 256, False, 40, 4, 1.0, 0, "sin_2x")
-@example(0.6, 1.5, 0.02, 128, False, 40, 3, 1.0, 0, {2: -0.7, 4: 0.3})
+@example(0.3, 0.05, 256, False, 40, 4, 1.0, 0, "sin_2x")
+@example(0.6, 0.02, 128, False, 40, 3, 1.0, 0, {2: -0.7, 4: 0.3})
 # the band-gap filter acts at admission only; the reference filters every
 # step, and its blow-ups must fall on the same steps
-@example(0.5, 2.0, 0.1, 256, True, 40, 10, 100.0, 0, None)  # blow-up at step 6
-@example(0.5, 2.0, 0.1, 256, True, 40, 3, 10.0, 2, None)  # blow-up at step 7, after record 2
-@example(0.5, 2.0, 0.1, 256, True, 2, 1, 100.0, 0, None)  # large but finite records
-@example(0.5, 2.0, 0.1, 256, True, 4, 1, 100.0, 0, None)  # record 4 overflows its diagnostics
-@example(1.0, 2.0, 0.05, 1024, True, 40, 4, 1.0, 0, None)  # z = 0 on mode 1
-@example(0.6, 0.5, 0.05, 1024, True, 40, 4, 1.0, 0, None)
+@example(0.5, 0.1, 256, True, 40, 10, 100.0, 0, None)  # blow-up at step 6
+@example(0.5, 0.1, 256, True, 40, 3, 10.0, 2, None)  # blow-up at step 7, after record 2
+@example(0.5, 0.1, 256, True, 2, 1, 100.0, 0, None)  # large but finite records
+@example(0.5, 0.1, 256, True, 4, 1, 100.0, 0, None)  # record 4 overflows its diagnostics
+@example(1.0, 0.05, 1024, True, 40, 4, 1.0, 0, None)  # z = 0 on mode 1
+@example(0.6, 0.05, 1024, True, 40, 4, 1.0, 0, None)
 def test_evolve_equals_the_reference_loop_bit_for_bit(
-    kappa, gamma, dt, n_points, band_gap, steps, record_every, amplitude, seed, preset
+    kappa, dt, n_points, band_gap, steps, record_every, amplitude, seed, preset
 ):
     params = EvolveParams(
-        kappa=kappa, gamma=gamma, dt=dt, t_end=steps * dt, n_points=n_points,
+        kappa=kappa, dt=dt, t_end=steps * dt, n_points=n_points,
         filter="odd_band_gap" if band_gap else "none", record_every=record_every,
     )
     modes = np.arange(1, min(params.max_mode, 6) + 1)
@@ -658,16 +653,15 @@ _ETDRK2_GAP = 0.5
 
 @given(
     kappa=st.one_of(st.just(1.0), st.floats(0.0, 2.0, exclude_min=True)),
-    gamma=st.floats(0.0, 2.0, exclude_min=True),
     dt=st.floats(1e-3, 0.1),
     preset=st.sampled_from(sorted(PRESETS)),
 )
-@example(1e-6, 2.0, 0.1, "half_sin_x")  # the largest gap measured
-@example(1.0, 2.0, 0.05, "sin_x")  # z = 0 on mode 1: the phi series
-def test_etd2_stays_within_dt_squared_of_etdrk2(kappa, gamma, dt, preset):
+@example(1e-6, 0.1, "half_sin_x")  # the largest gap measured
+@example(1.0, 0.05, "sin_x")  # z = 0 on mode 1: the phi series
+def test_etd2_stays_within_dt_squared_of_etdrk2(kappa, dt, preset):
     # two second-order methods: their states part by O(dt^2) over a unit time
     steps = math.ceil(1.0 / dt)
-    params = EvolveParams(kappa=kappa, gamma=gamma, dt=dt, t_end=steps * dt, n_points=64,
+    params = EvolveParams(kappa=kappa, dt=dt, t_end=steps * dt, n_points=64,
                           record_every=steps, detect_steady=False)
     u0 = initial_spectrum(preset, params.max_mode)
     stepper, c = _Stepper(params), u0.coeffs.copy()

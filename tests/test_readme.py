@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -33,3 +34,14 @@ def test_readme_aclab_command_parses(argv):
 def test_readme_python_command_names_an_existing_file(argv):
     for path in (a for a in argv[1:] if a.endswith(".py")):
         assert (REPO / path).is_file(), path
+
+
+def test_readme_flags_are_aclab_options():
+    # every --flag of an inline code span that names a flag or an aclab command
+    text = re.sub(r"^```.*?^```", "", (REPO / "README.md").read_text(), flags=re.S | re.M)
+    spans = [s for s in re.findall(r"`([^`\n]+)`", text) if s.startswith(("--", "aclab "))]
+    flags = {f for s in spans for f in re.findall(r"(?<!\S)--[a-z][a-z0-9-]*", s)}
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for sub in commands.choices.values() for o in sub._option_string_actions}
+    assert "--kappa" in flags
+    assert not flags - options, sorted(flags - options)

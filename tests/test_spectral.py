@@ -58,13 +58,12 @@ def test_derivative_examples(grid64):
     m = np.arange(1.0, c.size + 1)
     assert np.max(np.abs(sine_values(-(m * m) * c, 64) + np.sin(x))) < 1e-12
 
-    # int (kappa^2/2) (u')^2 of sin 3x is 9 pi kappa^2 / 2, and its order-gamma
-    # form 3^gamma pi kappa^2 / 2; a (records, M) array gives one term per row
+    # int (kappa^2/2) (u')^2 of sin 3x is 9 pi kappa^2 / 2; a (records, M)
+    # array gives one term per row
     c3 = sine_transform(TorusField(grid64, np.sin(3 * x))).coeffs
-    assert gradient_energy(c3, 0.5, 2) == pytest.approx(9 * np.pi / 8, abs=1e-12)
-    assert gradient_energy(c3, 0.5, 1.5) == pytest.approx(3**1.5 * np.pi / 8, abs=1e-12)
+    assert gradient_energy(c3, 0.5) == pytest.approx(9 * np.pi / 8, abs=1e-12)
     rows = np.stack([c, c3])
-    assert np.array_equal(gradient_energy(rows, 0.5, 2), [gradient_energy(r, 0.5, 2) for r in rows])
+    assert np.array_equal(gradient_energy(rows, 0.5), [gradient_energy(r, 0.5) for r in rows])
 
 
 def test_ground_state_band_gap(gs_cache):
