@@ -7,11 +7,14 @@ the linear symbol lambda = 1 - kappa^2 m^2 is integrated exactly by
 e^z, z = dt lambda, and the cubic N_k = N(d_k) is evaluated once per step;
 the first step takes N_{-1} = N_0 and is exponential Euler.  A steady
 state s has N(s) = -lambda s, so it is an exact fixed point at every dt.  Near z = 0 (kappa = 1, m = 1 gives z = 0 exactly) the phi functions
-are summed as Taylor series (Kassam & Trefethen 2005).  The cubic is
-evaluated pointwise on a grid zero padded to twice the configured size, so
-products of modes up to the cutoff n/4 stay strictly below the padded
-Nyquist and the convolution is exact: the plain two-thirds truncation is
-not alias-free for a cubic term.  The state is kept as (-1)^m c_m in a
+are summed as Taylor series (Kassam & Trefethen 2005).  The cubic of the
+modes up to the cutoff M = n/4 is evaluated pointwise on the n = 4M-point
+grid itself: there u^3, whose frequencies reach 3M, folds onto a kept mode
+only at 3M -> M, from sin^3(Mx) alone, and :class:`SineWorkspace` adds
+that one triad back, so the Galerkin convolution is exact (alias-free
+truncation needs n > 4M, Orszag 1971; the plain two-thirds rule is not
+alias-free for a cubic term).  The diagnostics take int u^4, which reaches
+4M, on 2n points.  The state is kept as (-1)^m c_m in a
 :class:`SineWorkspace`, whose two cubic slots hold N_k and N_{k-1}; the
 sign commutes with e^z, dt phi1 and dt phi2, so a step is one cubic term
 and six diagonal operations that allocate nothing.  Finiteness is tested
@@ -52,6 +55,7 @@ PRESETS = {  # named initial data, as {mode: coefficient}
 
 STEADY_CHECKS_REQUIRED = 10
 STEADY_TOL = 1e-10  # record-to-record L2 rate below which a run counts as steady
+MAX_STEPS = 10**8  # the most steps a run may take; EvolveParams says why
 
 _PHI_SERIES_RADIUS = 0.1
 _PHI_SERIES_TERMS = 14
@@ -81,7 +85,12 @@ def _phi_functions(z):
 class EvolveParams:
     """Configuration of one evolution run.
 
-    ``t_end`` must be a whole number of steps ``dt`` (to 1e-9 relative).
+    ``t_end`` must be a whole number of steps ``dt`` (to 1e-9 relative), at
+    most :data:`MAX_STEPS` of them: from 5e8 steps that tolerance is half a
+    step, so it would pass every t_end, and 1e8 steps are already hours of
+    a 4096-point run.  A ``dt`` with 1 + dt == 1 is refused too: a step
+    that short rounds a state of size 1 back to itself, a frozen run that
+    steady detection would call steady.
     ``detect_steady=None`` resolves to enabled except at kappa = 1, where
     slow algebraic decay produces false positives.
     """
@@ -102,6 +111,10 @@ class EvolveParams:
         steps = self.t_end / self.dt
         if not 0.0 < steps < math.inf:  # so is t_end, as dt <= 0.1; round(inf) raises OverflowError
             raise DomainError(f"domain error: t_end={self.t_end!r} and t_end/dt={steps!r} must be positive and finite")
+        if steps > MAX_STEPS:
+            raise DomainError(f"domain error: t_end/dt={steps!r} exceeds the {MAX_STEPS:.0e} steps a run may take")
+        if 1.0 + self.dt == 1.0:
+            raise DomainError(f"domain error: dt={self.dt!r} is lost against 1.0: a step would round the state back to itself")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise DomainError(f"domain error: t_end={self.t_end!r} is not a multiple of dt")
         TorusGrid(self.n_points)  # validates the grid size
@@ -149,8 +162,8 @@ class _Stepper:
         phi1, phi2 = _phi_functions(z)
         self.dt_phi1 = params.dt * phi1
         self.dt_phi2 = params.dt * phi2
-        self.n_pad = 2 * params.n_points
-        self.sine = SineWorkspace(params.max_mode, self.n_pad)
+        self.sine = SineWorkspace(params.max_mode)  # on n_points = 4 max_mode points
+        self.n_pad = 2 * params.n_points  # the diagnostics' grid: int u^4 needs n > 4 max_mode
         self._work = np.empty(params.max_mode)
 
     def step(self):
@@ -249,11 +262,12 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
 
     # overflow surfaces as non-finite coefficients, turned into BlowUpError
     # below; the warnings are just noise
+    step = stepper.step
     with np.errstate(over="ignore", invalid="ignore"):
         while kstep < n_steps:
             last, kstep = kstep, min(kstep + params.record_every, n_steps)
             for _ in range(last, kstep):
-                stepper.step()
+                step()
             c = stepper.sine.coeffs()
             if not _finite(c):
                 kstep = _first_non_finite_step(stepper, spectra[-1], history, last, kstep)
@@ -261,7 +275,8 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
             history = stepper.sine.history()
             t = kstep * params.dt
             if detect:
-                rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])
+                diff = c - spectra[-1]
+                rate = math.sqrt(math.pi * float(np.dot(diff, diff))) / (t - times[-1])
                 consecutive = consecutive + 1 if rate < STEADY_TOL else 0
             times.append(t)
             spectra.append(c)

@@ -74,10 +74,13 @@ def write_csv(path, header, rows):
 
 
 def ground_state_record(gs) -> dict:
+    """The profile and its health: the max-norm PDE residual and the peak solve's residual."""
     return {
         "kappa": gs.kappa,
         "N": gs.peak.N,
         "energy": gs.energy,
+        "residual": gs.residual,
+        "peak_residual": gs.peak.residual,
         "n_points": gs.field.grid.n_points,
         "values": gs.field.values,
     }

@@ -8,11 +8,12 @@ the only one that knows that mapping.  It calls the pocketfft gufuncs that
 ``np.fft.irfft`` and ``rfft`` end in, without their per-call set-up: the
 free functions pass the factors those pass (1/n and 1), and their outputs
 are np.fft's to the bit.  :class:`SineWorkspace`, the time stepper's
-kernel, keeps a spectrum as (-1)^m c_m in the slots irfft reads and passes
-the grid factors as the kernels' own (-1/2 to the grid, 2/n back), so a
-cubic term costs the two transforms and two products, and no copies; its
-two cubic slots keep the term of the state before, which the stepper's
-history needs.
+kernel, builds its own 4M-point grid for M modes, keeps a spectrum as
+(-1)^m c_m in the slots irfft reads and passes the grid factors as the
+kernels' own (-1/2 to the grid, 2/n back), so a cubic term costs the two
+transforms, two products and the one folded triad added back, and no
+copies; its two cubic slots keep the term of the state before, which the
+stepper's history needs.
 """
 
 from dataclasses import dataclass
@@ -159,23 +160,33 @@ def sine_coeffs(values, M, cosine=False):
 
 
 class SineWorkspace:
-    """An M-mode sine spectrum kept where the n-point transforms read it, and
-    two slots for its cubic term -(u^3), in buffers built once: no call allocates.
+    """An M-mode sine spectrum kept where the transforms of its own 4M-point
+    grid read it, and two slots for its cubic term -(u^3), in buffers built
+    once: no call allocates.
 
     ``state`` holds c_m as (-1)^m c_m, the imaginary parts of entries 1..M
-    of a half spectrum that is zero elsewhere.  :meth:`cube` writes the term
-    of ``state``, in that form, into the slots in turn, so the term of the
-    state before stays in the other slot without a copy.  Up to (-1)^m and
-    the signs of zeros, which :meth:`coeffs` makes +0, these are the bits of
-    ``-sine_coeffs(u * u * u, M)`` with u = ``sine_values(c, n)``, whose
-    factors differ from these by exact powers of two (outside the subnormal
-    range).  M > n/2 - 1 or an odd n raises :class:`DomainError`, as in the
-    free functions.
+    of a half spectrum that is zero elsewhere.  :meth:`cube` writes the
+    Galerkin term, the modes 1..M of -(u^3), in that form, into the slots in
+    turn, so the term of the state before stays in the other slot without a
+    copy.  u^3 reaches the frequencies up to 3M, and on n = 4M points a
+    frequency k in (M, 3M] lands on 4M - k, a kept mode only at k = 3M:
+    there sin(3M x_j) = -sin(M x_j).  Only sin^3(Mx) = (3 sin Mx - sin 3Mx)/4
+    reaches 3M, so the grid term is exact but for mode M, to which the fold
+    added -c_M^3/4; :meth:`cube` adds it back, d^3/4 with d = (-1)^M c_M.
+    In exact arithmetic the term is then that of any grid with n > 4M, on
+    which nothing folds (Orszag 1971), such as 8M points, at half their
+    cost.  When 4M is a power of two, as in the stepper, the term before
+    the fold has the bits of
+    ``-sine_coeffs(u * u * u, M)`` with u = ``sine_values(c, 4M)``, up to
+    (-1)^m and the signs of zeros, which :meth:`coeffs` makes +0: the
+    factors differ by exact powers of two (outside the subnormal range).
+    An M that is not an integer >= 1 raises :class:`DomainError`.
     """
 
-    def __init__(self, M, n):
-        _require_room(M, n)
-        _require_even(n)
+    def __init__(self, M):
+        if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
+            raise DomainError(f"domain error: a workspace needs an integer mode count >= 1, got {M!r}")
+        self.n_points = n = 4 * M
         # the factors as 0-d arrays, which the kernels take without a conversion per call
         self._to_grid, self._from_grid = np.array(-0.5), np.array(2.0 / n)
         self._half = np.zeros(n // 2 + 1, dtype=complex)  # only imag 1..M is ever written
@@ -208,17 +219,19 @@ class SineWorkspace:
         return self._cubics[self._last].copy()
 
     def cube(self):
-        """Write -(u^3) of ``state`` into the next slot; return that slot and
-        the one written before it (the same slot after a :meth:`load` without
-        history)."""
+        """Write the Galerkin term -(u^3) of ``state`` into the next slot;
+        return that slot and the one written before it (the same slot after
+        a :meth:`load` without history)."""
         k, last = self._next, self._last
         # outputs by position, which costs less than out=
         u = _pocketfft.irfft(self._half, self._to_grid, self._grid)
         np.multiply(u, u, self._cube)
         np.multiply(self._cube, u, self._cube)
         _pocketfft.rfft_n_even(self._cube, self._from_grid, self._rffts[k])
+        term, d = self._cubics[k], self.state[-1]
+        term[-1] += d * d * d / 4  # the folded triad of mode M
         self._next, self._last = 1 - k, k
-        return self._cubics[k], self._cubics[last]
+        return term, self._cubics[last]
 
 
 def sine_transform(field: TorusField) -> SineSpectrum:

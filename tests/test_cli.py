@@ -36,6 +36,9 @@ def test_ground_state_outputs(tmp_path, capsys):
     assert record["n_points"] == 2048
     assert len(record["values"]) == 2048
     assert 0.0 < record["N"] < 1.0
+    assert 0.0 < record["residual"] < 1e-8  # the profile's PDE residual, and the peak solve's
+    assert 0.0 <= record["peak_residual"] < 1e-12
+    assert f"pde residual     = {serialize.fmt(record['residual'])}" in out
     csv_lines = (tmp_path / "ground_state_profile_kappa_0.5.csv").read_text().splitlines()
     assert csv_lines[0] == "x,u,kink"
     assert len(csv_lines) == 2048 // 4 + 2
@@ -266,6 +269,28 @@ def test_overflowing_step_count_is_domain_error(tmp_path, capsys):
     args = ["evolve", "--kappa", "0.5", "--dt", "1e-320", "--out", str(tmp_path)]
     assert run_cli(args) == EXIT_DOMAIN_ERROR
     assert "t_end/dt=inf must be positive and finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kappa", ["0.5", "1"])
+def test_step_count_above_the_ceiling_is_domain_error(tmp_path, capsys, monkeypatch, kappa):
+    # dt = 1e-300 reported sin x steady at kappa = 0.5 and ran until killed
+    # at kappa = 1; a run that starts fails the test instead
+    def no_run(u0, params):
+        raise AssertionError(f"{params} was not refused")
+
+    monkeypatch.setattr("aclab.cli.evolve", no_run)
+    args = ["evolve", "--kappa", kappa, "--dt", "1e-300", "--out", str(tmp_path)]
+    with time_limit(10.0):
+        assert run_cli(args) == EXIT_DOMAIN_ERROR
+    assert "exceeds the 1e+08 steps a run may take" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_dt_lost_against_one_is_domain_error(tmp_path, capsys):
+    args = ["evolve", "--kappa", "0.5", "--dt", "1e-17", "--t-end", "1e-16", "--out", str(tmp_path)]
+    assert run_cli(args) == EXIT_DOMAIN_ERROR
+    assert "dt=1e-17 is lost against 1.0" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from aclab import verify
 
 from aclab.catalog import build_catalog
 from aclab.diagnostics import DiagnosticSeries, spectra_series
 from aclab.errors import BlowUpError, DomainError, SymmetryError
 from aclab.evolution import (
+    MAX_STEPS,
     PRESETS,
     STEADY_CHECKS_REQUIRED,
     STEADY_TOL,
@@ -64,21 +68,35 @@ def _reference_cubic(c, n_pad):
     return -(((-2.0 / n_pad) * sign)[1:] * spectrum[1 : M + 1].imag)
 
 
+def _alias_free_cubic(c):
+    # the Galerkin term on 8M points, where no frequency of u^3 folds onto a
+    # kept mode: the path the stepper's 4M-point grid replaced
+    return _reference_cubic(c, 8 * c.size)
+
+
+def _folded_cubic(c):
+    # the stepper's path: on 4M points sin(3M x_j) = -sin(M x_j), so the grid
+    # term of mode M carries -c_M^3/4 from sin^3(Mx); it is added back
+    out = _reference_cubic(c, 4 * c.size)
+    out[-1] += c[-1] * c[-1] * c[-1] / 4
+    return out
+
+
 def _reference_step_etdrk2(stepper, c):
     # the two-stage ETDRK2 step (Cox & Matthews 2002) from fresh arrays, the
     # path ETD2 replaced and is held to: it evaluates the cubic twice per step
     with np.errstate(over="ignore", invalid="ignore"):
-        n0 = _reference_cubic(c, stepper.n_pad)
+        n0 = _alias_free_cubic(c)
         a = stepper.e_full * c + stepper.dt_phi1 * n0
-        return a + stepper.dt_phi2 * (_reference_cubic(a, stepper.n_pad) - n0)
+        return a + stepper.dt_phi2 * (_alias_free_cubic(a) - n0)
 
 
-def _reference_step(stepper, c, n_before, params):
+def _reference_step(stepper, c, n_before, params, cubic=_folded_cubic):
     # one ETD2 step from fresh arrays, with the band-gap filter applied after
     # every step (evolve applies it once, at admission): (state, N(c)).  With
     # no n_before, N(c) is its own history and the step is exponential Euler
     with np.errstate(over="ignore", invalid="ignore"):
-        n = _reference_cubic(c, stepper.n_pad)
+        n = cubic(c)
         if n_before is None:
             n_before = n
         out = stepper.e_full * c + stepper.dt_phi1 * n + stepper.dt_phi2 * (n - n_before)
@@ -87,7 +105,7 @@ def _reference_step(stepper, c, n_before, params):
     return out, n
 
 
-def _reference_evolve(c, params):
+def _reference_evolve(c, params, cubic=_folded_cubic):
     # evolve before its buffers: (times, spectra, terminal, diagnostics); the
     # first record whose diagnostics overflow ends the run as a blow-up there
     stepper = _Stepper(params)
@@ -95,14 +113,15 @@ def _reference_evolve(c, params):
     times, spectra, consecutive, terminal = [0.0], [c], 0, "reached_t_end"
     steps, n = [0], None
     for kstep in range(1, n_steps + 1):
-        c, n = _reference_step(stepper, c, n, params)
+        c, n = _reference_step(stepper, c, n, params, cubic)
         if not np.all(np.isfinite(c)):
             raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
         if kstep % params.record_every == 0 or kstep == n_steps:
             t = kstep * params.dt
             if params.steady_detection_enabled:
+                diff = c - spectra[-1]
                 with np.errstate(over="ignore"):
-                    rate = float(np.sqrt(np.pi * np.sum((c - spectra[-1]) ** 2))) / (t - times[-1])
+                    rate = math.sqrt(math.pi * float(np.dot(diff, diff))) / (t - times[-1])
                 consecutive = consecutive + 1 if rate < STEADY_TOL else 0
             times.append(t)
             spectra.append(c)
@@ -135,6 +154,16 @@ def test_stepper_integrates_the_laplacian_symbol_exactly():
         e_full = _Stepper(params).e_full
         assert e_full.tobytes() == np.exp(params.dt * (1.0 - (kappa * kappa) * (m * m))).tobytes()
     assert e_full[1] == np.exp(-15.0 * params.dt)  # at kappa = 2, mode 2 decays at 4 * 4 - 1 = 15
+
+
+@pytest.mark.parametrize("n_points", [16, 256, 4096])
+def test_stepper_cubes_on_the_n_point_grid(n_points):
+    # the cubic of max_mode = n/4 modes needs 4 max_mode points and the one
+    # fold added back; the diagnostics keep twice as many, for int u^4
+    stepper = _Stepper(EvolveParams(kappa=0.9, n_points=n_points))
+    assert stepper.sine.n_points == n_points
+    assert stepper.sine._grid.size == n_points
+    assert stepper.n_pad == 2 * n_points
 
 
 @pytest.mark.parametrize(
@@ -182,6 +211,26 @@ class TestParams:
         # t_end / dt is inf: round(inf) raised an untyped OverflowError
         with pytest.raises(DomainError, match=r"t_end/dt=inf must be positive and finite"):
             EvolveParams(kappa=0.5, dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    def test_step_count_above_the_ceiling_refused(self, kappa):
+        # dt = 1e-300 froze sin x into a "steady" state at kappa = 0.5 and
+        # asked for 1e301 steps at kappa = 1, where detection is off
+        with pytest.raises(DomainError, match=r"t_end/dt=.* exceeds the 1e\+08 steps"):
+            EvolveParams(kappa=kappa, dt=1e-300)
+        with pytest.raises(DomainError, match=r"t_end/dt=.* exceeds the 1e\+08 steps"):
+            EvolveParams(kappa=kappa, dt=0.1, t_end=1e307)
+        with pytest.raises(DomainError, match=r"exceeds the 1e\+08 steps"):
+            EvolveParams(kappa=kappa, dt=0.1, t_end=0.1 * (MAX_STEPS + 1))
+        assert MAX_STEPS == 10**8
+        EvolveParams(kappa=kappa, dt=0.1, t_end=0.1 * MAX_STEPS)  # refused only above
+
+    def test_dt_lost_against_one_refused(self):
+        # ten steps of 1e-17 round sin x back to itself, step after step
+        assert 1.0 + 1e-17 == 1.0
+        with pytest.raises(DomainError, match=r"dt=1e-17 is lost against 1.0"):
+            EvolveParams(kappa=0.5, dt=1e-17, t_end=1e-16)
+        EvolveParams(kappa=0.5, dt=2.3e-16, t_end=2.3e-15)  # 1 + dt is the next double
 
     def test_t_end_must_be_whole_number_of_steps(self):
         with pytest.raises(DomainError, match="not a multiple of dt"):
@@ -237,7 +286,7 @@ class TestStep:
             assert np.max(np.abs(c[1:])) == 0.0
 
     def test_step_allocates_nothing(self):
-        # the padded grid alone is 64 KB at n_points = 4096; a step that built
+        # the cube's grid alone is 32 KB at n_points = 4096; a step that built
         # its spectra, cube and predictor afresh peaked at about 231 KB.  The
         # replay that finds a blow-up's step steps in the same buffers
         params = EvolveParams(kappa=0.9, dt=0.01, n_points=4096)
@@ -256,7 +305,7 @@ class TestStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 * params.n_points
+        assert peak < 8 * params.n_points
 
     def test_one_cubic_term_per_step(self, monkeypatch):
         # the cost of a step is its cubic term: ETDRK2 evaluated two
@@ -601,7 +650,7 @@ class TestInitialSpectrum:
 @example(0.5, 0.1, 256, False, 40, 3, 10.0, 16, None)
 # blow-up at step 5, after the record at step 3: a replay from that record
 # without its history puts it at step 6
-@example(0.9, 0.1, 256, False, 40, 3, 100.0, 19, None)
+@example(0.9, 0.1, 256, False, 40, 3, 100.0, 63, None)
 @example(0.5, 0.1, 256, False, 2, 1, 100.0, 0, None)  # large but finite records
 @example(0.5, 0.1, 256, False, 4, 1, 100.0, 0, None)  # record 4 overflows its diagnostics
 @example(0.9, 0.05, 64, True, 40, 2, 0.0, 0, None)  # steady at once
@@ -670,3 +719,53 @@ def test_etd2_stays_within_dt_squared_of_etdrk2(kappa, dt, preset):
     got = evolve(u0, params)
     assert got.steps == steps
     assert np.max(np.abs(got.snapshots[-1] - c)) <= _ETDRK2_GAP * dt * dt
+
+
+# max |cube - alias-free| / (eps max |N|) measured on 4,500 random spectra
+# of 1..1024 modes, every mode up to 3 in size: 9.4
+_FOLD_ULPS = 32
+
+
+@st.composite
+def _top_heavy_spectra(draw):
+    # a spectrum whose top mode carries 0.5..2, where the fold weighs most
+    M = draw(st.integers(1, 1024))
+    c = draw(arrays(float, M, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    c[-1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+    return c
+
+
+@given(c=_top_heavy_spectra())
+@example(np.array([1.0]))  # one mode: sin^3 x on four points
+def test_workspace_cube_equals_the_alias_free_cubic(c):
+    # the 4M-point cube with the folded triad added back against the 8M-point
+    # grid, on which nothing folds; the grid term alone misses mode M by c_M^3/4
+    M = c.size
+    sine = SineWorkspace(M)
+    sine.load(c)
+    sign = np.where(np.arange(1, M + 1) % 2 == 0, 1.0, -1.0)
+    got = sign * sine.cube()[0]
+    want = _alias_free_cubic(c)
+    bound = _FOLD_ULPS * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound
+    unfolded = _reference_cubic(c, 4 * M)
+    assert abs(unfolded[-1] - want[-1]) > 1000.0 * bound
+    assert np.max(np.abs(unfolded[:-1] - want[:-1]), initial=0.0) <= bound
+
+
+# max |c - c_8M| over the records of each gate run, measured 2.2e-16 (one ulp
+# of 1, kappa09_half); every state here is at most 1 in size
+_GATE_RUN_GAP = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", sorted(verify._RUNS))
+def test_gate_runs_stay_on_the_alias_free_path(name):
+    # the gate's four runs against the 8M-point cubic they ran on before the
+    # fold: the same records, terminal and steps, and states within 4 ulp
+    params, preset = verify._RUNS[name]
+    u0 = initial_spectrum(preset, params.max_mode)
+    times, spectra, terminal, _ = _reference_evolve(u0.coeffs.copy(), params, _alias_free_cubic)
+    got = evolve(u0, params)
+    assert got.terminal == terminal
+    assert got.times.tobytes() == times.tobytes()
+    assert np.max(np.abs(got.snapshots - spectra)) <= _GATE_RUN_GAP

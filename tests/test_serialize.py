@@ -21,6 +21,16 @@ def test_fmt_rejects_non_finite():
         serialize.fmt(float("nan"))
 
 
+def test_ground_state_record_carries_both_residuals(gs_cache):
+    # the profile's PDE residual and the peak solve's, read back to the bit
+    gs = gs_cache(0.5)
+    record = json.loads(serialize.dumps(serialize.ground_state_record(gs)))
+    assert record["residual"] == gs.residual
+    assert record["peak_residual"] == gs.peak.residual
+    assert 0.0 < record["residual"] < 1e-8
+    assert 0.0 <= record["peak_residual"] < 1e-12
+
+
 def test_dumps_is_valid_json_with_numpy_scalars():
     obj = {
         "flag": np.bool_(True),

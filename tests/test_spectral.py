@@ -141,7 +141,7 @@ def _workspace_cubes(sine, c):
 def test_workspace_history_round_trips():
     # a restart from a record needs the term of the state before it, bit for bit
     rng = np.random.default_rng(7)
-    sine = SineWorkspace(31, 64)
+    sine = SineWorkspace(31)
     c, d = rng.standard_normal((2, 31))
     sine.load(c)
     sine.cube()
@@ -155,18 +155,35 @@ def test_workspace_history_round_trips():
     assert np.all(np.isfinite(before))
 
 
-def test_workspace_refuses_modes_the_grid_cannot_hold():
-    # it once built, and then failed on a bare numpy broadcast error; 31
-    # modes, the most 64 points hold, still run through the kernel
-    for M in (32, 200):
-        with pytest.raises(DomainError, match=f"grid with 64 points cannot hold {M} sine modes"):
-            SineWorkspace(M, 64)
-    coeffs = np.random.default_rng(31).standard_normal(31)
-    sine = SineWorkspace(31, 64)
-    u = sine_values(coeffs, 64)
-    for cube in _workspace_cubes(sine, coeffs):
-        assert np.array_equal(cube, -sine_coeffs(u * u * u, 31))
-    assert np.array_equal(sine.coeffs(), coeffs)
+def _folded(term, c):
+    # the fold the workspace adds back to mode M of its 4M-point grid term
+    term[-1] += c[-1] * c[-1] * c[-1] / 4
+    return term
+
+
+@pytest.mark.parametrize("M", [0, -3, 2.0, True, "8"])
+def test_workspace_refuses_a_mode_count_that_is_not_a_positive_integer(M):
+    with pytest.raises(DomainError, match="integer mode count >= 1"):
+        SineWorkspace(M)
+
+
+def test_workspace_builds_its_own_alias_free_grid():
+    # SineWorkspace(31, 64) once built a grid too coarse for the cube of its
+    # 31 modes; the workspace now takes M alone and transforms on 4M points.
+    # Its factors -1/2 and 2/n are the free functions' up to powers of two,
+    # which keeps the bits when 4M is one
+    rng = np.random.default_rng(31)
+    for M, n in ((32, 128), (31, 124)):
+        coeffs = rng.standard_normal(M)
+        sine = SineWorkspace(M)
+        assert sine.n_points == n
+        u = sine_values(coeffs, n)
+        want = _folded(-sine_coeffs(u * u * u, M), coeffs)
+        for cube in _workspace_cubes(sine, coeffs):
+            if n == 128:
+                assert np.array_equal(cube, want)
+            assert np.max(np.abs(cube - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(sine.coeffs(), coeffs)
 
 
 def _public_fft_values(coeffs, n):
@@ -209,10 +226,14 @@ def test_transforms_equal_the_public_numpy_fft_to_the_bit(case):
     M_analysis = M + 1 if cosine else M  # the cosine analysis takes M up to n/2
     got = sine_coeffs(values, M_analysis, cosine=cosine)
     assert got.tobytes() == _public_fft_coeffs(values, M_analysis, cosine).tobytes()
-    sine = SineWorkspace(M, n)
-    for c in coeffs.reshape(-1, M):
+    # the workspace transforms on its own 4M points, and adds the fold back;
+    # the stepper's M is n/4, a power of two, where the bits agree
+    M_step = n // 4
+    sine = SineWorkspace(M_step)
+    rows = rng.standard_normal(batch + (M_step,)) / np.arange(1, M_step + 1)
+    for c in rows.reshape(-1, M_step):
         u = _public_fft_values(c, n)
-        want = (-_public_fft_coeffs(u * u * u, M, False)).tobytes()
+        want = _folded(-_public_fft_coeffs(u * u * u, M_step, False), c).tobytes()
         assert [cube.tobytes() for cube in _workspace_cubes(sine, c)] == [want, want]
         assert sine.coeffs().tobytes() == (c + 0.0).tobytes()
 
@@ -222,15 +243,13 @@ def test_analysis_refuses_an_odd_grid(n):
     # the even-grid kernel would return wrong coefficients, not an error
     with pytest.raises(DomainError, match=f"grid with {n} points is odd"):
         sine_coeffs(np.ones(n), 4)
-    with pytest.raises(DomainError, match=f"grid with {n} points is odd"):
-        SineWorkspace(4, n)
 
 
 @given(
     coeffs=arrays(float, st.integers(1, 31), elements=st.floats(-1.0, 1.0, allow_nan=False)),
 )
 def test_sine_values_against_direct_sum(coeffs):
-    # at n = 64 and at the twice-as-fine grid the stepper pads to
+    # at n = 64 and at the twice-as-fine grid on which the diagnostics take int u^4
     m = np.arange(1, coeffs.size + 1)
     for n in (64, 128):
         x = TorusGrid(n).x
