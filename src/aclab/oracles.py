@@ -15,9 +15,9 @@ initial-condition round-off grows by ~1/(1-N), 1e9 already at kappa=0.1.
 The march's series recurrence is the automatic-differentiation Taylor method
 (Jorba & Zou, Experimental Mathematics 14 (2005) 99-117); it needs only
 integer products and shifts.  The first-return period oracle marches the same
-ODE with the same recurrence, in 80-bit fixed point from double data, and
-times the orbit's upward zeros; it shares no code with the period formula
-(the AGM behind ``catalog.minimal_period``) it checks.
+ODE with the same recurrence, in 96-bit fixed point from double data, and
+times half a turn between the orbit's first two zeros; it shares no code with
+the period formula (the AGM behind ``catalog.minimal_period``) it checks.
 """
 import math
 import operator
@@ -30,9 +30,9 @@ from .errors import DomainError, ResolutionError, WindowError
 SHOOT_BITS = 168  # fixed-point fraction bits of the shooting march
 PEAK_KAPPA_FLOOR = 0.002  # the peak solve carries about 1.6 / kappa extra bits
 TAYLOR_ORDER = 50  # series terms per step
-RETURN_BITS = 80  # fixed-point fraction bits of the period march
+RETURN_BITS = 96  # fraction bits of the period march; doubling its half period doubles its error
 RETURN_ORDER = 20  # series terms per step of the period march
-RETURN_MAX_STEPS = 50_000  # about 4 s at 85 us a step on a 2.1-GHz Xeon; t_max beyond it is refused
+RETURN_MAX_STEPS = 50_000  # about 3 s at 56 us a step on a 2.0-GHz Xeon; t_max beyond it is refused
 
 
 def peak_complement_mp(kappa):
@@ -187,15 +187,16 @@ def first_return_period(u0, v0, kappa, t_max):
     Marches kappa^2 u'' = u^3 - u from (u0, v0) with the shooting oracle's
     series recurrence in integer fixed point (``RETURN_BITS`` fraction bits,
     order ``RETURN_ORDER``, fixed step h = 0.22 kappa: in s = x / kappa the
-    ODE holds no kappa, so every orbit takes the same s-step), and measures
-    the gap between consecutive upward zero crossings of u, which closed
-    orbits hit exactly once per period; each crossing is located on its
-    step's polynomial by bisection and Newton, and the march stops at the
-    second one.  A march that reaches |u| >= 2 stops there: such an orbit is
-    no closed one and crosses upward at most once.  Fewer than two crossings
-    in t <= t_max raise :class:`WindowError`.  Non-finite data, a kappa or
-    t_max that is not a positive finite number, or a t_max beyond
-    ``RETURN_MAX_STEPS`` steps raise :class:`DomainError`.
+    ODE holds no kappa, so every orbit takes the same s-step), and returns
+    twice the gap between the first two zero crossings of u, upward or
+    downward: (u, u') -> (-u, -u') maps each closed orbit onto itself, so
+    one zero to the next is exactly half a period.  Each crossing is located
+    on its step's polynomial by bisection and Newton, a downward one as the
+    upward zero of the negated series.  A march that reaches |u| >= 2 stops:
+    such an orbit is no closed one and crosses zero at most once.  Fewer
+    than two crossings in t <= t_max raise :class:`WindowError`.  Non-finite
+    data, a kappa or t_max that is not a positive finite number, or a t_max
+    beyond ``RETURN_MAX_STEPS`` steps raise :class:`DomainError`.
     """
     if not all(map(math.isfinite, (u0, v0, kappa, t_max))):
         raise DomainError(f"domain error: first_return_period needs finite data, got "
@@ -216,8 +217,9 @@ def first_return_period(u0, v0, kappa, t_max):
     while abs(u) < 2 * one and n * h < t_max:
         a = _scaled_taylor_coeffs(u, v, r_fixed, RETURN_ORDER, RETURN_BITS)
         u_next, v = sum(a), sum(k * ak for k, ak in enumerate(a))
-        if u <= 0 < u_next < 2 * one:  # a step that escapes holds no closed orbit
-            tau = _upward_root([ak / one for ak in a])
+        if abs(u_next) < 2 * one and (u <= 0 < u_next or u >= 0 > u_next):  # an escape closes no orbit
+            # a downward zero is the upward zero of -u: negation is exact, so the same float steps
+            tau = _upward_root([(ak if u_next > 0 else -ak) / one for ak in a])
             if (n + tau) * h > t_max:
                 break
             crossings.append((n, tau))
@@ -227,7 +229,7 @@ def first_return_period(u0, v0, kappa, t_max):
         n += 1
     if len(crossings) < 2:
         raise WindowError(
-            f"window error: first-return oracle saw {len(crossings)} upward crossings in t <= {t_max}"
+            f"window error: first-return oracle saw {len(crossings)} zero crossings in t <= {t_max}"
         )
     (n1, tau1), (n2, tau2) = crossings
-    return ((n2 - n1) + (tau2 - tau1)) * h
+    return 2.0 * ((n2 - n1) + (tau2 - tau1)) * h

@@ -74,11 +74,11 @@ class _Context:
 
 _RUNS = {
     "kappa2_sinx": (
-        EvolveParams(kappa=2.0, dt=0.005, t_end=3.0, record_every=2),
+        EvolveParams(kappa=2.0, dt=0.01, t_end=3.0, record_every=1),
         "sin_x",
     ),
     "kappa1_sinx": (
-        EvolveParams(kappa=1.0, dt=0.05, t_end=100.0, record_every=2),
+        EvolveParams(kappa=1.0, dt=0.1, t_end=100.0, record_every=1),
         "sin_x",
     ),
     "kappa09_half": (
@@ -86,7 +86,7 @@ _RUNS = {
         "half_sin_x",
     ),
     "sharp_logconv": (
-        EvolveParams(kappa=2.0 / math.sqrt(3.0) + 0.01, dt=0.01, t_end=5.0, record_every=5),
+        EvolveParams(kappa=2.0 / math.sqrt(3.0) + 0.01, dt=0.05, t_end=5.0, record_every=1),
         "sin_x",
     ),
 }

@@ -151,6 +151,15 @@ def test_step_doubling_moves_no_compared_value_by_1_percent_of_its_margin(monkey
         assert abs(at_half[value][0] - observed) < 0.01 * margin, (value, observed, at_half[value], margin)
 
 
+@pytest.mark.parametrize("name, record_time", [
+    ("kappa2_sinx", 0.01), ("kappa1_sinx", 0.1), ("kappa09_half", 0.05), ("sharp_logconv", 0.05),
+])
+def test_gate_runs_keep_their_record_times(name, record_time):
+    # a coarser or finer dt keeps the records the tables and fit windows read
+    params = verify._RUNS[name][0]
+    assert params.dt * params.record_every == pytest.approx(record_time, rel=1e-15)
+
+
 def test_run_suite_refuses_an_unknown_suite():
     # a bare KeyError, which is no AclabError
     with pytest.raises(DomainError, match="unknown suite 'bogus'"):

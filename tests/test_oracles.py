@@ -3,6 +3,7 @@
 import ast
 import math
 import operator
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from aclab.ground_state import build_ground_state
 from aclab.oracles import (
     PEAK_KAPPA_FLOOR,
     RETURN_BITS,
+    RETURN_ORDER,
     SHOOT_BITS,
     _scaled_taylor_coeffs,
     _upward_root,
@@ -90,6 +92,34 @@ def _upward_root_np(a):
         if abs(dt) <= 1e-17:
             break
     return float(t)
+
+
+def _first_return_period_full(u0, v0, kappa, t_max):
+    # first_return_period as it marched a full period, from the first upward
+    # zero to the second, before the half period between opposite zeros
+    h = 0.22 * kappa
+    one = 1 << RETURN_BITS
+    r = Fraction(h) ** 2 / Fraction(kappa) ** 2
+    r_fixed = (r.numerator << RETURN_BITS) // r.denominator
+    u = round(Fraction(u0) * one)
+    v = round(Fraction(h) * Fraction(v0) * one)
+    crossings = []
+    n = 0
+    while abs(u) < 2 * one and n * h < t_max:
+        a = _scaled_taylor_coeffs(u, v, r_fixed, RETURN_ORDER, RETURN_BITS)
+        u_next, v = sum(a), sum(k * ak for k, ak in enumerate(a))
+        if u <= 0 < u_next < 2 * one:
+            tau = _upward_root([ak / one for ak in a])
+            if (n + tau) * h > t_max:
+                break
+            crossings.append((n, tau))
+            if len(crossings) == 2:
+                break
+        u = u_next
+        n += 1
+    assert len(crossings) == 2
+    (n1, tau1), (n2, tau2) = crossings
+    return ((n2 - n1) + (tau2 - tau1)) * h
 
 
 def _taylor_coeffs_fsum(u0, v0, kappa2, order):
@@ -318,8 +348,9 @@ def test_points_outside_quarter_period_raise_domain_error():
 
 
 def test_first_return_without_two_crossings_raises_window_error():
-    # the orbit through (0.5, 0) at kappa = 0.5 has period 3.49, so t <= 1 holds no full turn
-    with pytest.raises(WindowError, match="upward crossings in t <= 1.0") as exc:
+    # the orbit through (0.5, 0) at kappa = 0.5 has period 3.49: its zeros come at 0.87 and 2.62,
+    # so t <= 1 holds no half turn
+    with pytest.raises(WindowError, match="zero crossings in t <= 1.0") as exc:
         first_return_period(0.5, 0.0, 0.5, t_max=1.0)
     assert isinstance(exc.value, AclabError)
 
@@ -450,6 +481,33 @@ def test_first_return_period_near_the_separatrix(delta, kappa):
 
 
 @given(u0=st.floats(-1.3, 1.3), v0=st.floats(-1.2, 1.2), kappa=st.floats(0.25, 2.0))
+def test_half_period_march_equals_the_full_period_march(u0, v0, kappa):
+    # (u, u') -> (-u, -u') maps each closed orbit onto itself, so twice the
+    # time between opposite zeros is the time between two upward ones
+    oc = classify_orbit(u0, v0, kappa)
+    assume(oc.kind == "periodic" and not oc.near_boundary and oc.amplitude > 1e-3)
+    t_max = 3.0 * oc.period + 5.0
+    period = first_return_period(u0, v0, kappa, t_max)
+    assert period == pytest.approx(_first_return_period_full(u0, v0, kappa, t_max), abs=1e-13)
+
+
+def test_every_zero_reaches_the_root_finder_rising(monkeypatch):
+    # from (0.5, 0) the first zero is downward and the second upward; the
+    # downward one is handed over negated, so bisection brackets a rising
+    # series on both calls (Newton alone would recover the root from the
+    # wrong end of the step, to the same double on every gate orbit)
+    ends = []
+
+    def recording(a):
+        ends.append((a[0], math.fsum(a)))
+        return _upward_root(a)
+
+    monkeypatch.setattr(aclab.oracles, "_upward_root", recording)
+    first_return_period(0.5, 0.0, 0.5, 10.0)
+    assert len(ends) == 2 and all(start <= 0.0 < end for start, end in ends)
+
+
+@given(u0=st.floats(-1.3, 1.3), v0=st.floats(-1.2, 1.2), kappa=st.floats(0.25, 2.0))
 def test_first_return_period_scales_with_kappa(u0, v0, kappa):
     # x = kappa s takes kappa^2 u'' = u^3 - u to the kappa = 1 ODE, and u' to
     # du/ds / kappa: P(u0, v0, kappa) = kappa P(u0, kappa v0, 1)
@@ -485,5 +543,13 @@ def test_first_return_refuses_bad_data(u0, v0, kappa, t_max):
 
 def test_first_return_leaves_an_escaping_orbit():
     # C > 1/2 from u0 = -1.3: one upward crossing, then escape; the march stops at |u| = 2
-    with time_limit(5.0), pytest.raises(WindowError, match="saw 1 upward"):
+    with time_limit(5.0), pytest.raises(WindowError, match="saw 1 zero"):
         first_return_period(-1.3, 1.0, 0.5, 100.0)
+
+
+@pytest.mark.parametrize("u0, v0", [(0.5, -1.0), (-0.5, 1.0)])
+def test_first_return_leaves_an_orbit_that_escapes_after_one_downward_zero(u0, v0):
+    # C > 1/2 at kappa = 1, headed through u = 0: one zero crossing, the
+    # downward one or its mirror, then escape; half a turn is no period
+    with time_limit(5.0), pytest.raises(WindowError, match="saw 1 zero"):
+        first_return_period(u0, v0, 1.0, 100.0)
