@@ -52,14 +52,17 @@ class SteadyCatalog:
     replicas: tuple
 
 
-def build_catalog(kappa, grid: TorusGrid | None = None) -> SteadyCatalog:
+def build_catalog(kappa, grid: TorusGrid | None = None, ground_state=None) -> SteadyCatalog:
     """All odd zero-up steady states at ``kappa`` on ``grid``.
 
     Each replica is sampled by exact index remapping of the j*kappa ground
     profile (j*x lands back on grid nodes), and its energy is recomputed
     from its own samples rather than inherited, so the replica energy
-    identity stays a checkable fact downstream.
+    identity stays a checkable fact downstream.  ``ground_state(j * kappa,
+    grid)`` gives each profile, :func:`build_ground_state` unless a caller
+    that keeps the profiles it built passes its own lookup.
     """
+    ground_state = ground_state or build_ground_state  # looked up per call, not bound at def
     if not 0.0 < kappa < 1.0:
         raise DomainError(f"domain error: kappa={kappa!r} outside (0, 1)")
     grid = grid if grid is not None else TorusGrid(DEFAULT_N_POINTS)
@@ -68,7 +71,7 @@ def build_catalog(kappa, grid: TorusGrid | None = None) -> SteadyCatalog:
     replicas = []
     for j in range(1, m + 1):
         try:
-            gs = build_ground_state(j * kappa, grid)
+            gs = ground_state(j * kappa, grid)
         except ResolutionError as exc:
             raise ResolutionError(f"resolution error at replica j={j}: {exc}") from exc
         idx = (j * np.arange(n) - (j - 1) * (n // 2)) % n
@@ -148,16 +151,17 @@ def minimal_period(C, kappa):
     return period
 
 
-def linearization_gap(field: TorusField, kappa, M=256):
-    """Lowest Rayleigh quotient of the quadratic form about ``field``.
+def linearization_blocks(field: TorusField, kappa, M=256):
+    """Lowest Rayleigh quotient of each block of the quadratic form about ``field``.
 
     Assembles phi -> int kappa^2 (phi')^2 + (3 field^2 - 1) phi^2 in the
-    sine basis sin(mx), m = 1..M, and returns the smallest eigenvalue
-    relative to the L2 Gram, by odd-m and even-m blocks where 3 field^2 - 1
-    has period pi (about every ground state and replica).  A positive value
-    certifies the gap.  A kappa that is not positive with a finite square, an
-    M that is not an integer, or more modes than the grid holds raises
-    :class:`DomainError`.
+    sine basis sin(mx), m = 1..M, relative to the L2 Gram.  Where
+    3 field^2 - 1 has period pi (about every ground state and replica) the
+    form couples m only with k of m's parity, and the result is the pair of
+    minima of the odd-m and the even-m block; any other field gives one
+    minimum over all M modes.  A kappa that is not positive with a finite
+    square, an M that is not an integer, or more modes than the grid holds
+    raises :class:`DomainError`.
     """
     if not (0.0 < kappa and kappa * kappa < math.inf):
         raise DomainError(f"domain error: kappa={kappa!r} must be positive with a finite square")
@@ -175,8 +179,14 @@ def linearization_gap(field: TorusField, kappa, M=256):
         m = np.arange(first, M + 1, step)
         A = 0.5 * np.pi * (a[np.abs(m[:, None] - m)] - a[m[:, None] + m])
         A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
-        lowest.append(np.linalg.eigvalsh(A)[0])
-    return float(np.min(lowest) / np.pi)
+        lowest.append(float(np.linalg.eigvalsh(A)[0] / np.pi))
+    return tuple(lowest)
+
+
+def linearization_gap(field: TorusField, kappa, M=256):
+    """Lowest Rayleigh quotient of the quadratic form about ``field``: the
+    least of :func:`linearization_blocks`.  A positive value certifies the gap."""
+    return float(np.min(linearization_blocks(field, kappa, M)))  # np.min keeps a NaN
 
 
 def spectral_gap(gs: GroundState, M=256):

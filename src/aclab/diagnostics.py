@@ -19,6 +19,7 @@ SIGNAL_FLOOR = 1e-13
 MIN_FIT_POINTS = 20
 PROFILE_WINDOWS = 4  # late sub-windows whose estimates extract_profile compares
 THETA_STEPS_PER_UNIT = 400  # RK4 steps of theta_ode_oracle per unit of ln t
+SERIES_BLOCK = 64  # records spectra_series synthesizes at a time
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,23 @@ def spectra_series(spectra, kappa, n_pad):
     """The :class:`DiagnosticSeries` fields but ``times`` of the (records, M) spectra.
 
     The energy and the max norm are evaluated on the ``n_pad``-point grid,
-    where the quartic integral is exact for n_pad > 4M.  A finite record
-    too large for its series (u^4 overflows first) leaves non-finite
-    samples, without a warning.
+    where the quartic integral is exact for n_pad > 4M, ``SERIES_BLOCK``
+    records at a time: each record's transform and sums are its own, so
+    the blocks change no bit and bound the grid array.  A finite record too
+    large for its series (u^4 overflows first) leaves non-finite samples,
+    without a warning.
     """
+    linf = np.empty(len(spectra))
+    int_u4 = np.empty(len(spectra))
     with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(spectra), SERIES_BLOCK):
+            u = sine_values(spectra[i : i + SERIES_BLOCK], n_pad)
+            linf[i : i + SERIES_BLOCK] = np.maximum(np.max(u, axis=-1), -np.min(u, axis=-1))
+            u *= u  # u^4 in place
+            u *= u
+            int_u4[i : i + SERIES_BLOCK] = np.sum(u, axis=-1)
+        int_u4 *= 2.0 * np.pi / n_pad
         sum_sq = np.sum(spectra * spectra, axis=-1)
-        u = sine_values(spectra, n_pad)
-        linf = np.maximum(np.max(u, axis=-1), -np.min(u, axis=-1))
-        u *= u  # u^4 in place: the padded grid is the largest array here
-        u *= u
-        int_u4 = (2.0 * np.pi / n_pad) * np.sum(u, axis=-1)
         grad = gradient_energy(spectra, kappa)
         return {
             "mass": np.pi * sum_sq,

@@ -149,6 +149,21 @@ def solve_peak(kappa):
     return peak
 
 
+def band_edges(peak: PeakValue):
+    """The five band edges of the linearization -kappa^2 d^2/dx^2 + 3U^2 - 1 about the profile.
+
+    In z it is ((1 + q)/2)(-d^2/dz^2 + 6 k^2 sn^2 z) - 1, the degree-2 Lame
+    operator (Arscott 1964, ch. IX; DLMF 29.12), whose 2pi-periodic edges in
+    q = 1 - N^2 are, ascending: 1 - sqrt(1 + 3q^2) < 0 (sn^2 - c, even in x),
+    0 (cn dn, the profile's derivative), (3/2)(1 - q) (sn dn, odd),
+    (3/2)(1 + q) (sn cn, odd) and 1 + sqrt(1 + 3q^2) (sn^2 - c, even).
+    """
+    q = peak.q
+    root = math.sqrt(1.0 + 3.0 * q * q)
+    # 1 - root as -3q^2 / (1 + root), which keeps the Morse eigenvalue where 3q^2 < eps
+    return (-3.0 * q * q / (1.0 + root), 0.0, 1.5 * (1.0 - q), 1.5 * (1.0 + q), 1.0 + root)
+
+
 @dataclass(frozen=True)
 class GroundState:
     """Odd zero-up steady profile with its peak, energy, and tabulation."""

@@ -16,8 +16,9 @@ The march's series recurrence is the automatic-differentiation Taylor method
 (Jorba & Zou, Experimental Mathematics 14 (2005) 99-117); it needs only
 integer products and shifts.  The first-return period oracle marches the same
 ODE with the same recurrence, in 96-bit fixed point from double data, and
-times half a turn between the orbit's first two zeros; it shares no code with
-the period formula (the AGM behind ``catalog.minimal_period``) it checks.
+times half a turn between the zeros just ahead of and just behind the start;
+it shares no code with the period formula (the AGM behind
+``catalog.minimal_period``) it checks.
 """
 import math
 import operator
@@ -181,22 +182,45 @@ def _upward_root(a):
     return t
 
 
+def _first_zero(u, v, r_fixed, h, t_max, skip_start):
+    # (n, tau) of the first zero of u in t <= t_max marching from (u, h u') in
+    # fixed point, upward (u <= 0 < u_next) or downward (u >= 0 > u_next), or
+    # None; skip_start passes over a zero the march starts on
+    one = 1 << RETURN_BITS
+    n = 0
+    while abs(u) < 2 * one and n * h < t_max:
+        a = _scaled_taylor_coeffs(u, v, r_fixed, RETURN_ORDER, RETURN_BITS)
+        u_next, v = sum(a), sum(k * ak for k, ak in enumerate(a))
+        crossed = u <= 0 < u_next or u >= 0 > u_next
+        if crossed and abs(u_next) < 2 * one and not (skip_start and n == 0 and u == 0):
+            # a downward zero is the upward zero of -u: negation is exact, so the same float steps
+            tau = _upward_root([(ak if u_next > 0 else -ak) / one for ak in a])
+            return (n, tau) if (n + tau) * h <= t_max else None
+        u = u_next  # an escape (|u| >= 2) closes no orbit and ends the loop
+        n += 1
+    return None
+
+
 def first_return_period(u0, v0, kappa, t_max):
     """Minimal period of a closed steady-ODE orbit by Taylor marching.
 
-    Marches kappa^2 u'' = u^3 - u from (u0, v0) with the shooting oracle's
-    series recurrence in integer fixed point (``RETURN_BITS`` fraction bits,
-    order ``RETURN_ORDER``, fixed step h = 0.22 kappa: in s = x / kappa the
-    ODE holds no kappa, so every orbit takes the same s-step), and returns
-    twice the gap between the first two zero crossings of u, upward or
-    downward: (u, u') -> (-u, -u') maps each closed orbit onto itself, so
-    one zero to the next is exactly half a period.  Each crossing is located
-    on its step's polynomial by bisection and Newton, a downward one as the
-    upward zero of the negated series.  A march that reaches |u| >= 2 stops:
-    such an orbit is no closed one and crosses zero at most once.  Fewer
-    than two crossings in t <= t_max raise :class:`WindowError`.  Non-finite
-    data, a kappa or t_max that is not a positive finite number, or a t_max
-    beyond ``RETURN_MAX_STEPS`` steps raise :class:`DomainError`.
+    Marches kappa^2 u'' = u^3 - u with the shooting oracle's series
+    recurrence in integer fixed point (``RETURN_BITS`` fraction bits, order
+    ``RETURN_ORDER``, fixed step h = 0.22 kappa: in s = x / kappa the ODE
+    holds no kappa, so every orbit takes the same s-step) from (u0, v0) to
+    the first zero of u ahead, and from (u0, -v0), the same orbit run
+    backwards (the ODE is reversible), to the first zero behind, and returns
+    twice the time between those two consecutive zeros:
+    (u, u') -> (-u, -u') maps each closed orbit onto itself, so one zero to
+    the next is exactly half a period.  A start exactly on a zero counts
+    once, ahead.  Each zero, upward or downward, is located on its step's
+    polynomial by bisection and Newton, a downward one as the upward zero of
+    the negated series.  A march that reaches |u| >= 2 stops: such an orbit
+    is no closed one and crosses zero at most once.  ``t_max`` bounds the
+    time marched both ways together; fewer than two zeros within it raise
+    :class:`WindowError`.  Non-finite data, a kappa or t_max that is not a
+    positive finite number, or a t_max beyond ``RETURN_MAX_STEPS`` steps
+    raise :class:`DomainError`.
     """
     if not all(map(math.isfinite, (u0, v0, kappa, t_max))):
         raise DomainError(f"domain error: first_return_period needs finite data, got "
@@ -212,24 +236,9 @@ def first_return_period(u0, v0, kappa, t_max):
     r_fixed = (r.numerator << RETURN_BITS) // r.denominator
     u = round(Fraction(u0) * one)
     v = round(Fraction(h) * Fraction(v0) * one)  # h u'
-    crossings = []
-    n = 0
-    while abs(u) < 2 * one and n * h < t_max:
-        a = _scaled_taylor_coeffs(u, v, r_fixed, RETURN_ORDER, RETURN_BITS)
-        u_next, v = sum(a), sum(k * ak for k, ak in enumerate(a))
-        if abs(u_next) < 2 * one and (u <= 0 < u_next or u >= 0 > u_next):  # an escape closes no orbit
-            # a downward zero is the upward zero of -u: negation is exact, so the same float steps
-            tau = _upward_root([(ak if u_next > 0 else -ak) / one for ak in a])
-            if (n + tau) * h > t_max:
-                break
-            crossings.append((n, tau))
-            if len(crossings) == 2:
-                break
-        u = u_next
-        n += 1
-    if len(crossings) < 2:
-        raise WindowError(
-            f"window error: first-return oracle saw {len(crossings)} zero crossings in t <= {t_max}"
-        )
-    (n1, tau1), (n2, tau2) = crossings
-    return 2.0 * ((n2 - n1) + (tau2 - tau1)) * h
+    ahead = _first_zero(u, v, r_fixed, h, t_max, skip_start=False)
+    behind = ahead and _first_zero(u, -v, r_fixed, h, t_max - (ahead[0] + ahead[1]) * h, skip_start=True)
+    if behind is None:
+        raise WindowError(f"window error: first-return oracle saw {0 if ahead is None else 1} "
+                          f"zero crossings in t <= {t_max}")
+    return 2.0 * ((ahead[0] + behind[0]) + (ahead[1] + behind[1])) * h

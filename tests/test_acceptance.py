@@ -6,12 +6,13 @@ per criterion; the same checks back ``aclab verify --suite all``.
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import aclab.oracles
-from aclab import verify
+from aclab import catalog, verify
 from aclab.diagnostics import check_log_convexity, fit_rate
 from aclab.errors import AclabError, DomainError
 from aclab.verify import ALL_CHECK_NAMES, DEFAULT_SEED, run_suite
@@ -22,6 +23,43 @@ SEED = DEFAULT_SEED
 @pytest.fixture(scope="module")
 def results():
     return {r.name: r for r in run_suite("all", seed=SEED)}
+
+
+@pytest.fixture(scope="module")
+def suite_work():
+    # one run_suite("all") with the profile builds and the eigensolves recorded
+    builds, solves = Counter(), []
+    build, solve = verify.build_ground_state, np.linalg.eigvalsh
+
+    def counted_build(kappa, grid=None):
+        builds[kappa, verify.DEFAULT_N_POINTS if grid is None else grid.n_points] += 1
+        return build(kappa, grid)
+
+    def sized_solve(A):
+        solves.append(A.shape[0])
+        return solve(A)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "build_ground_state", counted_build)
+        mp.setattr(catalog, "build_ground_state", counted_build)
+        mp.setattr(np.linalg, "eigvalsh", sized_solve)
+        results = run_suite("all", seed=SEED)
+    assert all(r.passed for r in results)
+    return builds, solves
+
+
+def test_suite_builds_each_ground_state_once(suite_work):
+    # five checks and the catalog read 24 distinct (kappa, n_points) profiles, some several times
+    builds, _ = suite_work
+    assert set(builds.values()) == {1}
+    assert len(builds) == 24 and (0.02, 8192) in builds and (0.78, 2048) in builds
+
+
+def test_suite_solves_only_the_m256_parity_blocks(suite_work):
+    # the gap check's two blocks of 128 modes at each of its three kappas, and
+    # no M = 512 matrix: the Lame edges bound what the doubling measured
+    _, solves = suite_work
+    assert solves == [128] * 6
 
 
 def test_all_criteria_present(results):
@@ -62,8 +100,9 @@ def test_non_finite_period_fails_its_check(monkeypatch, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_spectral_gap_fails_its_check(monkeypatch, bad):
-    # min(inf, nan) is inf: a nan gap once passed as "min gap inf"
-    monkeypatch.setattr(verify, "spectral_gap", lambda gs, M=256: bad)
+    # min(inf, nan) is inf: a nan gap once passed as "min gap inf"; here the
+    # odd-m block minimum is the non-finite one and the even-m one is finite
+    monkeypatch.setattr(verify, "linearization_blocks", lambda field, kappa, M=256: (bad, 1.5))
     result = verify.check_spectral_gap(verify._Context(seed=SEED))
     assert not result.passed and result.observed.startswith("min gap nan")
 

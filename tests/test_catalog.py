@@ -12,13 +12,14 @@ from aclab.catalog import (
     build_catalog,
     classify_orbit,
     count_states,
+    linearization_blocks,
     linearization_gap,
     minimal_period,
     orbit_invariant,
     spectral_gap,
 )
 from aclab.errors import DomainError, SymmetryError
-from aclab.ground_state import build_ground_state, energy, eval_g
+from aclab.ground_state import band_edges, build_ground_state, energy, eval_g
 from aclab.oracles import first_return_period
 from aclab.spectral import TorusField, TorusGrid, sine_coeffs, sine_transform, sine_values
 from helpers import fft_derivative
@@ -308,6 +309,44 @@ class TestSpectralGap:
         # column of the default energy table (0.05:0.95:0.05) carries every gap
         gs = gs_cache(kappa)
         assert spectral_gap(gs, M=256) == pytest.approx(1.5 * gs.peak.N**2, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa", [round(0.1 + 0.05 * i, 2) for i in range(18)])
+    def test_sine_block_minima_are_the_odd_lame_edges(self, gs_cache, kappa):
+        # sn dn spans the odd-m block's ground and sn cn the even-m one's; by
+        # Cauchy interlacing the M = 512 minimum lies between the edge and the
+        # M = 256 one, which the gate's gap check relies on
+        gs = gs_cache(kappa)
+        odd, even = linearization_blocks(gs.field, kappa)
+        edges = band_edges(gs.peak)
+        assert odd == pytest.approx(edges[2], abs=1e-11)
+        assert even == pytest.approx(edges[3], abs=1e-11)
+        assert min(linearization_blocks(gs.field, kappa, M=512)) == pytest.approx(odd, abs=1e-11)
+
+    @pytest.mark.parametrize("kappa", [round(0.1 + 0.05 * i, 2) for i in range(18)])
+    def test_cosine_blocks_hold_the_even_lame_edges_and_morse_index_one(self, gs_cache, kappa):
+        # the even functions, cos(mx) for m = 0..256 scaled by the Gram
+        # diagonal (2 pi at m = 0, pi above), in parity blocks as for the sines
+        # (one block of all 257 modes puts the zero mode 1.4e-11 off): the
+        # even-m block's lowest two eigenvalues are 1 - sqrt(1 + 3q^2) < 0 and
+        # 1 + sqrt(1 + 3q^2), the odd-m block's lowest is 0 (the translation
+        # mode U'); with the sine blocks positive, the ground state has Morse
+        # index 1 on all 2 pi-periodic functions
+        gs = gs_cache(kappa)
+        n, M = gs.field.grid.n_points, 256
+        a = sine_coeffs(3.0 * gs.field.values**2 - 1.0, n // 2, cosine=True)
+        low = []
+        for first in (0, 1):
+            m = np.arange(first, M + 1, 2)
+            A = 0.5 * np.pi * (a[np.abs(m[:, None] - m)] + a[m[:, None] + m])
+            A += np.diag(np.pi * kappa**2 * m.astype(float) ** 2)
+            d = 1.0 / np.sqrt(np.where(m == 0, 2.0 * np.pi, np.pi))
+            low.append(np.linalg.eigvalsh(d[:, None] * A * d)[:2])
+        (lam0, top), (zero, _) = low
+        edges = band_edges(gs.peak)
+        assert [lam0, zero, top] == pytest.approx([edges[0], edges[1], edges[4]], abs=1e-11)
+        assert edges[0] < 0.0
+        if edges[0] < -1e-9:  # where the computed lam0 is resolved, it is the one negative eigenvalue
+            assert lam0 < 0.0 < min(linearization_blocks(gs.field, kappa))
 
     @pytest.mark.parametrize(
         "kappa, M",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import solve_ivp
 
 from aclab import verify
 from aclab.diagnostics import (
+    SERIES_BLOCK,
     DiagnosticSeries,
     check_eta0_inequality,
     check_log_convexity,
@@ -20,7 +22,7 @@ from aclab.diagnostics import (
 )
 from aclab.errors import DomainError, SignError, WindowError
 from aclab.evolution import EvolveParams, evolve, initial_spectrum
-from aclab.spectral import SineSpectrum, sine_transform
+from aclab.spectral import SineSpectrum, gradient_energy, sine_transform, sine_values
 from helpers import time_limit, window_ratios
 
 
@@ -447,6 +449,60 @@ class TestSeriesValidation:
                 times=t, mass=np.zeros(3), energy=np.zeros(2),
                 c1=np.zeros(2), hi_mass=np.zeros(2), linf=np.zeros(2),
             )
+
+
+def _spectra_series_one_batch(spectra, kappa, n_pad):
+    # spectra_series as it synthesized every record in one (records, n_pad) array
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_sq = np.sum(spectra * spectra, axis=-1)
+        u = sine_values(spectra, n_pad)
+        linf = np.maximum(np.max(u, axis=-1), -np.min(u, axis=-1))
+        u *= u
+        u *= u
+        int_u4 = (2.0 * np.pi / n_pad) * np.sum(u, axis=-1)
+        grad = gradient_energy(spectra, kappa)
+        return {
+            "mass": np.pi * sum_sq,
+            "energy": grad + 0.25 * (2.0 * np.pi - 2.0 * np.pi * sum_sq + int_u4),
+            "c1": spectra[:, 0],
+            "hi_mass": np.sqrt(np.pi * np.sum(spectra[:, 1:] ** 2, axis=-1)),
+            "linf": linf,
+        }
+
+
+@pytest.mark.parametrize("rows", [1, SERIES_BLOCK - 1, SERIES_BLOCK, SERIES_BLOCK + 1, 1001])
+def test_blocked_series_equal_the_one_batch_series_bit_for_bit(rows):
+    # pocketfft transforms each row on its own and every sum runs along a row,
+    # so the blocks change no bit; the last row overflows u^4 (and, from
+    # SERIES_BLOCK + 1 rows on, a row past the first block overflows u^2 too),
+    # whose non-finite samples evolve's blow-up test reads
+    rng = np.random.default_rng(rows)
+    spectra = rng.normal(size=(rows, 64)) / np.arange(1, 65)
+    spectra[-1] *= 1e80
+    if rows > SERIES_BLOCK:
+        spectra[SERIES_BLOCK] *= 1e200
+    got = spectra_series(spectra, 0.7, 512)
+    ref = _spectra_series_one_batch(spectra, 0.7, 512)
+    assert not np.isfinite(got["energy"][-1])
+    for name, arr in ref.items():
+        assert got[name].view(np.uint64).tolist() == arr.view(np.uint64).tolist(), name
+
+
+def test_blocked_series_bound_the_grid_array():
+    # the gate's kappa1_sinx run: 1,001 records of 64 modes on 512 points; the
+    # one batch held a 1,001 x 512 grid array and its complex half spectrum
+    spectra = np.random.default_rng(1).normal(size=(1001, 64))
+    tracemalloc.start()
+    try:
+        spectra_series(spectra, 1.0, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _spectra_series_one_batch(spectra, 1.0, 512)
+        peak_one_batch = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_one_batch > 8e6
+    assert peak < 2e6
 
 
 @pytest.fixture(scope="module")

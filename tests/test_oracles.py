@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import aclab.oracles
-from aclab.catalog import classify_orbit
+from aclab.catalog import classify_orbit, minimal_period, orbit_invariant
 from aclab.errors import AclabError, DomainError, ResolutionError, WindowError
 from aclab.ground_state import build_ground_state
 from aclab.oracles import (
@@ -120,6 +120,34 @@ def _first_return_period_full(u0, v0, kappa, t_max):
     assert len(crossings) == 2
     (n1, tau1), (n2, tau2) = crossings
     return ((n2 - n1) + (tau2 - tau1)) * h
+
+
+def _first_return_period_one_way(u0, v0, kappa, t_max):
+    # first_return_period as it marched one way, from (u0, v0) to its first
+    # two zeros ahead, before the march to one zero ahead and one behind
+    h = 0.22 * kappa
+    one = 1 << RETURN_BITS
+    r = Fraction(h) ** 2 / Fraction(kappa) ** 2
+    r_fixed = (r.numerator << RETURN_BITS) // r.denominator
+    u = round(Fraction(u0) * one)
+    v = round(Fraction(h) * Fraction(v0) * one)
+    crossings = []
+    n = 0
+    while abs(u) < 2 * one and n * h < t_max:
+        a = _scaled_taylor_coeffs(u, v, r_fixed, RETURN_ORDER, RETURN_BITS)
+        u_next, v = sum(a), sum(k * ak for k, ak in enumerate(a))
+        if abs(u_next) < 2 * one and (u <= 0 < u_next or u >= 0 > u_next):
+            tau = _upward_root([(ak if u_next > 0 else -ak) / one for ak in a])
+            if (n + tau) * h > t_max:
+                break
+            crossings.append((n, tau))
+            if len(crossings) == 2:
+                break
+        u = u_next
+        n += 1
+    assert len(crossings) == 2
+    (n1, tau1), (n2, tau2) = crossings
+    return 2.0 * ((n2 - n1) + (tau2 - tau1)) * h
 
 
 def _taylor_coeffs_fsum(u0, v0, kappa2, order):
@@ -489,6 +517,49 @@ def test_half_period_march_equals_the_full_period_march(u0, v0, kappa):
     t_max = 3.0 * oc.period + 5.0
     period = first_return_period(u0, v0, kappa, t_max)
     assert period == pytest.approx(_first_return_period_full(u0, v0, kappa, t_max), abs=1e-13)
+
+
+_gate_start = st.one_of(st.just(0.0), st.floats(-1.3, 1.3))  # an exact zero start among the draws
+
+
+@given(u0=_gate_start, v0=st.one_of(st.just(0.0), st.floats(-1.2, 1.2)), kappa=st.floats(0.25, 2.0))
+def test_two_way_march_equals_the_one_way_marches(u0, v0, kappa):
+    # one zero ahead and one behind are two consecutive zeros as much as the
+    # first two ahead are; a start on a zero (u0 = 0.0) counts once
+    oc = classify_orbit(u0, v0, kappa)
+    assume(oc.kind == "periodic" and not oc.near_boundary and oc.amplitude > 1e-3)
+    t_max = 3.0 * oc.period + 5.0
+    period = first_return_period(u0, v0, kappa, t_max)
+    assert period == pytest.approx(_first_return_period_full(u0, v0, kappa, t_max), abs=1e-13)
+    assert period == pytest.approx(_first_return_period_one_way(u0, v0, kappa, t_max), abs=1e-13)
+
+
+@pytest.mark.parametrize("v0", [0.5, -0.5, 0.3])
+@pytest.mark.parametrize("kappa", [0.5, 1.3])
+def test_a_start_on_a_zero_counts_once(v0, kappa):
+    # ahead the march meets the zero it starts on at t = 0; behind it passes
+    # over it, or the period would read 0
+    period = first_return_period(0.0, v0, kappa, 100.0)
+    assert period == pytest.approx(minimal_period(orbit_invariant(0.0, v0, kappa), kappa), abs=1e-12)
+
+
+@pytest.mark.parametrize("u0, v0, kappa", [(0.5, 0.0, 0.5), (0.3, 0.4, 1.1), (-0.9, 0.05, 1.2), (0.0, 0.6, 0.4)])
+def test_the_march_takes_half_a_period(monkeypatch, u0, v0, kappa):
+    # the two directions together march the half period between their zeros,
+    # plus at most the unused rest of the two steps that hold them
+    steps = []
+    monkeypatch.setattr(aclab.oracles, "_scaled_taylor_coeffs",
+                        lambda *args: steps.append(1) or _scaled_taylor_coeffs(*args))
+    period = first_return_period(u0, v0, kappa, 100.0)
+    assert len(steps) <= math.ceil(0.5 * period / (0.22 * kappa)) + 2
+
+
+def test_t_max_bounds_both_directions_together():
+    # from (0.5, 0) at kappa = 0.5 each direction marches a quarter period to its zero
+    half = 0.5 * minimal_period(orbit_invariant(0.5, 0.0, 0.5), 0.5)
+    assert first_return_period(0.5, 0.0, 0.5, half + 1e-3) == pytest.approx(2.0 * half, abs=1e-12)
+    with pytest.raises(WindowError, match="saw 1 zero crossings"):
+        first_return_period(0.5, 0.0, 0.5, half - 1e-3)
 
 
 def test_every_zero_reaches_the_root_finder_rising(monkeypatch):
