@@ -1,10 +1,13 @@
 """Post-processing of evolution runs: diagnostic series, rate fits, convexity.
 
-Every fit names its window, and a fit refuses signals within a factor 100
-of the absolute floor 1e-13, where exponentially decaying quantities sit on
-the round-off plateau and any fitted rate would be meaningless.  The theta
+The series and the eta0 test evaluate their quartic sums on the grid of
+:func:`~aclab.spectral.padded_points`.  Every fit names its window, and a
+fit refuses signals within a factor 100 of the absolute floor 1e-13, where
+exponentially decaying quantities sit on the round-off plateau and any
+fitted rate would be meaningless.  The kappa = 1 profile and the eta0 test
+return the one number their callers read, beta and the ratio.  The theta
 ODE oracle, the reduced modulation equation at kappa = 1, is integrated
-here by fixed-step RK4 in log time.
+here by fixed-step RK4 in log time and returns theta* and its dense solution.
 """
 
 import math
@@ -13,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SignError, WindowError
-from .spectral import SineSpectrum, _freeze, gradient_energy, sine_coeffs, sine_values
+from .spectral import SineSpectrum, _freeze, gradient_energy, padded_points, sine_coeffs, sine_values
 
 SIGNAL_FLOOR = 1e-13
 MIN_FIT_POINTS = 20
-PROFILE_WINDOWS = 4  # late sub-windows whose estimates extract_profile compares
 THETA_STEPS_PER_UNIT = 400  # RK4 steps of theta_ode_oracle per unit of ln t
 SERIES_BLOCK = 64  # records spectra_series synthesizes at a time
 
@@ -58,16 +60,17 @@ class DiagnosticSeries:
             raise DomainError("domain error: mass must be nonnegative")
 
 
-def spectra_series(spectra, kappa, n_pad):
+def spectra_series(spectra, kappa):
     """The :class:`DiagnosticSeries` fields but ``times`` of the (records, M) spectra.
 
-    The energy and the max norm are evaluated on the ``n_pad``-point grid,
-    where the quartic integral is exact for n_pad > 4M, ``SERIES_BLOCK``
-    records at a time: each record's transform and sums are its own, so
-    the blocks change no bit and bound the grid array.  A finite record too
-    large for its series (u^4 overflows first) leaves non-finite samples,
-    without a warning.
+    The energy and the max norm are evaluated on the grid of
+    :func:`~aclab.spectral.padded_points` (M), where the quartic integral is
+    exact, ``SERIES_BLOCK`` records at a time: each record's transform and
+    sums are its own, so the blocks change no bit and bound the grid array.
+    A finite record too large for its series (u^4 overflows first) leaves
+    non-finite samples, without a warning.
     """
+    n_pad = padded_points(spectra.shape[-1])
     linf = np.empty(len(spectra))
     int_u4 = np.empty(len(spectra))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -102,11 +105,6 @@ class RateFit:
     y_fit: np.ndarray
 
 
-def _select(t, window):
-    lo, hi = window
-    return lo, hi, (t >= lo) & (t <= hi)
-
-
 def fit_rate(times, values, model, window) -> RateFit:
     """Least-squares decay fit on the samples with lo <= t <= hi, window = (lo, hi).
 
@@ -131,7 +129,8 @@ def fit_rate(times, values, model, window) -> RateFit:
         )
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise DomainError("domain error: fit_rate needs finite times and values")
-    lo, hi, sel = _select(t, window)
+    lo, hi = window
+    sel = (t >= lo) & (t <= hi)
     if model == "algebraic":
         sel &= t > 0.0
     t_w, y_w = t[sel], y[sel]
@@ -163,45 +162,30 @@ def fit_rate(times, values, model, window) -> RateFit:
     )
 
 
-@dataclass(frozen=True)
-class ProfileEstimate:
-    value: float
-    stability: float
-    zero_mode: bool
-
-
-def extract_profile(series: DiagnosticSeries, window) -> ProfileEstimate:
+def extract_profile(series: DiagnosticSeries, window) -> float:
     """Late-time first-mode amplitude beta of the kappa = 1 decay c1 ~ beta / sqrt(t).
 
-    Only the records with lo <= t <= hi, window = (lo, hi), count.  The
-    squared compensated amplitude c1(t)^2 t is extrapolated linearly in 1/t
-    per late sub-window (its remainder is O(1/t)).  ``stability`` is the
-    spread of the sub-window estimates; a first mode at round-off level is
-    reported as the zero profile.
+    Only the records with lo <= t <= hi, window = (lo, hi), count, at least
+    ``MIN_FIT_POINTS`` of them.  The squared compensated amplitude c1(t)^2 t
+    is extrapolated linearly in 1/t over the window's last quarter, which
+    must hold three records (its remainder is O(1/t)).  A first mode at
+    round-off level gives beta = 0.0.
     """
+    lo, hi = window
     t = series.times
-    lo, hi, sel = _select(t, window)
-    t_w = t[sel]
-    c1_w = series.c1[sel]
-    if t_w.size < PROFILE_WINDOWS * 5:
-        raise WindowError(
-            f"window error: need >= {PROFILE_WINDOWS * 5} points in [{lo}, {hi}], got {t_w.size}"
-        )
-    if float(np.max(np.abs(c1_w))) < SIGNAL_FLOOR:
-        return ProfileEstimate(value=0.0, stability=0.0, zero_mode=True)
-
-    edges = np.linspace(lo, hi, PROFILE_WINDOWS + 1)
-    estimates = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = (t_w >= a) & (t_w <= b)
-        tt, cc = t_w[m], c1_w[m]
-        if tt.size < 3:
-            raise WindowError("window error: sub-window too thin for extraction")
-        _, intercept = np.polyfit(1.0 / tt, cc**2 * tt, 1)
-        sign = 1.0 if np.mean(cc) >= 0.0 else -1.0
-        estimates.append(sign * math.sqrt(max(float(intercept), 0.0)))
-    spread = float(np.max(estimates) - np.min(estimates))
-    return ProfileEstimate(value=float(estimates[-1]), stability=spread, zero_mode=False)
+    sel = (t >= lo) & (t <= hi)
+    count = np.count_nonzero(sel)
+    if count < MIN_FIT_POINTS:
+        raise WindowError(f"window error: need >= {MIN_FIT_POINTS} points in [{lo}, {hi}], got {count}")
+    if float(np.max(np.abs(series.c1[sel]))) < SIGNAL_FLOOR:
+        return 0.0
+    sel &= t >= lo + 0.75 * (hi - lo)
+    tt, cc = t[sel], series.c1[sel]
+    if tt.size < 3:
+        raise WindowError("window error: the last quarter of the window is too thin for extraction")
+    _, intercept = np.polyfit(1.0 / tt, cc**2 * tt, 1)
+    sign = 1.0 if np.mean(cc) >= 0.0 else -1.0
+    return sign * math.sqrt(max(float(intercept), 0.0))
 
 
 @dataclass(frozen=True)
@@ -235,36 +219,24 @@ def check_log_convexity(series: DiagnosticSeries) -> LogConvexityReport:
     return LogConvexityReport(t1=float(t[i]), t2=float(t[i + 2]), worst_ratio=r, passed=r <= 1.0 + 1e-12)
 
 
-@dataclass(frozen=True)
-class Eta0Report:
-    lhs: float
-    rhs: float
-    ratio: float
+def check_eta0_inequality(spec: SineSpectrum) -> float:
+    """The ratio of int u^3 L u dx, L = -d_xx, to |u|_4^4, which eta0 = 3/4 bounds below.
 
-
-def check_eta0_inequality(spec: SineSpectrum) -> Eta0Report:
-    """Evaluate int u^3 L u dx, L = -d_xx, against eta0 |u|_4^4 with eta0 = 3/4.
-
-    ``ratio`` is lhs / |u|_4^4; the inequality holds when it is at least 3/4.
+    The inequality holds when the ratio is at least 3/4; a zero field gives inf.
     """
     c = spec.coeffs
     M = c.size
-    n_pad = 16
-    while n_pad < 8 * M:
-        n_pad *= 2
+    n_pad = padded_points(M)
     u = sine_values(c, n_pad)
     d = sine_coeffs(u**3, M)  # alias-free: 3M < n_pad/2
     lhs = float(np.pi * np.sum(d * np.arange(1.0, M + 1) ** 2 * c))
     l4 = float((2.0 * np.pi / n_pad) * np.sum(u**4))
-    return Eta0Report(lhs=lhs, rhs=0.75 * l4, ratio=lhs / l4 if l4 > 0.0 else math.inf)
+    return lhs / l4 if l4 > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
 class ThetaFit:
     theta_star: float
-    remainder_bound: float
-    t_end: float
-    theta_end: float
     evaluate: object  # dense solution, callable t -> theta
 
 
@@ -277,8 +249,7 @@ def theta_ode_oracle(theta0, t0, forcing, t_end) -> ThetaFit:
     and cubic Hermite dense output between the steps (Hairer, Norsett &
     Wanner, Solving ODEs I, II.6) behind ``evaluate``.  ``theta_star`` is
     the limit of t*theta(t), estimated by a linear fit in 1/t over the last
-    decade (the remainder of t*theta is O(1/t)); the remainder bound reports
-    sup |theta - theta_star/t| * t^2 / ln t there.  The map must keep theta
+    decade (the remainder of t*theta is O(1/t)).  The map must keep theta
     in [0, inf): a step that ends with phi < 0 raises SignError.  Non-finite
     data or forcing samples t^2 F(t) (an overflow included), t0 < 3,
     theta0 < 0, t_end <= 2 t0, or a phi beyond the step's stable range
@@ -340,14 +311,5 @@ def theta_ode_oracle(theta0, t0, forcing, t_end) -> ThetaFit:
                 + ds * u * (1.0 - u) * (dphi[i] * (1.0 - u) - dphi[i + 1] * u))
 
     tf = np.geomspace(t_end / 10.0, t_end, 200)
-    phi_f = phi_at(tf)
-    slope, intercept = np.polyfit(t_end / tf, phi_f, 1)  # linear in 1/t, scaled to [1, 10]
-    theta_star = float(intercept)
-    remainder = float(np.max(np.abs(phi_f - theta_star) * tf / np.log(tf)))
-    return ThetaFit(
-        theta_star=theta_star,
-        remainder_bound=remainder,
-        t_end=float(t_end),
-        theta_end=float(phi[n] / t_end),
-        evaluate=lambda t: float(phi_at(t) / t),
-    )
+    _, intercept = np.polyfit(t_end / tf, phi_at(tf), 1)  # linear in 1/t, scaled to [1, 10]
+    return ThetaFit(theta_star=float(intercept), evaluate=lambda t: float(phi_at(t) / t))

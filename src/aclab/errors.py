@@ -28,10 +28,6 @@ class SymmetryError(AclabError, ValueError):
 class ConstructionError(AclabError, RuntimeError):
     """Steady-profile construction failed a-posteriori validation."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class ResolutionError(AclabError, ValueError):
     """Grid too coarse to resolve the requested profile."""

@@ -163,7 +163,6 @@ class _Stepper:
         self.dt_phi1 = params.dt * phi1
         self.dt_phi2 = params.dt * phi2
         self.sine = SineWorkspace(params.max_mode)  # on n_points = 4 max_mode points
-        self.n_pad = 2 * params.n_points  # the diagnostics' grid: int u^4 needs n > 4 max_mode
         self._work = np.empty(params.max_mode)
 
     def step(self):
@@ -287,7 +286,7 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
     times = np.array(times)
     snapshots = np.array(spectra)
     times.flags.writeable = snapshots.flags.writeable = False
-    series = spectra_series(snapshots, params.kappa, stepper.n_pad)
+    series = spectra_series(snapshots, params.kappa)
     finite = np.logical_and.reduce([np.isfinite(s) for s in series.values()])
     if not finite.all():  # the first record too large for its diagnostics has blown up
         kstep = min(int(np.argmin(finite)) * params.record_every, n_steps)

@@ -135,9 +135,7 @@ def solve_peak(kappa):
     residual = abs(_g_from_complement(w) - target)
     if residual > PEAK_RESIDUAL_TOL:
         raise ConstructionError(
-            f"construction failure: peak residual {residual:.3e} exceeds "
-            f"{PEAK_RESIDUAL_TOL}",
-            residual=residual,
+            f"construction failure: peak residual {residual:.3e} exceeds {PEAK_RESIDUAL_TOL}"
         )
     peak = PeakValue(kappa=kappa, N=1.0 - w, residual=residual, complement=w)
     bounds = peak_bounds(peak)
@@ -258,16 +256,8 @@ def energy(field: TorusField, kappa: float) -> float:
     return float(gradient_energy(c, kappa) + quartic)
 
 
-@dataclass(frozen=True)
-class EnergyIdentityReport:
-    e_definition: float
-    e_quartic: float
-    e_profile_form: float
-    max_discrepancy: float
-
-
-def energy_identities(gs: GroundState) -> EnergyIdentityReport:
-    """Evaluate the steady-profile energy three ways and compare.
+def energy_identities(gs: GroundState) -> float:
+    """The largest pairwise gap between three forms of the steady-profile energy.
 
     Definition, the quarter-integral of (1 - U^4), and the first-integral
     form int (1/2 (U^2-1)^2 - 1/4 (N^2-1)^2) dx must coincide; a discrepancy
@@ -288,7 +278,7 @@ def energy_identities(gs: GroundState) -> EnergyIdentityReport:
             f"identity violation: energy forms disagree by {worst:.3e} at "
             f"kappa={gs.kappa}"
         )
-    return EnergyIdentityReport(e_def, e_quartic, e_profile, worst)
+    return worst
 
 
 def kink_profile(kappa, x):

@@ -111,6 +111,12 @@ def _grid_factor(M, scale):
     return factor
 
 
+def padded_points(M):
+    """The smallest power of two n >= max(16, 8M): a grid on which int u^4
+    of M sine modes, whose frequencies reach 4M, is exact (n > 4M)."""
+    return max(16, 1 << (8 * M - 1).bit_length())
+
+
 def _require_room(M, n, cosine=False):
     # the Nyquist mode n/2 is a cosine on the grid: sin(n x_j / 2) is 0
     if M > n // 2 - (0 if cosine else 1):

@@ -168,6 +168,16 @@ def test_energy_table_single_row(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("spec", ["0.5,0.1", "0.3,0.3", "0.5:0.5000000000000001:1e-18"])
+def test_kappa_grid_not_strictly_increasing_is_domain_error(spec, tmp_path, capsys):
+    # "0.5,0.1" printed E/kappa at 0.5 as the smallest kappa's and then failed
+    # on energies that were fine; the last step is finer than the floats at 0.5
+    code = run_cli(["energy-table", "--kappa-grid", spec, "--out", str(tmp_path / "out")])
+    assert code == EXIT_DOMAIN_ERROR
+    assert "not strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_kappa_grid_points_are_the_decimal_values():
     # start + i*step would give 0.15000000000000002, 0.6000000000000001, ...
     decimals = [f"0.{k:02d}".rstrip("0") for k in range(5, 100, 5)]

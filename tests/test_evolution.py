@@ -130,7 +130,7 @@ def _reference_evolve(c, params, cubic=_folded_cubic):
                 terminal = "steady_detected"
                 break
     times, spectra = np.array(times), np.array(spectra)
-    series = spectra_series(spectra, params.kappa, stepper.n_pad)
+    series = spectra_series(spectra, params.kappa)
     for i, kstep in enumerate(steps):
         if not all(np.isfinite(s[i]) for s in series.values()):
             raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
@@ -159,11 +159,10 @@ def test_stepper_integrates_the_laplacian_symbol_exactly():
 @pytest.mark.parametrize("n_points", [16, 256, 4096])
 def test_stepper_cubes_on_the_n_point_grid(n_points):
     # the cubic of max_mode = n/4 modes needs 4 max_mode points and the one
-    # fold added back; the diagnostics keep twice as many, for int u^4
+    # fold added back
     stepper = _Stepper(EvolveParams(kappa=0.9, n_points=n_points))
     assert stepper.sine.n_points == n_points
     assert stepper.sine._grid.size == n_points
-    assert stepper.n_pad == 2 * n_points
 
 
 @pytest.mark.parametrize(
