@@ -224,14 +224,17 @@ def check_eta0_inequality(spec: SineSpectrum) -> float:
 
     The inequality holds when the ratio is at least 3/4; a zero field gives inf.
     """
-    c = spec.coeffs
+    top = float(np.max(np.abs(spec.coeffs)))
+    if top == 0.0:
+        return math.inf
+    c = np.ldexp(spec.coeffs, -math.frexp(top)[1])  # by 2^k to max |c_m| in [1/2, 1): the ratio has degree 0
     M = c.size
     n_pad = padded_points(M)
     u = sine_values(c, n_pad)
     d = sine_coeffs(u**3, M)  # alias-free: 3M < n_pad/2
     lhs = float(np.pi * np.sum(d * np.arange(1.0, M + 1) ** 2 * c))
     l4 = float((2.0 * np.pi / n_pad) * np.sum(u**4))
-    return lhs / l4 if l4 > 0.0 else math.inf
+    return lhs / l4
 
 
 @dataclass(frozen=True)

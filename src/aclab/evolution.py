@@ -19,9 +19,9 @@ alias-free for a cubic term).  The diagnostics take int u^4, which reaches
 sign commutes with e^z, dt phi1 and dt phi2, so a step is one cubic term
 and six diagonal operations that allocate nothing.  Finiteness is tested
 at each record and at the last step, and a non-finite record replays the
-steps since the previous one, from its spectrum and the N kept with it, to
-find the first non-finite step.  That is exact: the replay repeats the
-arithmetic, and a non-finite d_m stays so (the next step adds to e^z d_m).
+run from its admitted start to find the first non-finite step.  That is
+exact: the replay repeats the arithmetic on the same buffers, and a
+non-finite d_m stays so (the next step adds to e^z d_m).
 The band-gap filter acts once, at admission: 2^k-point FFTs keep odd data odd.
 """
 
@@ -200,12 +200,11 @@ def initial_spectrum(preset, max_mode):
     return initial_spectrum(PRESETS[preset], max_mode)
 
 
-def _first_non_finite_step(stepper, c, history, last, kstep):
-    """The first step after ``last``, replayed from its record ``c`` and the
-    ``history`` kept with it, whose state is not finite, given that the state
-    at ``kstep`` is not."""
-    stepper.sine.load(c, history)
-    for k in range(last + 1, kstep):
+def _first_non_finite_step(stepper, c0, kstep):
+    """The first step whose state is not finite, replayed from the run's
+    admitted start ``c0``, given that the state at ``kstep`` is not."""
+    stepper.sine.load(c0)
+    for k in range(1, kstep):
         stepper.step()
         if not _finite(stepper.sine.state):
             return k
@@ -254,7 +253,6 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
 
     times = [0.0]
     spectra = [c]
-    history = None  # the cubic term of the step before the last record; none before the first step
     consecutive = 0
     terminal = "reached_t_end"
     kstep = 0
@@ -269,9 +267,8 @@ def evolve(u0, params: EvolveParams) -> Trajectory:
                 step()
             c = stepper.sine.coeffs()
             if not _finite(c):
-                kstep = _first_non_finite_step(stepper, spectra[-1], history, last, kstep)
+                kstep = _first_non_finite_step(stepper, spectra[0], kstep)
                 raise BlowUpError(f"blow-up detected at step {kstep}", step_index=kstep)
-            history = stepper.sine.history()
             t = kstep * params.dt
             if detect:
                 diff = c - spectra[-1]

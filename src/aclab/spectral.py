@@ -13,7 +13,7 @@ kernel, builds its own 4M-point grid for M modes, keeps a spectrum as
 kernels' own (-1/2 to the grid, 2/n back), so a cubic term costs the two
 transforms, two products and the one folded triad added back, and no
 copies; its two cubic slots keep the term of the state before, which the
-stepper's history needs.
+stepper's next step reads.
 """
 
 from dataclasses import dataclass
@@ -205,29 +205,20 @@ class SineWorkspace:
         self._cube = np.empty(n)
         self._sign = _grid_factor(M, 1.0)[1:]
 
-    def load(self, coeffs, history=None):
-        """Set ``state`` to the coefficients ``coeffs``, and the term of the
-        state before to ``history``, as :meth:`history` returned it.  Without
-        one, the next :meth:`cube` is its own history."""
+    def load(self, coeffs):
+        """Set ``state`` to the coefficients ``coeffs`` and forget the terms
+        written before: the next :meth:`cube` is its own term of the state before."""
         np.multiply(self._sign, coeffs, out=self.state)
-        if history is None:
-            self._next = self._last = 0
-        else:
-            np.copyto(self._cubics[0], history)
-            self._next, self._last = 1, 0
+        self._next = self._last = 0
 
     def coeffs(self):
         """A new array of the coefficients ``state`` holds, every zero +0."""
         return self._sign * self.state + 0.0
 
-    def history(self):
-        """A copy of the last term :meth:`cube` wrote, which :meth:`load` takes back."""
-        return self._cubics[self._last].copy()
-
     def cube(self):
         """Write the Galerkin term -(u^3) of ``state`` into the next slot;
         return that slot and the one written before it (the same slot after
-        a :meth:`load` without history)."""
+        a :meth:`load`)."""
         k, last = self._next, self._last
         # outputs by position, which costs less than out=
         u = _pocketfft.irfft(self._half, self._to_grid, self._grid)

@@ -354,6 +354,7 @@ class TestEta0:
     def test_single_mode_closed_form(self):
         # sin x: int u^3 L u = |u|_4^4 = 3 pi / 4
         assert check_eta0_inequality(SineSpectrum([1.0])) == pytest.approx(1.0, abs=1e-12)
+        assert check_eta0_inequality(SineSpectrum(np.zeros(3))) == math.inf  # the zero field
 
     def test_ground_state(self, gs_cache):
         spec = sine_transform(gs_cache(0.5).field)
@@ -365,10 +366,26 @@ class TestEta0:
             return
         ratio = check_eta0_inequality(SineSpectrum(coeffs))
         # lhs >= rhs (1 - 1e-12) - 1e-15 with lhs = ratio |u|_4^4 and rhs = (3/4) |u|_4^4;
-        # the ratio is inf only where |u|_4^4 underflows to 0
+        # only the zero field's ratio is inf
         n = padded_points(coeffs.size)
         l4 = float((2.0 * np.pi / n) * np.sum(sine_values(coeffs, n) ** 4))
-        assert ratio == math.inf or ratio * l4 >= 0.75 * l4 * (1.0 - 1e-12) - 1e-15
+        assert ratio < math.inf and ratio * l4 >= 0.75 * l4 * (1.0 - 1e-12) - 1e-15
+
+    @pytest.mark.parametrize("coeffs, unit", [([1e100], [1.0]), ([1e-90], [1.0]), ([1e-300], [1.0]),
+                                              ([1e77, 5e76], [1.0, 0.5])])
+    def test_extreme_scales(self, coeffs, unit):
+        # 1e100 gave nan with an overflow warning, 1e-90 and 1e-300 the zero
+        # field's inf, and (1e77, 5e76) overflowed
+        ratio = check_eta0_inequality(SineSpectrum(coeffs))
+        assert ratio == pytest.approx(check_eta0_inequality(SineSpectrum(unit)), rel=1e-14)
+
+    def test_the_ratio_is_scale_invariant_to_the_bit(self):
+        # the ratio has degree 0, and a power-of-two scale is exact
+        rng = np.random.default_rng(5)
+        for c in rng.standard_normal((100, 8)):
+            ratio = check_eta0_inequality(SineSpectrum(c))
+            for e in range(-900, 901, 100):
+                assert check_eta0_inequality(SineSpectrum(np.ldexp(c, e))) == ratio
 
 
 class TestThetaOracle:

@@ -1,10 +1,13 @@
 import argparse
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import aclab
 from aclab.cli import build_parser
 
 REPO = Path(__file__).resolve().parents[1]
@@ -45,3 +48,21 @@ def test_readme_flags_are_aclab_options():
     options = {o for sub in commands.choices.values() for o in sub._option_string_actions}
     assert "--kappa" in flags
     assert not flags - options, sorted(flags - options)
+
+
+def test_readme_names_resolve():
+    # every `module.name` or `aclab.module.name` span whose module is an aclab
+    # module names something it defines, and every `aclab.module` a module;
+    # a file name such as `oracles.py` is not a name
+    text = re.sub(r"^```.*?^```", "", (REPO / "README.md").read_text(), flags=re.S | re.M)
+    modules = {m.name for m in pkgutil.iter_modules(aclab.__path__)}
+    spans = re.findall(r"`([^`\n]+)`", text)
+    packaged = [m[1] for s in spans for m in [re.fullmatch(r"aclab\.(\w+)", s)] if m]
+    names = {m.groups() for s in spans
+             for m in [re.fullmatch(r"(?:aclab\.)?(\w+)\.(\w+)(?:\(.*\))?", s)] if m and m[1] in modules}
+    names -= {(module, "py") for module in modules}
+    assert "quadrature" in packaged and ("evolution", "MAX_STEPS") in names
+    assert not set(packaged) - modules, sorted(set(packaged) - modules)
+    missing = sorted(f"{module}.{name}" for module, name in names
+                     if not hasattr(importlib.import_module(f"aclab.{module}"), name))
+    assert not missing, missing
